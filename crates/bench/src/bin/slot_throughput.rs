@@ -6,9 +6,10 @@
 //! mid-size workloads — this sentinel pins an *absolute* capability: the
 //! number of engine slots resolved per second at n = 10 000, measured
 //! from the `dynamic/replication` span of a traced run so one-off setup
-//! (topology, the dense gain build, the sparse ring construction) never
-//! pollutes the figure. Machine speed is factored out the same way as
-//! `perf_baseline`: both sides normalize by their own calibration spin.
+//! (topology and the spatial-grid build of the sparse cache; no dense
+//! gain is built at this size) never pollutes the figure. Machine speed
+//! is factored out the same way as `perf_baseline`: both sides normalize
+//! by their own calibration spin.
 //!
 //! Record mode writes `BENCH_slot_throughput.json` (slots/sec, the
 //! calibration time, thread count, and a config hash); `--check` re-runs

@@ -9,9 +9,10 @@
 //! happens post-collect in deterministic order, and grouping-sensitive
 //! float reductions stay sequential.
 
+use rayfade_core::SPARSE_CROSSOVER;
 use rayfade_dynamic::{
-    ArrivalProcess, DynamicConfig, LambdaSweep, MonitorSpec, MonitoredStabilityReport, PolicyKind,
-    SlotModelKind, StabilityReport, SuccessModelKind,
+    ArrivalProcess, DynamicConfig, DynamicEngine, LambdaSweep, MonitorSpec,
+    MonitoredStabilityReport, PolicyKind, SlotModelKind, StabilityReport, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams};
@@ -213,6 +214,44 @@ fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
         assert_eq!(
             fresh, reference,
             "sparse CSR contents differ between pool size 1 and {threads}"
+        );
+    }
+}
+
+#[test]
+fn sparse_analytic_replication_identical_at_pool_sizes_1_2_8() {
+    // At the crossover the analytic resolver's cache comes from the
+    // rayon-parallel spatial-grid builder, so one replication runs on
+    // the pool.
+    let n = SPARSE_CROSSOVER;
+    let engine = DynamicEngine::new(DynamicConfig {
+        links: n,
+        networks: 1,
+        slots: 300,
+        arrival: ArrivalProcess::Bernoulli { rate: 0.05 },
+        policy: PolicyKind::Aloha,
+        model: SuccessModelKind::Rayleigh,
+        slot_model: SlotModelKind::Analytic,
+        topology: PaperTopology {
+            links: n,
+            side: (n as f64 * 1e6).sqrt(),
+            min_length: 20.0,
+            max_length: 40.0,
+        },
+        params: SinrParams::new(4.0, 2.5, 4e-7),
+        sample_every: 50,
+        seed: 0x5107,
+    });
+    let reference = at_pool_size(POOL_SIZES[0], || engine.run_network(0));
+    assert!(
+        reference.sparse_accuracy.is_some(),
+        "the replication must resolve on the sparse cache"
+    );
+    for &threads in &POOL_SIZES[1..] {
+        let outcome = at_pool_size(threads, || engine.run_network(0));
+        assert_eq!(
+            outcome, reference,
+            "analytic outcome differs between pool size 1 and {threads}"
         );
     }
 }

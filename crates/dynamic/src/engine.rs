@@ -27,13 +27,14 @@ use crate::policy::{
 use crate::queue::QueueBank;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel};
-use rayfade_geometry::PaperTopology;
+use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel, SPARSE_CROSSOVER};
+use rayfade_geometry::{Network, PaperTopology};
 use rayfade_sinr::{GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SuccessModel};
 use rayfade_telemetry::trace::{self, SpanId};
 use rayfade_telemetry::{HealthMonitor, HealthReport, MonitorConfig, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// Distinct stream tags for [`mix_seed2`] derivations.
@@ -160,12 +161,13 @@ impl SlotResolver for MonteCarloResolver {
 }
 
 /// The analytic fast-slot resolver: persists a churn-amortized Theorem-1
-/// evaluator across slots, applies O(k·n) incremental updates for the k
-/// links whose activity flipped since the previous slot (instead of an
-/// O(n²) rebuild or n fading draws + n² interference terms), and draws
-/// each link's indicator as Bernoulli(p_i) with
-/// `p_i = P[SINR_i ≥ β | mask]` — the conditional Theorem-1 probability,
-/// counterfactual for idle links.
+/// evaluator across slots, applies incremental updates for the k links
+/// whose activity flipped since the previous slot — O(k·n) on the
+/// amortized dense cache below [`SPARSE_CROSSOVER`], O(k·deg) on the
+/// certified sparse cache at or above it — instead of an O(n²) rebuild
+/// or n fading draws + n² interference terms, and draws each link's
+/// indicator as Bernoulli(p_i) with `p_i = P[SINR_i ≥ β | mask]` — the
+/// conditional Theorem-1 probability, counterfactual for idle links.
 pub struct AnalyticResolver {
     evaluator: NetworkEvaluator,
     /// Activity mask currently reflected in the evaluator.
@@ -173,21 +175,66 @@ pub struct AnalyticResolver {
     rng: StdRng,
 }
 
+/// The accuracy a replication spent resolving slots on the certified
+/// sparse cache: every probability it drew from over-states the exact
+/// Theorem-1 value by at most a factor `e^{τ_max}`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SparseAccuracy {
+    /// Truncation bound δ the cache was built for.
+    pub delta: f64,
+    /// Largest per-link certificate `τ_max`, at most `−ln(1 − δ)`.
+    pub tau_max: f64,
+}
+
 impl AnalyticResolver {
-    /// Builds the persistent evaluator (churn-amortized below the sparse
-    /// crossover, certified ε-truncated sparse above) with all links
-    /// idle, and seeds the Bernoulli stream.
+    /// Builds the persistent evaluator from a dense gain matrix
+    /// ([`NetworkEvaluator::amortized_from_gain`]: churn-amortized below
+    /// the sparse crossover, certified ε-truncated sparse above) with all
+    /// links idle, and seeds the Bernoulli stream.
     pub fn new(gain: &GainMatrix, params: &SinrParams, seed: u64) -> Self {
+        Self::with_evaluator(NetworkEvaluator::amortized_from_gain(gain, params), seed)
+    }
+
+    /// Like [`new`](Self::new), but builds the evaluator from geometry
+    /// ([`NetworkEvaluator::amortized_for_network`]): bit-identical to
+    /// [`new`](Self::new) over `GainMatrix::from_geometry` below the
+    /// sparse crossover, and the spatial-grid sparse cache, with no dense
+    /// n² state, at or above it.
+    pub fn for_network(
+        network: &Network,
+        power: &PowerAssignment,
+        params: &SinrParams,
+        seed: u64,
+    ) -> Self {
+        Self::with_evaluator(
+            NetworkEvaluator::amortized_for_network(network, power, params),
+            seed,
+        )
+    }
+
+    fn with_evaluator(evaluator: NetworkEvaluator, seed: u64) -> Self {
         AnalyticResolver {
-            evaluator: NetworkEvaluator::amortized_from_gain(gain, params),
-            current: vec![false; gain.len()],
+            current: vec![false; evaluator.len()],
+            evaluator,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
+    /// δ and `τ_max` of the sparse cache; `None` on the amortized dense
+    /// cache, which is exact up to its log quantization.
+    pub fn sparse_accuracy(&self) -> Option<SparseAccuracy> {
+        match &self.evaluator {
+            NetworkEvaluator::Sparse(ev) => Some(SparseAccuracy {
+                delta: ev.delta(),
+                tau_max: ev.ratios().tau_max(),
+            }),
+            NetworkEvaluator::Dense(_) | NetworkEvaluator::Amortized(_) => None,
+        }
+    }
+
     /// Brings the persistent evaluator in line with `active`: queue
-    /// churn flips few links per slot, so diff the mask and apply O(n)
-    /// incremental updates per flip.
+    /// churn flips few links per slot, so diff the mask and apply one
+    /// incremental update per flip.
     fn apply_mask(&mut self, active: &[bool]) {
         debug_assert_eq!(active.len(), self.current.len());
         for (j, &on) in active.iter().enumerate() {
@@ -318,6 +365,10 @@ pub struct DynamicOutcome {
     pub final_backlog_per_link: f64,
     /// The sampled backlog series.
     pub trace: SlotTrace,
+    /// δ and `τ_max` of the sparse cache the analytic resolver drew
+    /// from; `None` on the dense paths (Monte Carlo, or analytic below
+    /// [`SPARSE_CROSSOVER`]).
+    pub sparse_accuracy: Option<SparseAccuracy>,
 }
 
 /// Runs dynamic-scheduling cells; see the module docs for the seeding
@@ -440,12 +491,11 @@ impl DynamicEngine {
             links: cfg.links,
             ..cfg.topology
         };
-        let network = topology.generate(mix_seed2(cfg.seed, stream::TOPOLOGY, net));
-        let gain = GainMatrix::from_geometry(
-            &network,
-            &PowerAssignment::figure1_uniform(),
-            cfg.params.alpha,
-        );
+        let deployment = Deployment {
+            network: topology.generate(mix_seed2(cfg.seed, stream::TOPOLOGY, net)),
+            params: cfg.params,
+            gain: OnceCell::new(),
+        };
         let n = cfg.links;
 
         // Arrival streams depend on (seed, net, λ) only — never on the
@@ -468,9 +518,9 @@ impl DynamicEngine {
             label_tag(cfg.policy.label()),
         );
         let mut policy_rng = StdRng::seed_from_u64(policy_seed);
-        let mut policy = build_policy(cfg, &gain);
+        let mut policy = build_policy(cfg, &deployment);
 
-        let mut resolver = build_resolver(cfg, &gain, net);
+        let (mut resolver, sparse_accuracy) = build_resolver(cfg, &deployment, net);
         // Queried once per replication: when the policy never reads idle
         // links' counterfactual indicators, the resolver may scope its
         // work to the transmitting links (the analytic path skips their
@@ -634,6 +684,7 @@ impl DynamicEngine {
             p95_delay: bank.delay_percentile(95.0),
             final_backlog_per_link: bank.total_backlog() as f64 / n as f64,
             trace,
+            sparse_accuracy,
         };
         (outcome, mon.map(|m| m.report()))
     }
@@ -716,6 +767,11 @@ impl DynamicEngine {
             if let Some(p) = out.p95_delay {
                 ev = ev.int("p95_delay", p as i64);
             }
+            // Only sparse replications carry the keys, so dense runs'
+            // journals keep their historical bytes.
+            if let Some(acc) = out.sparse_accuracy {
+                ev = ev.num("delta", acc.delta).num("tau_max", acc.tau_max);
+            }
             ev.write();
             if let Some(report) = health.get(net) {
                 report.journal(journal, |e| {
@@ -740,12 +796,61 @@ fn label_tag(label: &str) -> u64 {
     h
 }
 
-fn build_policy(cfg: &DynamicConfig, gain: &GainMatrix) -> Box<dyn OnlinePolicy> {
+/// One replication's network, with its dense gain matrix built on first
+/// use. The O(n²) gain is taken only by the Monte Carlo models, the
+/// max-weight policies, and the analytic resolver below
+/// [`SPARSE_CROSSOVER`]; at or above it the analytic resolver works from
+/// geometry. So a replication builds the gain only when one of those is
+/// configured, and never twice.
+struct Deployment {
+    network: Network,
+    params: SinrParams,
+    gain: OnceCell<GainMatrix>,
+}
+
+impl Deployment {
+    fn gain(&self) -> &GainMatrix {
+        self.gain.get_or_init(|| {
+            GainMatrix::from_geometry(
+                &self.network,
+                &PowerAssignment::figure1_uniform(),
+                self.params.alpha,
+            )
+        })
+    }
+
+    fn analytic_resolver(&self, seed: u64) -> AnalyticResolver {
+        if self.network.len() < SPARSE_CROSSOVER {
+            // `for_network` would build the same cache from the same
+            // dense gain, bit for bit, and then free the gain. Taking it
+            // from `gain()` instead shares it with a policy that takes it
+            // too, and keeps it for the whole replication: freeing 8·n²
+            // bytes mid-setup lets glibc hand the heap top back to the OS
+            // when the replication ends, and the next one pays ~5 800
+            // page faults (~12 ms at n = 10³) to regrow it.
+            AnalyticResolver::new(self.gain(), &self.params, seed)
+        } else {
+            AnalyticResolver::for_network(
+                &self.network,
+                &PowerAssignment::figure1_uniform(),
+                &self.params,
+                seed,
+            )
+        }
+    }
+}
+
+fn build_policy(cfg: &DynamicConfig, deployment: &Deployment) -> Box<dyn OnlinePolicy> {
     match cfg.policy {
-        PolicyKind::MaxWeight => Box::new(QueueMaxWeight::new(gain.clone(), cfg.params)),
+        PolicyKind::MaxWeight => {
+            Box::new(QueueMaxWeight::new(deployment.gain().clone(), cfg.params))
+        }
         PolicyKind::Aloha => Box::new(QueueAloha::default_inverse(cfg.links)),
         PolicyKind::Regret => Box::new(RegretPolicy::new(cfg.links)),
-        PolicyKind::RayleighMaxWeight => Box::new(RayleighMaxWeight::new(gain.clone(), cfg.params)),
+        PolicyKind::RayleighMaxWeight => Box::new(RayleighMaxWeight::new(
+            deployment.gain().clone(),
+            cfg.params,
+        )),
     }
 }
 
@@ -762,19 +867,27 @@ fn build_model(cfg: &DynamicConfig, gain: &GainMatrix, net: u64) -> Box<dyn Succ
 
 /// Both resolvers draw their channel randomness from the same
 /// `(seed, FADING, net)` stream root, so a mode switch changes only *how*
-/// the stream is consumed, never which stream it is.
-fn build_resolver(cfg: &DynamicConfig, gain: &GainMatrix, net: u64) -> Box<dyn SlotResolver> {
+/// the stream is consumed, never which stream it is. Returns the
+/// resolver with the accuracy it spends on a sparse cache.
+fn build_resolver(
+    cfg: &DynamicConfig,
+    deployment: &Deployment,
+    net: u64,
+) -> (Box<dyn SlotResolver>, Option<SparseAccuracy>) {
     match cfg.slot_model {
-        SlotModelKind::MonteCarlo => Box::new(MonteCarloResolver::new(
-            build_model(cfg, gain, net),
-            cfg.params.beta,
-        )),
+        SlotModelKind::MonteCarlo => (
+            Box::new(MonteCarloResolver::new(
+                build_model(cfg, deployment.gain(), net),
+                cfg.params.beta,
+            )),
+            None,
+        ),
         // `DynamicEngine::new` already rejected non-Rayleigh configs.
-        SlotModelKind::Analytic => Box::new(AnalyticResolver::new(
-            gain,
-            &cfg.params,
-            mix_seed2(cfg.seed, stream::FADING, net),
-        )),
+        SlotModelKind::Analytic => {
+            let resolver = deployment.analytic_resolver(mix_seed2(cfg.seed, stream::FADING, net));
+            let accuracy = resolver.sparse_accuracy();
+            (Box::new(resolver), accuracy)
+        }
     }
 }
 
@@ -1125,6 +1238,55 @@ mod tests {
             text.contains("\"slot_model\":\"analytic\""),
             "dyn_run must record the slot model"
         );
+        // Below the crossover the cache is the exact amortized one: no
+        // sparse accuracy to record, so dyn_net keeps its historical keys.
+        assert!(outs_a.iter().all(|o| o.sparse_accuracy.is_none()));
+        assert!(!text.contains("\"tau_max\"") && !text.contains("\"delta\""));
+    }
+
+    #[test]
+    fn sparse_analytic_run_journals_its_accuracy() {
+        let n = SPARSE_CROSSOVER;
+        let cfg = DynamicConfig {
+            links: n,
+            networks: 1,
+            slots: 100,
+            arrival: ArrivalProcess::Bernoulli { rate: 0.05 },
+            policy: PolicyKind::Aloha,
+            model: SuccessModelKind::Rayleigh,
+            slot_model: SlotModelKind::Analytic,
+            topology: PaperTopology {
+                links: n,
+                side: (n as f64 * 1e6).sqrt(),
+                min_length: 20.0,
+                max_length: 40.0,
+            },
+            params: SinrParams::new(4.0, 2.5, 4e-7),
+            sample_every: 50,
+            seed: 0x5107,
+        };
+        let engine = DynamicEngine::new(cfg);
+        let dir = std::env::temp_dir().join("rayfade-dynamic-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("sparse-accuracy-{}.jsonl", std::process::id()));
+        let tele = Telemetry::with_journal(&path).unwrap();
+        let outs = engine.run_with_telemetry(Some(&tele));
+        tele.flush();
+        let events = rayfade_telemetry::read_jsonl(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let acc = outs[0]
+            .sparse_accuracy
+            .expect("at the crossover the resolver runs on the sparse cache");
+        assert_eq!(acc.delta, rayfade_core::DEFAULT_SPARSE_DELTA);
+        assert!(acc.tau_max > 0.0 && acc.tau_max <= rayfade_sinr::truncation_budget(acc.delta));
+        let net = events
+            .iter()
+            .find(|e| e.get("kind").and_then(|k| k.as_str()) == Some("dyn_net"))
+            .expect("one dyn_net record");
+        let field = |key: &str| net.get(key).and_then(|v| v.as_f64());
+        assert_eq!(field("delta"), Some(acc.delta));
+        assert_eq!(field("tau_max"), Some(acc.tau_max));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod stability;
 pub use arrivals::{ArrivalProcess, ArrivalSample};
 pub use engine::{
     AnalyticResolver, DynamicConfig, DynamicEngine, DynamicOutcome, MonteCarloResolver,
-    SlotModelKind, SlotResolver, SlotTrace, SuccessModelKind,
+    SlotModelKind, SlotResolver, SlotTrace, SparseAccuracy, SuccessModelKind,
 };
 pub use policy::{
     ObservedSlot, OnlinePolicy, PolicyKind, QueueAloha, QueueMaxWeight, RayleighMaxWeight,

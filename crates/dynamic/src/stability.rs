@@ -574,6 +574,7 @@ mod tests {
                 cum_arrivals: (0..20).map(|i| i * 10 + 3).collect(),
                 cum_departures: (0..20).map(|i| i * 10).collect(),
             },
+            sparse_accuracy: None,
         };
         let cell = judge_cell(
             PolicyKind::MaxWeight,
@@ -620,6 +621,7 @@ mod tests {
                 cum_arrivals: vec![0, 0, 0],
                 cum_departures: vec![0, 0, 0],
             },
+            sparse_accuracy: None,
         };
         let cell = judge_cell(
             PolicyKind::Aloha,
