@@ -3,7 +3,7 @@
 //! The stability experiments compare policies under *identical* traffic:
 //! every (policy, model) cell must see byte-identical arrival sequences so
 //! that throughput differences are attributable to the policy, not the
-//! draw. The engine therefore gives each link its own [`ArrivalSample`]
+//! draw. The engine therefore gives each link its own arrival stream
 //! driven by an RNG derived **only** from `(seed, link)` — never from the
 //! policy or the success model.
 //!
@@ -167,16 +167,90 @@ impl ArrivalSample {
                 p_on_arrival,
                 p_enter,
                 p_exit,
+            } => u32::from(markov_step(on, *p_on_arrival, *p_enter, *p_exit, rng)),
+        }
+    }
+}
+
+/// One slot of an ON/OFF chain: transition first, then sample in the
+/// (possibly new) state — sojourn times are geometric with the stated
+/// means either way. Returns whether a packet arrives.
+fn markov_step(
+    on: &mut bool,
+    p_on_arrival: f64,
+    p_enter: f64,
+    p_exit: f64,
+    rng: &mut StdRng,
+) -> bool {
+    *on = if *on {
+        !rng.gen_bool(p_exit)
+    } else {
+        rng.gen_bool(p_enter)
+    };
+    *on && rng.gen_bool(p_on_arrival)
+}
+
+/// Every link's arrival stream in one replication: a generator per link
+/// and, for Markov arrivals, each link's chain state. A slot's draws are
+/// bit-identical to one [`ArrivalSample::draw`] per link, in link order,
+/// but the process is matched once per slot rather than once per link.
+#[derive(Debug, Clone)]
+pub(crate) struct ArrivalStreams {
+    /// The process parameters (a Markov template's own state is unused).
+    sample: ArrivalSample,
+    rngs: Vec<StdRng>,
+    /// Per-link ON/OFF state; empty unless the process is Markov.
+    on: Vec<bool>,
+}
+
+impl ArrivalStreams {
+    /// One stream per generator in `rngs` (link `i` draws from
+    /// `rngs[i]`), all following `process`.
+    ///
+    /// # Panics
+    /// On parameters outside their documented domains (see
+    /// [`ArrivalProcess::sampler`]).
+    pub(crate) fn new(process: &ArrivalProcess, rngs: Vec<StdRng>) -> Self {
+        let sample = process.sampler();
+        let on = match sample {
+            ArrivalSample::Markov { on, .. } => vec![on; rngs.len()],
+            ArrivalSample::Bernoulli { .. } | ArrivalSample::Batch { .. } => Vec::new(),
+        };
+        ArrivalStreams { sample, rngs, on }
+    }
+
+    /// Draws one slot on every link: clears `arrivals`, then appends
+    /// `(link, packets)` for each link that receives packets, in link
+    /// order.
+    pub(crate) fn draw_slot(&mut self, arrivals: &mut Vec<(usize, u32)>) {
+        arrivals.clear();
+        match self.sample {
+            ArrivalSample::Bernoulli { rate } => {
+                for (i, rng) in self.rngs.iter_mut().enumerate() {
+                    if rng.gen_bool(rate) {
+                        arrivals.push((i, 1));
+                    }
+                }
+            }
+            ArrivalSample::Batch { prob, batch } => {
+                for (i, rng) in self.rngs.iter_mut().enumerate() {
+                    if rng.gen_bool(prob) {
+                        arrivals.push((i, batch));
+                    }
+                }
+            }
+            ArrivalSample::Markov {
+                p_on_arrival,
+                p_enter,
+                p_exit,
+                ..
             } => {
-                // Transition first, then sample in the (possibly new)
-                // state — sojourn times are geometric with the stated
-                // means either way.
-                *on = if *on {
-                    !rng.gen_bool(*p_exit)
-                } else {
-                    rng.gen_bool(*p_enter)
-                };
-                u32::from(*on && rng.gen_bool(*p_on_arrival))
+                let links = self.rngs.iter_mut().zip(&mut self.on).enumerate();
+                for (i, (rng, on)) in links {
+                    if markov_step(on, p_on_arrival, p_enter, p_exit, rng) {
+                        arrivals.push((i, 1));
+                    }
+                }
             }
         }
     }
@@ -296,6 +370,40 @@ mod tests {
         };
         assert_eq!(draw_seq(9), draw_seq(9));
         assert_ne!(draw_seq(9), draw_seq(10));
+    }
+
+    #[test]
+    fn streams_draw_what_per_link_samplers_draw() {
+        let processes = [
+            ArrivalProcess::Bernoulli { rate: 0.3 },
+            ArrivalProcess::Batch {
+                rate: 0.4,
+                batch: 3,
+            },
+            ArrivalProcess::MarkovBurst {
+                rate: 0.2,
+                burst: 5.0,
+            },
+        ];
+        let rngs = || (0..7).map(StdRng::seed_from_u64).collect::<Vec<_>>();
+        for process in processes {
+            let mut samplers: Vec<ArrivalSample> = (0..7).map(|_| process.sampler()).collect();
+            let mut reference = rngs();
+            let mut streams = ArrivalStreams::new(&process, rngs());
+            let mut arrivals = Vec::new();
+            for _ in 0..300 {
+                let want: Vec<(usize, u32)> = samplers
+                    .iter_mut()
+                    .zip(&mut reference)
+                    .enumerate()
+                    .map(|(i, (s, rng))| (i, s.draw(rng)))
+                    .filter(|&(_, count)| count > 0)
+                    .collect();
+                streams.draw_slot(&mut arrivals);
+                assert_eq!(arrivals, want, "{process:?}");
+            }
+            assert_eq!(streams.rngs, reference, "{process:?}: generators in step");
+        }
     }
 
     #[test]

@@ -18,8 +18,16 @@
 //! The result is bitwise deterministic for a fixed config regardless of
 //! rayon's thread count (replications are indexed, not work-stolen into
 //! the output order).
+//!
+//! A slot costs O(links that arrive, contend or transmit), plus two
+//! bit-pinned random streams: one arrival draw per link, and one ALOHA
+//! draw per backlogged link. The queues keep an index of the backlogged
+//! links, policies write their choice as an ascending list, the analytic
+//! resolver applies only the flips between consecutive lists, and
+//! departures and feedback touch only listed links; every per-slot
+//! buffer is reused, so a steady-state slot allocates nothing.
 
-use crate::arrivals::{ArrivalProcess, ArrivalSample};
+use crate::arrivals::{ArrivalProcess, ArrivalStreams};
 use crate::policy::{
     ObservedSlot, OnlinePolicy, PolicyKind, QueueAloha, QueueMaxWeight, RayleighMaxWeight,
     RegretPolicy,
@@ -101,7 +109,7 @@ impl SlotModelKind {
     }
 }
 
-/// Resolves one slot: given the transmit mask, fills `would_succeed[i]`
+/// Resolves one slot: given the transmit set, fills `would_succeed[i]`
 /// with the per-link threshold indicator `SINR_i ≥ β` — counterfactual
 /// for idle links, exactly the [`ObservedSlot`] contract. Implementations
 /// persist whatever channel state they need across slots.
@@ -114,22 +122,44 @@ pub trait SlotResolver {
         self.len() == 0
     }
 
-    /// Resolves one slot into `would_succeed` (length must equal
-    /// [`len`](Self::len)).
-    fn resolve(&mut self, active: &[bool], would_succeed: &mut [bool]);
-
-    /// Like [`resolve`](Self::resolve), but the caller promises to read
-    /// `would_succeed[i]` only where `active[i]` — the engine calls this
-    /// when the policy's
+    /// Resolves one slot. `active` is the transmit mask and
+    /// `transmitters` lists the links it sets, ascending. Writes
+    /// `would_succeed[i]` for every transmitter and, with
+    /// `counterfactuals`, every idle link's counterfactual indicator too.
+    /// Without it, idle entries are either left untouched — the analytic
+    /// resolver then skips their probability evaluations and Bernoulli
+    /// draws — or overwritten with fresh counterfactuals, as the Monte
+    /// Carlo resolver does so its realized-fading stream stays
+    /// bit-pinned to committed artifacts. The engine asks for
+    /// counterfactuals exactly when the policy's
     /// [`observes_counterfactuals`](crate::OnlinePolicy::observes_counterfactuals)
-    /// is `false`. Implementations may skip resolving idle links, but
-    /// must still leave their entries `false` (never stale). The default
-    /// simply resolves everything; the Monte Carlo resolver keeps it so
-    /// its realized-fading stream stays bit-pinned to committed
-    /// artifacts.
-    fn resolve_active_only(&mut self, active: &[bool], would_succeed: &mut [bool]) {
-        self.resolve(active, would_succeed);
+    /// is `true`.
+    fn resolve_slot(
+        &mut self,
+        active: &[bool],
+        transmitters: &[usize],
+        counterfactuals: bool,
+        would_succeed: &mut [bool],
+    );
+
+    /// Resolves every link from the mask alone
+    /// ([`resolve_slot`](Self::resolve_slot) with counterfactuals).
+    fn resolve(&mut self, active: &[bool], would_succeed: &mut [bool]) {
+        self.resolve_slot(active, &listed(active), true, would_succeed);
     }
+
+    /// Resolves the transmitting links from the mask alone
+    /// ([`resolve_slot`](Self::resolve_slot) without counterfactuals);
+    /// idle entries are cleared first, so none is ever stale.
+    fn resolve_active_only(&mut self, active: &[bool], would_succeed: &mut [bool]) {
+        would_succeed.fill(false);
+        self.resolve_slot(active, &listed(active), false, would_succeed);
+    }
+}
+
+/// The links a mask sets, ascending.
+fn listed(mask: &[bool]) -> Vec<usize> {
+    (0..mask.len()).filter(|&i| mask[i]).collect()
 }
 
 /// The realized-fading resolver: samples the channel through a
@@ -152,7 +182,15 @@ impl SlotResolver for MonteCarloResolver {
         self.model.len()
     }
 
-    fn resolve(&mut self, active: &[bool], would_succeed: &mut [bool]) {
+    /// Always realizes the whole channel, counterfactuals included: the
+    /// realized-fading stream is bit-pinned to committed artifacts.
+    fn resolve_slot(
+        &mut self,
+        active: &[bool],
+        _transmitters: &[usize],
+        _counterfactuals: bool,
+        would_succeed: &mut [bool],
+    ) {
         let sinrs = self.model.resolve_sinrs(active);
         for (w, &s) in would_succeed.iter_mut().zip(&sinrs) {
             *w = s >= self.beta;
@@ -168,10 +206,12 @@ impl SlotResolver for MonteCarloResolver {
 /// or n fading draws + n² interference terms, and draws each link's
 /// indicator as Bernoulli(p_i) with `p_i = P[SINR_i ≥ β | mask]` — the
 /// conditional Theorem-1 probability, counterfactual for idle links.
+/// Without counterfactuals a slot costs O(flips + transmitters), however
+/// many links the network has.
 pub struct AnalyticResolver {
     evaluator: NetworkEvaluator,
-    /// Activity mask currently reflected in the evaluator.
-    current: Vec<bool>,
+    /// Transmit set currently reflected in the evaluator, ascending.
+    current: Vec<usize>,
     rng: StdRng,
 }
 
@@ -214,8 +254,8 @@ impl AnalyticResolver {
 
     fn with_evaluator(evaluator: NetworkEvaluator, seed: u64) -> Self {
         AnalyticResolver {
-            current: vec![false; evaluator.len()],
             evaluator,
+            current: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -232,21 +272,40 @@ impl AnalyticResolver {
         }
     }
 
-    /// Brings the persistent evaluator in line with `active`: queue
-    /// churn flips few links per slot, so diff the mask and apply one
-    /// incremental update per flip.
-    fn apply_mask(&mut self, active: &[bool]) {
-        debug_assert_eq!(active.len(), self.current.len());
-        for (j, &on) in active.iter().enumerate() {
-            if on != self.current[j] {
-                if on {
-                    self.evaluator.insert(j);
-                } else {
-                    self.evaluator.remove(j);
+    /// Brings the persistent evaluator from the previous transmit set to
+    /// `transmitters`: merges the two ascending lists and applies one
+    /// incremental update per link that flipped, in ascending link order.
+    /// The order matters: the sparse cache accumulates f64 log sums, and
+    /// its committed bits were produced flip by flip in that order.
+    fn apply_flips(&mut self, transmitters: &[usize]) {
+        debug_assert!(transmitters.windows(2).all(|w| w[0] < w[1]));
+        let AnalyticResolver {
+            evaluator, current, ..
+        } = self;
+        let (mut old, mut new) = (current.iter().peekable(), transmitters.iter().peekable());
+        loop {
+            match (old.peek(), new.peek()) {
+                (Some(&&j), Some(&&k)) if j == k => {
+                    old.next();
+                    new.next();
                 }
-                self.current[j] = on;
+                (Some(&&j), Some(&&k)) if j < k => {
+                    evaluator.remove(j);
+                    old.next();
+                }
+                (Some(&&j), None) => {
+                    evaluator.remove(j);
+                    old.next();
+                }
+                (_, Some(&&k)) => {
+                    evaluator.insert(k);
+                    new.next();
+                }
+                (None, None) => break,
             }
         }
+        current.clear();
+        current.extend_from_slice(transmitters);
     }
 }
 
@@ -255,31 +314,30 @@ impl SlotResolver for AnalyticResolver {
         self.evaluator.len()
     }
 
-    fn resolve(&mut self, active: &[bool], would_succeed: &mut [bool]) {
-        debug_assert_eq!(would_succeed.len(), self.current.len());
-        self.apply_mask(active);
-        // One Bernoulli per link, in fixed link order (determinism).
-        for (i, w) in would_succeed.iter_mut().enumerate() {
-            let p = self.evaluator.conditional_success_probability(i);
-            *w = self.rng.gen::<f64>() < p;
-        }
-    }
-
-    fn resolve_active_only(&mut self, active: &[bool], would_succeed: &mut [bool]) {
-        self.apply_mask(active);
-        // Only transmitting links draw: skips the probability evaluation
-        // and the Bernoulli draw for every idle link, which dominates the
-        // per-slot cost under sparse contention. Idle entries are cleared
-        // so no slot ever observes a stale indicator. The draw order
-        // stays fixed (ascending active links), so the stream is still
-        // deterministic in the config seed.
-        for (i, w) in would_succeed.iter_mut().enumerate() {
-            if !active[i] {
-                *w = false;
-                continue;
+    fn resolve_slot(
+        &mut self,
+        _active: &[bool],
+        transmitters: &[usize],
+        counterfactuals: bool,
+        would_succeed: &mut [bool],
+    ) {
+        debug_assert_eq!(would_succeed.len(), self.evaluator.len());
+        self.apply_flips(transmitters);
+        // One Bernoulli per resolved link, in ascending link order
+        // (determinism). Without counterfactuals only transmitters draw:
+        // the probability evaluation and the draw of every idle link are
+        // skipped, which dominates the per-slot cost under sparse
+        // contention.
+        if counterfactuals {
+            for (i, w) in would_succeed.iter_mut().enumerate() {
+                let p = self.evaluator.conditional_success_probability(i);
+                *w = self.rng.gen::<f64>() < p;
             }
-            let p = self.evaluator.conditional_success_probability(i);
-            *w = self.rng.gen::<f64>() < p;
+        } else {
+            for &i in transmitters {
+                let p = self.evaluator.conditional_success_probability(i);
+                would_succeed[i] = self.rng.gen::<f64>() < p;
+            }
         }
     }
 }
@@ -506,10 +564,12 @@ impl DynamicEngine {
             net,
             cfg.arrival.rate().to_bits(),
         );
-        let mut arrival_rngs: Vec<StdRng> = (0..n as u64)
-            .map(|link| StdRng::seed_from_u64(mix_seed(arrival_root, link)))
-            .collect();
-        let mut samplers: Vec<ArrivalSample> = (0..n).map(|_| cfg.arrival.sampler()).collect();
+        let mut arrivals = ArrivalStreams::new(
+            &cfg.arrival,
+            (0..n as u64)
+                .map(|link| StdRng::seed_from_u64(mix_seed(arrival_root, link)))
+                .collect(),
+        );
 
         // Policy randomness: per (seed, net, policy).
         let policy_seed = mix_seed2(
@@ -528,12 +588,19 @@ impl DynamicEngine {
         let counterfactuals = policy.observes_counterfactuals();
 
         let mut bank = QueueBank::new(n);
+        let samples = cfg.slots.div_ceil(cfg.sample_every) as usize;
         let mut trace = SlotTrace {
-            slots: Vec::new(),
-            total_backlog: Vec::new(),
-            cum_arrivals: Vec::new(),
-            cum_departures: Vec::new(),
+            slots: Vec::with_capacity(samples),
+            total_backlog: Vec::with_capacity(samples),
+            cum_arrivals: Vec::with_capacity(samples),
+            cum_departures: Vec::with_capacity(samples),
         };
+        // Per-slot buffers, reused: a slot touches only the entries of the
+        // links that arrive, contend or transmit. Between slots the masks
+        // are all `false`, except idle counterfactuals in `would_succeed`,
+        // which a counterfactual resolver overwrites every slot.
+        let mut arrived: Vec<(usize, u32)> = Vec::new();
+        let mut transmitters: Vec<usize> = Vec::new();
         let mut active = vec![false; n];
         let mut would_succeed = vec![false; n];
         let mut successes = vec![false; n];
@@ -570,50 +637,48 @@ impl DynamicEngine {
             // sentinel fires; never enabled in normal builds or tests.
             #[cfg(feature = "slowdown")]
             std::thread::sleep(std::time::Duration::from_micros(20));
-            // 1. Arrivals.
+            // 1. Arrivals: one draw per link, then enqueue the hits.
             {
                 let _g = phase(span_arrivals);
-                for i in 0..n {
-                    let count = samplers[i].draw(&mut arrival_rngs[i]);
-                    if count > 0 {
-                        bank.queue_mut(i).enqueue(count, slot);
-                    }
+                arrivals.draw_slot(&mut arrived);
+                for &(i, count) in &arrived {
+                    bank.enqueue(i, count, slot);
                 }
             }
             // 2. Policy picks transmitters (never on empty queues; the
             //    engine re-checks defensively).
-            let backlogs = bank.backlogs();
             let choose_start = policy_seconds.as_ref().map(|_| Instant::now());
-            let mask = {
+            {
                 let _g = phase(span_policy);
                 // Selector-backed policies nest their `selector/*` span
                 // under this phase span; unsampled slots pass None.
-                policy.choose_traced(&backlogs, &mut policy_rng, tracer.filter(|_| sampled))
-            };
+                policy.choose_into(
+                    bank.backlogged(),
+                    &mut policy_rng,
+                    tracer.filter(|_| sampled),
+                    &mut transmitters,
+                );
+            }
             if let (Some(hist), Some(start)) = (&policy_seconds, choose_start) {
                 hist.observe_duration(start.elapsed());
             }
-            debug_assert_eq!(mask.len(), n);
-            for i in 0..n {
-                active[i] = mask[i] && backlogs[i] > 0;
-                transmissions += u64::from(active[i]);
+            transmitters.retain(|&i| bank.queue(i).is_backlogged());
+            for &i in &transmitters {
+                active[i] = true;
             }
+            transmissions += transmitters.len() as u64;
             // 3. One physical slot: per-link threshold indicators
             //    (counterfactual for idle links), successes, departures.
             {
                 let _g = phase(span_transmission);
-                if counterfactuals {
-                    resolver.resolve(&active, &mut would_succeed);
-                } else {
-                    resolver.resolve_active_only(&active, &mut would_succeed);
-                }
+                resolver.resolve_slot(&active, &transmitters, counterfactuals, &mut would_succeed);
             }
             {
                 let _g = phase(span_departures);
-                for i in 0..n {
-                    successes[i] = active[i] && would_succeed[i];
-                    if successes[i] {
-                        let delivered = bank.queue_mut(i).dequeue(slot);
+                for &i in &transmitters {
+                    if would_succeed[i] {
+                        successes[i] = true;
+                        let delivered = bank.dequeue(i, slot);
                         debug_assert!(delivered.is_some());
                         if let (Some(m), Some(delay)) = (mon.as_mut(), delivered) {
                             m.observe_delay(i, delay);
@@ -627,6 +692,11 @@ impl DynamicEngine {
                     would_succeed: &would_succeed,
                     successes: &successes,
                 });
+                for &i in &transmitters {
+                    active[i] = false;
+                    would_succeed[i] = false;
+                    successes[i] = false;
+                }
             }
             // 5. Sampled backlog trace.
             if sampled {
@@ -1161,6 +1231,57 @@ mod tests {
                     assert!(t.cum_arrivals[k] >= t.cum_arrivals[k - 1]);
                     assert!(t.cum_departures[k] >= t.cum_departures[k - 1]);
                 }
+            }
+        }
+    }
+
+    /// The listed path applies flips in ascending link order, as a scan
+    /// of the whole mask does: the sparse cache's f64 log sums depend on
+    /// the order, so every conditional probability must stay bit-equal to
+    /// a mask-scanned twin's, slot after slot.
+    #[test]
+    fn listed_flips_keep_the_sparse_cache_bit_equal_to_a_mask_scan() {
+        let n = 40;
+        let network = PaperTopology {
+            links: n,
+            side: 400.0,
+            ..PaperTopology::figure1()
+        }
+        .generate(11);
+        let params = SinrParams::figure1();
+        let gain =
+            GainMatrix::from_geometry(&network, &PowerAssignment::figure1_uniform(), params.alpha);
+        let sparse = || {
+            NetworkEvaluator::Sparse(rayfade_core::SparseSuccessEvaluator::new(
+                &gain, &params, 1e-3,
+            ))
+        };
+        let mut resolver = AnalyticResolver::with_evaluator(sparse(), 7);
+        let mut twin = sparse();
+        let mut twin_mask = vec![false; n];
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..200 {
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+            resolver.apply_flips(&listed(&mask));
+            for (j, (&on, was)) in mask.iter().zip(&mut twin_mask).enumerate() {
+                if on != *was {
+                    if on {
+                        twin.insert(j);
+                    } else {
+                        twin.remove(j);
+                    }
+                    *was = on;
+                }
+            }
+            for i in 0..n {
+                assert_eq!(
+                    resolver
+                        .evaluator
+                        .conditional_success_probability(i)
+                        .to_bits(),
+                    twin.conditional_success_probability(i).to_bits(),
+                    "link {i}"
+                );
             }
         }
     }

@@ -32,7 +32,7 @@ pub use policy::{
     ObservedSlot, OnlinePolicy, PolicyKind, QueueAloha, QueueMaxWeight, RayleighMaxWeight,
     RegretPolicy,
 };
-pub use queue::{LinkQueue, QueueBank};
+pub use queue::{Backlogs, LinkQueue, QueueBank, QueueMut};
 pub use stability::{
     judge_cell, least_squares_slope, CellHealth, LambdaSweep, MonitorSpec,
     MonitoredStabilityReport, StabilityCell, StabilityReport, StabilityVerdict, DRIFT_TOLERANCE,

@@ -24,6 +24,7 @@
 //! to send would be meaningless, and the engine enforces the same
 //! invariant defensively.
 
+use crate::queue::Backlogs;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayfade_learning::{loss, Action, NoRegretLearner, Rwm};
@@ -33,6 +34,7 @@ use rayfade_sched::{
 use rayfade_sinr::{
     Affectance, GainMatrix, InterferenceRatios, SinrParams, SparseInterferenceRatios,
 };
+use rayfade_telemetry::trace::Tracer;
 use serde::{Deserialize, Serialize};
 
 /// Post-slot feedback handed to [`OnlinePolicy::observe`].
@@ -98,27 +100,39 @@ pub trait OnlinePolicy {
     /// Stable policy name (CSV label).
     fn name(&self) -> &'static str;
 
-    /// Chooses the transmitting set for this slot given current backlogs.
-    /// Implementations must not select links with zero backlog.
-    fn choose(&mut self, backlogs: &[u64], rng: &mut StdRng) -> Vec<bool>;
-
-    /// [`choose`](Self::choose) with an optional span tracer: policies
-    /// backed by a capacity selector override this to run the traced
-    /// selector variant (emitting `selector/*` spans nested inside the
-    /// engine's `dynamic/policy` phase span); everything else falls
-    /// through to the plain path. The engine passes `None` on unsampled
-    /// slots, so overrides must behave identically either way.
-    fn choose_traced(
+    /// Chooses the transmitting set for this slot: clears `chosen` and
+    /// writes the chosen links into it in ascending order, never a link
+    /// with zero backlog. Policies that contend link by link (ALOHA,
+    /// regret) walk only the backlogged links and, once `chosen` and
+    /// their own buffers have grown, allocate nothing. `tracer` lets a
+    /// capacity-selector-backed policy emit its `selector/*` spans nested
+    /// inside the engine's `dynamic/policy` phase span; the engine passes
+    /// `None` on unsampled slots, so the choice must not depend on it.
+    fn choose_into(
         &mut self,
-        backlogs: &[u64],
+        backlogs: &Backlogs,
         rng: &mut StdRng,
-        _tracer: Option<&rayfade_telemetry::trace::Tracer>,
-    ) -> Vec<bool> {
-        self.choose(backlogs, rng)
+        tracer: Option<&Tracer>,
+        chosen: &mut Vec<usize>,
+    );
+
+    /// [`choose_into`](Self::choose_into) over a plain backlog slice,
+    /// returning the chosen set as a fresh per-link mask: same choice,
+    /// same draws from `rng`, untraced.
+    fn choose(&mut self, backlogs: &[u64], rng: &mut StdRng) -> Vec<bool> {
+        let mut chosen = Vec::new();
+        self.choose_into(&Backlogs::from_slice(backlogs), rng, None, &mut chosen);
+        let mut mask = vec![false; backlogs.len()];
+        for i in chosen {
+            mask[i] = true;
+        }
+        mask
     }
 
-    /// Post-slot feedback — see [`ObservedSlot`] for the (magnitude-free)
-    /// contract.
+    /// Post-slot feedback on the slot of the latest
+    /// [`choose_into`](Self::choose_into) — see [`ObservedSlot`] for the
+    /// (magnitude-free) contract. Policies read only the entries of links
+    /// they chose or found backlogged in that call.
     fn observe(&mut self, slot: &ObservedSlot<'_>);
 
     /// Whether [`observe`](Self::observe) reads the counterfactual
@@ -134,10 +148,10 @@ pub trait OnlinePolicy {
     }
 
     /// Cumulative capacity-selection work tally over every
-    /// [`choose`](Self::choose) call so far, for policies backed by a
-    /// capacity selector; `None` for policies that never score candidates
-    /// (ALOHA, per-link learners). The engine drains this into telemetry
-    /// at the end of a replication.
+    /// [`choose_into`](Self::choose_into) call so far, for policies
+    /// backed by a capacity selector; `None` for policies that never
+    /// score candidates (ALOHA, per-link learners). The engine drains
+    /// this into telemetry at the end of a replication.
     fn selection_stats(&self) -> Option<SelectionStats> {
         None
     }
@@ -149,12 +163,14 @@ pub struct QueueMaxWeight {
     gain: GainMatrix,
     params: SinrParams,
     /// Affectance cache, a pure function of `(gain, params)`: built once
-    /// here instead of on every [`OnlinePolicy::choose`] call, where the
-    /// O(n²) rebuild used to dominate the per-slot selection itself.
+    /// here instead of on every [`OnlinePolicy::choose_into`] call, where
+    /// the O(n²) rebuild used to dominate the per-slot selection itself.
     /// Selections are bit-identical to the per-call path.
     affectance: Affectance,
     selector: GreedyCapacity,
     stats: SelectionStats,
+    /// Per-link weights (the backlogs), refilled every slot.
+    weights: Vec<f64>,
 }
 
 impl QueueMaxWeight {
@@ -163,6 +179,7 @@ impl QueueMaxWeight {
     pub fn new(gain: GainMatrix, params: SinrParams) -> Self {
         let affectance = Affectance::new(&gain, &params);
         QueueMaxWeight {
+            weights: vec![0.0; gain.len()],
             gain,
             params,
             affectance,
@@ -172,29 +189,19 @@ impl QueueMaxWeight {
     }
 }
 
-impl QueueMaxWeight {
-    fn choose_inner(
-        &mut self,
-        backlogs: &[u64],
-        tracer: Option<&rayfade_telemetry::trace::Tracer>,
-    ) -> Vec<bool> {
-        let n = self.gain.len();
-        debug_assert_eq!(backlogs.len(), n);
-        let weights: Vec<f64> = backlogs.iter().map(|&b| b as f64).collect();
-        // GreedyCapacity skips weight-0 links, so empty queues are never
-        // selected.
-        let (set, stats) = self.selector.select_with_affectance_stats_traced(
-            &self.affectance,
-            &CapacityInstance::weighted(&self.gain, &self.params, &weights),
-            tracer,
-        );
-        self.stats.merge(&stats);
-        let mut mask = vec![false; n];
-        for i in set {
-            mask[i] = true;
-        }
-        mask
+/// Refills `weights` with the backlogs, the max-weight selectors' input.
+fn fill_weights(weights: &mut [f64], backlogs: &Backlogs) {
+    debug_assert_eq!(weights.len(), backlogs.len());
+    for (w, &b) in weights.iter_mut().zip(backlogs.as_slice()) {
+        *w = b as f64;
     }
+}
+
+/// Writes a selector's set into `chosen`, ascending.
+fn write_sorted(chosen: &mut Vec<usize>, set: Vec<usize>) {
+    chosen.clear();
+    chosen.extend(set);
+    chosen.sort_unstable();
 }
 
 impl OnlinePolicy for QueueMaxWeight {
@@ -202,17 +209,23 @@ impl OnlinePolicy for QueueMaxWeight {
         PolicyKind::MaxWeight.label()
     }
 
-    fn choose(&mut self, backlogs: &[u64], _rng: &mut StdRng) -> Vec<bool> {
-        self.choose_inner(backlogs, None)
-    }
-
-    fn choose_traced(
+    fn choose_into(
         &mut self,
-        backlogs: &[u64],
+        backlogs: &Backlogs,
         _rng: &mut StdRng,
-        tracer: Option<&rayfade_telemetry::trace::Tracer>,
-    ) -> Vec<bool> {
-        self.choose_inner(backlogs, tracer)
+        tracer: Option<&Tracer>,
+        chosen: &mut Vec<usize>,
+    ) {
+        fill_weights(&mut self.weights, backlogs);
+        // GreedyCapacity skips weight-0 links, so empty queues are never
+        // selected.
+        let (set, stats) = self.selector.select_with_affectance_stats_traced(
+            &self.affectance,
+            &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
+            tracer,
+        );
+        self.stats.merge(&stats);
+        write_sorted(chosen, set);
     }
 
     fn observe(&mut self, _slot: &ObservedSlot<'_>) {}
@@ -252,6 +265,8 @@ pub struct RayleighMaxWeight {
     ratios: RatioCache,
     selector: RayleighGreedy,
     stats: SelectionStats,
+    /// Per-link weights (the backlogs), refilled every slot.
+    weights: Vec<f64>,
 }
 
 /// Dense or ε-truncated sparse Theorem 1 ratio cache, chosen once at
@@ -277,6 +292,7 @@ impl RayleighMaxWeight {
             ))
         };
         RayleighMaxWeight {
+            weights: vec![0.0; gain.len()],
             gain,
             params,
             ratios,
@@ -291,53 +307,34 @@ impl RayleighMaxWeight {
     }
 }
 
-impl RayleighMaxWeight {
-    fn choose_inner(
-        &mut self,
-        backlogs: &[u64],
-        tracer: Option<&rayfade_telemetry::trace::Tracer>,
-    ) -> Vec<bool> {
-        let n = self.gain.len();
-        debug_assert_eq!(backlogs.len(), n);
-        let weights: Vec<f64> = backlogs.iter().map(|&b| b as f64).collect();
-        // RayleighGreedy requires strictly positive weight to activate a
-        // link, so empty queues are never selected.
-        let (set, stats) = match &self.ratios {
-            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats_traced(
-                ratios,
-                &CapacityInstance::weighted(&self.gain, &self.params, &weights),
-                tracer,
-            ),
-            RatioCache::Sparse(ratios) => {
-                self.selector
-                    .select_sparse_stats_traced(ratios, Some(&weights), tracer)
-            }
-        };
-        self.stats.merge(&stats);
-        let mut mask = vec![false; n];
-        for i in set {
-            mask[i] = true;
-        }
-        mask
-    }
-}
-
 impl OnlinePolicy for RayleighMaxWeight {
     fn name(&self) -> &'static str {
         PolicyKind::RayleighMaxWeight.label()
     }
 
-    fn choose(&mut self, backlogs: &[u64], _rng: &mut StdRng) -> Vec<bool> {
-        self.choose_inner(backlogs, None)
-    }
-
-    fn choose_traced(
+    fn choose_into(
         &mut self,
-        backlogs: &[u64],
+        backlogs: &Backlogs,
         _rng: &mut StdRng,
-        tracer: Option<&rayfade_telemetry::trace::Tracer>,
-    ) -> Vec<bool> {
-        self.choose_inner(backlogs, tracer)
+        tracer: Option<&Tracer>,
+        chosen: &mut Vec<usize>,
+    ) {
+        fill_weights(&mut self.weights, backlogs);
+        // RayleighGreedy requires strictly positive weight to activate a
+        // link, so empty queues are never selected.
+        let (set, stats) = match &self.ratios {
+            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats_traced(
+                ratios,
+                &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
+                tracer,
+            ),
+            RatioCache::Sparse(ratios) => {
+                self.selector
+                    .select_sparse_stats_traced(ratios, Some(&self.weights), tracer)
+            }
+        };
+        self.stats.merge(&stats);
+        write_sorted(chosen, set);
     }
 
     fn observe(&mut self, _slot: &ObservedSlot<'_>) {}
@@ -358,6 +355,9 @@ pub struct QueueAloha {
     policy: AlohaPolicy,
     /// Per-link probability state for the `Backoff` policy.
     backoff_prob: Vec<f64>,
+    /// Links the latest choice sent (kept for the `Backoff` policy's
+    /// feedback only).
+    sent: Vec<usize>,
     /// Logical step counter (drives the `Sawtooth` ladder).
     step: u64,
 }
@@ -372,6 +372,7 @@ impl QueueAloha {
         QueueAloha {
             policy,
             backoff_prob,
+            sent: Vec::new(),
             step: 0,
         }
     }
@@ -382,20 +383,21 @@ impl QueueAloha {
         Self::new(AlohaPolicy::default_inverse(), n)
     }
 
-    /// Transmission probability for link `i` when `contenders` links are
-    /// backlogged — the same per-policy formula as
-    /// `rayfade_sched::latency::run_aloha`.
-    fn probability(&self, i: usize, contenders: usize) -> f64 {
+    /// The transmission probability every backlogged link shares when
+    /// `contenders` links are backlogged — the same per-policy formula as
+    /// `rayfade_sched::latency::run_aloha` — or `None` under `Backoff`,
+    /// whose probability is per link.
+    fn shared_probability(&self, contenders: usize) -> Option<f64> {
         let q = match &self.policy {
             AlohaPolicy::Fixed(q) => *q,
             AlohaPolicy::InversePending { c, cap } => (c / contenders.max(1) as f64).min(*cap),
-            AlohaPolicy::Backoff { .. } => self.backoff_prob[i],
+            AlohaPolicy::Backoff { .. } => return None,
             AlohaPolicy::Sawtooth { levels } => {
                 let level = (self.step % u64::from(*levels)) + 1;
                 0.5f64.powi(level as i32)
             }
         };
-        q.clamp(0.0, 1.0)
+        Some(q.clamp(0.0, 1.0))
     }
 }
 
@@ -404,15 +406,28 @@ impl OnlinePolicy for QueueAloha {
         PolicyKind::Aloha.label()
     }
 
-    fn choose(&mut self, backlogs: &[u64], rng: &mut StdRng) -> Vec<bool> {
-        let contenders = backlogs.iter().filter(|&&b| b > 0).count();
-        let mask: Vec<bool> = backlogs
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b > 0 && rng.gen_bool(self.probability(i, contenders)))
-            .collect();
+    fn choose_into(
+        &mut self,
+        backlogs: &Backlogs,
+        rng: &mut StdRng,
+        _tracer: Option<&Tracer>,
+        chosen: &mut Vec<usize>,
+    ) {
+        chosen.clear();
+        // One draw per backlogged link, in ascending link order.
+        match self.shared_probability(backlogs.count()) {
+            Some(q) => chosen.extend(backlogs.iter().filter(|_| rng.gen_bool(q))),
+            None => {
+                let probs = &self.backoff_prob;
+                chosen.extend(
+                    backlogs
+                        .iter()
+                        .filter(|&i| rng.gen_bool(probs[i].clamp(0.0, 1.0))),
+                );
+                self.sent.clone_from(chosen);
+            }
+        }
         self.step += 1;
-        mask
     }
 
     fn observe(&mut self, slot: &ObservedSlot<'_>) {
@@ -426,7 +441,7 @@ impl OnlinePolicy for QueueAloha {
             // initial probability — each delivered packet starts the next
             // head-of-line packet's attempt sequence afresh, mirroring the
             // per-packet restarts of the latency layer.
-            for i in 0..slot.active.len() {
+            for &i in &self.sent {
                 if slot.successes[i] {
                     self.backoff_prob[i] = *init;
                 } else if slot.active[i] {
@@ -447,9 +462,10 @@ impl OnlinePolicy for QueueAloha {
 #[derive(Debug, Clone)]
 pub struct RegretPolicy {
     learners: Vec<Rwm>,
-    /// Links gated out this slot (empty queue) must not receive an update:
-    /// they had no packet, so "send" was not an available action.
-    gated: Vec<bool>,
+    /// Links backlogged at the latest choice, ascending. Only they receive
+    /// an update: an empty queue had no packet, so "send" was not an
+    /// available action.
+    contenders: Vec<usize>,
 }
 
 impl RegretPolicy {
@@ -460,7 +476,7 @@ impl RegretPolicy {
     pub fn new(n: usize) -> Self {
         RegretPolicy {
             learners: (0..n).map(|_| Rwm::binary()).collect(),
-            gated: vec![false; n],
+            contenders: Vec::new(),
         }
     }
 }
@@ -470,16 +486,21 @@ impl OnlinePolicy for RegretPolicy {
         PolicyKind::Regret.label()
     }
 
-    fn choose(&mut self, backlogs: &[u64], rng: &mut StdRng) -> Vec<bool> {
-        self.learners
-            .iter_mut()
-            .zip(backlogs)
-            .enumerate()
-            .map(|(i, (learner, &b))| {
-                self.gated[i] = b == 0;
-                b > 0 && learner.choose(rng) == Action::Send.index()
-            })
-            .collect()
+    fn choose_into(
+        &mut self,
+        backlogs: &Backlogs,
+        rng: &mut StdRng,
+        _tracer: Option<&Tracer>,
+        chosen: &mut Vec<usize>,
+    ) {
+        chosen.clear();
+        self.contenders.clear();
+        self.contenders.extend(backlogs.iter());
+        for &i in &self.contenders {
+            if self.learners[i].choose(rng) == Action::Send.index() {
+                chosen.push(i);
+            }
+        }
     }
 
     fn observe(&mut self, slot: &ObservedSlot<'_>) {
@@ -488,17 +509,14 @@ impl OnlinePolicy for RegretPolicy {
         // counterfactual loss of the other (interference is identical
         // whether or not link i itself transmits), delivered as the
         // counterfactual threshold indicator.
-        for (i, learner) in self.learners.iter_mut().enumerate() {
-            if self.gated[i] {
-                continue;
-            }
+        for &i in &self.contenders {
             let would_succeed = slot.would_succeed[i];
             let losses = [
                 loss(Action::Idle, would_succeed),
                 loss(Action::Send, would_succeed),
             ];
             debug_assert_eq!(Action::Idle.index(), 0);
-            learner.update(&losses);
+            self.learners[i].update(&losses);
         }
     }
 }
@@ -568,8 +586,8 @@ mod tests {
     #[test]
     fn aloha_probability_drops_with_contention() {
         let policy = QueueAloha::default_inverse(10);
-        assert!((policy.probability(0, 1) - 0.5).abs() < 1e-12);
-        assert!((policy.probability(0, 10) - 0.1).abs() < 1e-12);
+        assert!((policy.shared_probability(1).unwrap() - 0.5).abs() < 1e-12);
+        assert!((policy.shared_probability(10).unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]

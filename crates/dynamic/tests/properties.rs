@@ -2,11 +2,14 @@
 //! must hold for *any* seed, not just the pinned ones.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayfade_dynamic::{
-    judge_cell, ArrivalProcess, DynamicConfig, DynamicEngine, PolicyKind, SlotModelKind,
-    SuccessModelKind,
+    judge_cell, ArrivalProcess, Backlogs, DynamicConfig, DynamicEngine, ObservedSlot, OnlinePolicy,
+    PolicyKind, QueueAloha, SlotModelKind, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
+use rayfade_sched::AlohaPolicy;
 use rayfade_sinr::SinrParams;
 
 fn config(links: usize, slots: u64, rate: f64, side: f64, seed: u64) -> DynamicConfig {
@@ -82,5 +85,117 @@ proptest! {
             "drift {} unexpectedly under threshold",
             cell.drift
         );
+    }
+}
+
+/// Queue-gated ALOHA as a loop over every link: each link with a nonempty
+/// queue draws once, in link order, at the probability its policy assigns
+/// it, and `Backoff` feedback scans every link. `QueueAloha`, which walks
+/// the backlog index instead, must reproduce it draw for draw.
+struct ReferenceAloha {
+    policy: AlohaPolicy,
+    backoff_prob: Vec<f64>,
+    step: u64,
+}
+
+impl ReferenceAloha {
+    fn new(policy: AlohaPolicy, n: usize) -> Self {
+        let backoff_prob = match &policy {
+            AlohaPolicy::Backoff { init, .. } => vec![*init; n],
+            _ => Vec::new(),
+        };
+        ReferenceAloha {
+            policy,
+            backoff_prob,
+            step: 0,
+        }
+    }
+
+    fn probability(&self, i: usize, contenders: usize) -> f64 {
+        let q = match &self.policy {
+            AlohaPolicy::Fixed(q) => *q,
+            AlohaPolicy::InversePending { c, cap } => (c / contenders.max(1) as f64).min(*cap),
+            AlohaPolicy::Backoff { .. } => self.backoff_prob[i],
+            AlohaPolicy::Sawtooth { levels } => {
+                let level = (self.step % u64::from(*levels)) + 1;
+                0.5f64.powi(level as i32)
+            }
+        };
+        q.clamp(0.0, 1.0)
+    }
+
+    fn choose(&mut self, backlogs: &[u64], rng: &mut StdRng) -> Vec<bool> {
+        let contenders = backlogs.iter().filter(|&&b| b > 0).count();
+        let mask = backlogs
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| b > 0 && rng.gen_bool(self.probability(i, contenders)))
+            .collect();
+        self.step += 1;
+        mask
+    }
+
+    fn observe(&mut self, active: &[bool], successes: &[bool]) {
+        if let AlohaPolicy::Backoff {
+            init,
+            factor,
+            floor,
+        } = &self.policy
+        {
+            for i in 0..active.len() {
+                if successes[i] {
+                    self.backoff_prob[i] = *init;
+                } else if active[i] {
+                    self.backoff_prob[i] = (self.backoff_prob[i] * factor).max(*floor);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over random backlogs and random delivery feedback, every ALOHA
+    /// variant chooses the same links as the per-link reference loop and
+    /// leaves the policy RNG in the same state, slot after slot.
+    #[test]
+    fn aloha_backlog_walk_matches_per_link_loop(
+        kind in 0u8..4,
+        p in 0.0f64..=1.0,
+        links in 1usize..200,
+        busy in 0.0f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let policy = match kind {
+            0 => AlohaPolicy::Fixed(p),
+            1 => AlohaPolicy::InversePending { c: 4.0 * p, cap: 0.5 + p / 2.0 },
+            2 => AlohaPolicy::Backoff { init: p, factor: 0.5, floor: 0.02 },
+            _ => AlohaPolicy::Sawtooth { levels: 1 + (p * 6.0) as u32 },
+        };
+        let mut reference = ReferenceAloha::new(policy.clone(), links);
+        let mut walk = QueueAloha::new(policy, links);
+        let mut inputs = StdRng::seed_from_u64(seed);
+        let mut rng_reference = StdRng::seed_from_u64(seed ^ 0xa10a);
+        let mut rng_walk = rng_reference.clone();
+        let mut chosen = Vec::new();
+        for _ in 0..12 {
+            let backlogs: Vec<u64> = (0..links)
+                .map(|_| if inputs.gen_bool(busy) { inputs.gen_range(1u64..5) } else { 0 })
+                .collect();
+            let mask = reference.choose(&backlogs, &mut rng_reference);
+            walk.choose_into(&Backlogs::from_slice(&backlogs), &mut rng_walk, None, &mut chosen);
+            let want: Vec<usize> = (0..links).filter(|&i| mask[i]).collect();
+            prop_assert_eq!(&chosen, &want);
+            prop_assert_eq!(&rng_walk, &rng_reference);
+
+            let successes: Vec<bool> = mask.iter().map(|&on| on && inputs.gen_bool(0.5)).collect();
+            reference.observe(&mask, &successes);
+            walk.observe(&ObservedSlot {
+                active: &mask,
+                would_succeed: &successes,
+                successes: &successes,
+            });
+        }
     }
 }

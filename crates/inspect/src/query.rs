@@ -362,11 +362,12 @@ mod tests {
     use super::*;
     use std::fs;
 
-    fn write_journal(lines: &[&str]) -> std::path::PathBuf {
+    /// Writes `lines` to a temp journal named after the calling test, so
+    /// tests running concurrently never share a file.
+    fn write_journal(test: &str, lines: &[&str]) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!(
-            "rayfade_query_test_{}_{}.jsonl",
-            std::process::id(),
-            lines.len()
+            "rayfade_query_test_{}_{test}.jsonl",
+            std::process::id()
         ));
         fs::write(&path, lines.join("\n")).unwrap();
         path
@@ -408,12 +409,15 @@ mod tests {
 
     #[test]
     fn query_filters_compose_and_stream() {
-        let path = write_journal(&[
-            r#"{"seq":0,"kind":"schema","schema_version":2}"#,
-            r#"{"seq":1,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":0,"backlog":1,"cum_arrivals":2,"cum_departures":1}"#,
-            r#"{"seq":2,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":50,"backlog":3,"cum_arrivals":5,"cum_departures":2}"#,
-            r#"{"seq":3,"kind":"dyn_net","policy":"p","model":"m","lambda":0.1,"net":0}"#,
-        ]);
+        let path = write_journal(
+            "query_filters_compose_and_stream",
+            &[
+                r#"{"seq":0,"kind":"schema","schema_version":2}"#,
+                r#"{"seq":1,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":0,"backlog":1,"cum_arrivals":2,"cum_departures":1}"#,
+                r#"{"seq":2,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":50,"backlog":3,"cum_arrivals":5,"cum_departures":2}"#,
+                r#"{"seq":3,"kind":"dyn_net","policy":"p","model":"m","lambda":0.1,"net":0}"#,
+            ],
+        );
         let query = Query {
             kinds: vec!["dyn_slot".into()],
             seq: Some(RangeFilter { lo: 0, hi: 2 }),
@@ -433,12 +437,15 @@ mod tests {
 
     #[test]
     fn timeline_aggregates_nets_and_exposes_conservation_law() {
-        let path = write_journal(&[
-            r#"{"seq":0,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":0,"backlog":1,"cum_arrivals":2,"cum_departures":1}"#,
-            r#"{"seq":1,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":50,"backlog":0,"cum_arrivals":4,"cum_departures":4}"#,
-            r#"{"seq":2,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":1,"slot":0,"backlog":2,"cum_arrivals":3,"cum_departures":1}"#,
-            r#"{"seq":3,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":1,"slot":50,"backlog":1,"cum_arrivals":6,"cum_departures":5}"#,
-        ]);
+        let path = write_journal(
+            "timeline_aggregates_nets_and_exposes_conservation_law",
+            &[
+                r#"{"seq":0,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":0,"backlog":1,"cum_arrivals":2,"cum_departures":1}"#,
+                r#"{"seq":1,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":0,"slot":50,"backlog":0,"cum_arrivals":4,"cum_departures":4}"#,
+                r#"{"seq":2,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":1,"slot":0,"backlog":2,"cum_arrivals":3,"cum_departures":1}"#,
+                r#"{"seq":3,"kind":"dyn_slot","policy":"p","model":"m","lambda":0.1,"net":1,"slot":50,"backlog":1,"cum_arrivals":6,"cum_departures":5}"#,
+            ],
+        );
         let rows = derive_timeline(&path, &Query::default()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].slot, 0);
