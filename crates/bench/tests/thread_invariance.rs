@@ -16,7 +16,7 @@ use rayfade_dynamic::{
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams};
-use rayfade_spatial::build_sparse_ratios;
+use rayfade_spatial::{build_sparse_ratios_stats, SparseBuildStats};
 use rayfade_telemetry::Telemetry;
 use std::path::PathBuf;
 
@@ -171,10 +171,13 @@ fn monitored_sweep_journal_and_health_identical_at_pool_sizes_1_4_8() {
 }
 
 #[test]
-fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
+fn sparse_csr_identical_at_pool_sizes_1_2_8() {
+    // 4 000 receivers make 16 of the builder's 256-receiver chunks, so
+    // every worker of the largest pool builds at least one fragment.
+    let links = 4000;
     let topology = PaperTopology {
-        links: 2000,
-        side: 44_722.0,
+        links,
+        side: (links as f64 * 1e6).sqrt(),
         min_length: 20.0,
         max_length: 40.0,
     };
@@ -183,12 +186,14 @@ fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
     let power = PowerAssignment::figure1_uniform();
 
     /// One row's exact content: column indices, value bits, noise-factor
-    /// bits, signal bits.
-    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64);
+    /// bits, signal bits, certificate (τᵢ) bits.
+    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64, u64);
 
     /// Exact CSR content: per-row column indices plus the bit patterns
-    /// of every float the evaluator reads.
-    fn fingerprint(ratios: &rayfade_sinr::SparseInterferenceRatios) -> (usize, Vec<RowPrint>) {
+    /// of every float the evaluator reads, and the build statistics.
+    fn fingerprint(
+        (ratios, stats): (rayfade_sinr::SparseInterferenceRatios, SparseBuildStats),
+    ) -> (usize, Vec<RowPrint>, [u64; 4]) {
         let rows = (0..ratios.len())
             .map(|i| {
                 let (cols, vals) = ratios.row(i);
@@ -197,20 +202,24 @@ fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
                     vals.iter().map(|v| v.to_bits()).collect(),
                     ratios.noise_factor(i).to_bits(),
                     ratios.signal(i).to_bits(),
+                    ratios.tau(i).to_bits(),
                 )
             })
             .collect();
-        (ratios.nnz(), rows)
+        let stats = [
+            stats.examined,
+            stats.retained,
+            stats.truncated,
+            stats.tau_max.to_bits(),
+        ];
+        (ratios.nnz(), rows, stats)
     }
 
-    let reference = at_pool_size(POOL_SIZES[0], || {
-        fingerprint(&build_sparse_ratios(&net, &power, &params, 5e-2, None))
-    });
+    let build = || fingerprint(build_sparse_ratios_stats(&net, &power, &params, 5e-2, None));
+    let reference = at_pool_size(POOL_SIZES[0], build);
     assert!(reference.0 > 0, "sparse build produced no entries");
     for &threads in &POOL_SIZES[1..] {
-        let fresh = at_pool_size(threads, || {
-            fingerprint(&build_sparse_ratios(&net, &power, &params, 5e-2, None))
-        });
+        let fresh = at_pool_size(threads, build);
         assert_eq!(
             fresh, reference,
             "sparse CSR contents differ between pool size 1 and {threads}"

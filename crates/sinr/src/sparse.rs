@@ -63,44 +63,35 @@ pub fn truncation_budget(delta: f64) -> f64 {
 /// Greedily drops the smallest-`ρ` entries of one receiver row while the
 /// exact dropped log-mass `Σ −ln(1 − ρ)` stays within `budget`.
 ///
-/// `entries` are `(sender, ρ)` pairs; retained entries keep their relative
-/// order (callers pass column-sorted rows and get column-sorted rows
-/// back). Ties on `ρ` are broken by the sender index, so the result is
-/// deterministic. Returns the exact dropped log-mass (0 when
+/// `entries` are `(sender, ρ)` pairs in any order, with distinct senders
+/// and every `ρ > 0`. They are sorted once by the key `(ρ bits, sender)`
+/// — for positive floats the bit pattern orders like the value, and ties
+/// on `ρ` go to the smaller sender index, so the result is deterministic.
+/// The longest prefix of that order whose exact masses, summed
+/// smallest-first, fit the budget is dropped, and the survivors are left
+/// sorted by sender. Returns the exact dropped log-mass (0 when
 /// `budget ≤ 0`, which keeps every entry).
 pub fn truncate_smallest(entries: &mut Vec<(u32, f64)>, budget: f64) -> f64 {
-    if budget <= 0.0 || entries.is_empty() {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&a, &b| {
-        entries[a]
-            .1
-            .total_cmp(&entries[b].1)
-            .then(entries[a].0.cmp(&entries[b].0))
-    });
     let mut dropped_mass = 0.0f64;
-    let mut drop = vec![false; entries.len()];
-    for &k in &order {
-        let rho = entries[k].1;
-        // −ln(1 − ρ); +∞ when ρ rounds to 1 (such a factor is never
-        // droppable).
-        let mass = -(-rho).ln_1p();
-        let tentative = dropped_mass + mass;
-        if tentative <= budget {
-            dropped_mass = tentative;
-            drop[k] = true;
-        } else {
-            // Entries are visited smallest-first: nothing later fits.
-            break;
+    if budget > 0.0 {
+        entries.sort_unstable_by_key(|&(j, rho)| (rho.to_bits(), j));
+        let mut cut = 0;
+        for &(_, rho) in entries.iter() {
+            // −ln(1 − ρ); +∞ when ρ rounds to 1 (such a factor is never
+            // droppable).
+            let mass = -(-rho).ln_1p();
+            let tentative = dropped_mass + mass;
+            if tentative <= budget {
+                dropped_mass = tentative;
+                cut += 1;
+            } else {
+                // Entries are visited smallest-first: nothing later fits.
+                break;
+            }
         }
+        entries.drain(..cut);
     }
-    let mut k = 0;
-    entries.retain(|_| {
-        let keep = !drop[k];
-        k += 1;
-        keep
-    });
+    entries.sort_unstable_by_key(|e| e.0);
     dropped_mass
 }
 
@@ -247,7 +238,8 @@ impl SparseInterferenceRatios {
     /// Builds the truncated cache from a dense gain matrix: per receiver
     /// the full ratio row is computed with the exact dense arithmetic,
     /// then the smallest entries are greedily dropped while the exact
-    /// dropped log-mass stays within `τ = −ln(1 − δ)`.
+    /// dropped log-mass stays within `τ = −ln(1 − δ)` ([`truncate_smallest`],
+    /// the routine the geometric builder shares).
     ///
     /// `delta = 0` retains every nonzero ratio (bit-equal to the dense
     /// cache). O(n²) like the dense constructor — the point of this entry
@@ -1019,6 +1011,28 @@ mod tests {
             vec![0, 2, 3]
         );
         assert!((dropped - (-(-0.01f64).ln_1p())).abs() < 1e-15);
+    }
+
+    #[test]
+    fn truncate_smallest_takes_any_order_and_returns_rows_by_sender() {
+        let sorted = vec![(1u32, 0.2), (4, 1e-3), (6, 0.7), (9, 2e-3), (12, 1e-3)];
+        let mut shuffled = vec![(9u32, 2e-3), (6, 0.7), (12, 1e-3), (1, 0.2), (4, 1e-3)];
+        for budget in [0.0, 1.5e-3, 4.1e-3, 0.3, 10.0] {
+            let mut a = sorted.clone();
+            let mut b = shuffled.clone();
+            let dropped = truncate_smallest(&mut a, budget);
+            assert_eq!(
+                dropped.to_bits(),
+                truncate_smallest(&mut b, budget).to_bits()
+            );
+            assert_eq!(a, b, "budget {budget}");
+            assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "sorted by sender");
+            shuffled.reverse();
+        }
+        // 4.1e-3 fits the two tied 1e-3 entries and the 2e-3 one.
+        let mut row = shuffled;
+        truncate_smallest(&mut row, 4.1e-3);
+        assert_eq!(row, vec![(1, 0.2), (6, 0.7)]);
     }
 
     #[test]

@@ -17,14 +17,28 @@
 //!    `B ≤ τ/2` (or everything is examined, making `B = 0`).
 //! 2. **Greedy interior truncation.** The examined ratios — computed with
 //!    arithmetic bit-equal to `GainMatrix::from_geometry` +
-//!    `InterferenceRatios::new` — are sorted and the smallest are dropped
-//!    while their *exact* summed log-mass stays within the remaining
-//!    budget `τ − B`.
+//!    `InterferenceRatios::new` — go to `truncate_smallest`, which drops
+//!    the smallest while their *exact* summed log-mass stays within the
+//!    remaining budget `τ − B`, and hands the survivors back sorted by
+//!    sender.
 //!
 //! The per-receiver certificate is `τᵢ = (exact dropped mass) + B ≤ τ`,
 //! so every sparse evaluation `p` brackets the dense value in
 //! `[p·e^{−τᵢ}, p]` (see `rayfade_sinr::sparse`). `δ = 0` forces a full
 //! scan and reproduces the dense cache exactly.
+//!
+//! # Memory layout of the build
+//!
+//! The ring walk streams over contiguous memory. The grid stores the
+//! senders in cell order ([`SpatialGrid::positions`]), the builder
+//! gathers their powers into the same order once, and each grid row of a
+//! ring is one contiguous range of both
+//! ([`SpatialGrid::for_each_ring_range`]). Receivers are built in chunks
+//! of consecutive links on the rayon pool; a chunk reuses one scratch row
+//! for all its receivers and appends the survivors straight into its own
+//! CSR fragment, and the fragments are concatenated in receiver order. No
+//! receiver keeps an allocation of its own, so the build's peak heap is a
+//! small multiple of the finished cache.
 //!
 //! How far the rings must expand depends strongly on `α`: the tail
 //! log-mass beyond radius `R` of a constant-density deployment scales
@@ -40,6 +54,7 @@ use rayfade_sinr::{
 };
 use rayfade_telemetry::{trace, Telemetry};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Build statistics of one [`build_sparse_ratios`] run, also exported as
 /// telemetry counters.
@@ -56,15 +71,9 @@ pub struct SparseBuildStats {
     pub tau_max: f64,
 }
 
-/// One receiver row produced by the parallel sweep.
-struct RowBuild {
-    entries: Vec<(u32, f64)>,
-    noise: f64,
-    signal: f64,
-    tau: f64,
-    examined: u64,
-    truncated: u64,
-}
+/// Receivers per chunk of the parallel build: each chunk is one
+/// parallel task with its own scratch row and CSR fragment.
+const CHUNK: usize = 256;
 
 /// Builds certified ε-truncated sparse ratios from geometry with an
 /// automatically chosen cell size (bounding-box side divided by `√n`,
@@ -85,19 +94,7 @@ pub fn build_sparse_ratios(
     delta: f64,
     tele: Option<&Telemetry>,
 ) -> SparseInterferenceRatios {
-    build_sparse_ratios_with_cell(network, power, params, delta, default_cell(network), tele)
-}
-
-/// [`build_sparse_ratios`] with an explicit grid cell size.
-pub fn build_sparse_ratios_with_cell(
-    network: &Network,
-    power: &PowerAssignment,
-    params: &SinrParams,
-    delta: f64,
-    cell: f64,
-    tele: Option<&Telemetry>,
-) -> SparseInterferenceRatios {
-    build_inner(network, power, params, delta, cell, tele).0
+    build_sparse_ratios_stats(network, power, params, delta, tele).0
 }
 
 /// [`build_sparse_ratios`] returning the build statistics alongside the
@@ -109,7 +106,100 @@ pub fn build_sparse_ratios_stats(
     delta: f64,
     tele: Option<&Telemetry>,
 ) -> (SparseInterferenceRatios, SparseBuildStats) {
-    build_inner(network, power, params, delta, default_cell(network), tele)
+    let tau_budget = truncation_budget(delta);
+    let n = network.len();
+    let cell = default_cell(network);
+    let tracer = tele.and_then(|t| t.tracer());
+
+    let grid = {
+        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("spatial/grid_build")));
+        SpatialGrid::build(network, cell)
+    };
+    let (nx, ny) = grid.dims();
+
+    let _ratios_span = trace::guard(tracer, tracer.map(|tr| tr.span_id("spatial/sparse_ratios")));
+    let fragments: Vec<Fragment> = {
+        let powers = power.powers(network, params.alpha);
+        let walk = RingWalk {
+            network,
+            cell_power: grid.items().iter().map(|&j| powers[j as usize]).collect(),
+            grid: &grid,
+            total_power: kahan_sum(powers.iter().copied()),
+            p_max: powers.iter().copied().fold(0.0f64, f64::max),
+            powers: &powers,
+            beta: params.beta,
+            alpha: params.alpha,
+            noise: params.noise,
+            tau_budget,
+        };
+        (0..n.div_ceil(CHUNK))
+            .into_par_iter()
+            .map(|c| walk.chunk(c * CHUNK..((c + 1) * CHUNK).min(n)))
+            .collect()
+    };
+    drop(grid);
+
+    // Concatenate the fragments in receiver order, freeing each once
+    // copied.
+    let nnz: usize = fragments.iter().map(|f| f.col.len()).sum();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col = Vec::with_capacity(nnz);
+    let mut rho = Vec::with_capacity(nnz);
+    let mut noise = Vec::with_capacity(n);
+    let mut signal = Vec::with_capacity(n);
+    let mut tau = Vec::with_capacity(n);
+    let mut stats = SparseBuildStats::default();
+    for frag in fragments {
+        let base = col.len();
+        row_ptr.extend(frag.row_end.iter().map(|&end| base + end));
+        col.extend_from_slice(&frag.col);
+        rho.extend_from_slice(&frag.rho);
+        noise.extend_from_slice(&frag.noise);
+        signal.extend_from_slice(&frag.signal);
+        tau.extend_from_slice(&frag.tau);
+        stats.examined += frag.examined;
+        stats.truncated += frag.truncated;
+    }
+    stats.retained = nnz as u64;
+    stats.tau_max = tau.iter().copied().fold(0.0, f64::max);
+    if let Some(t) = tele {
+        let hist = t.registry().histogram("rayfade_spatial_truncated_logmass");
+        for &ti in &tau {
+            hist.observe(ti);
+        }
+    }
+    let ratios = SparseInterferenceRatios::from_raw_parts(
+        params.beta,
+        delta,
+        row_ptr,
+        col,
+        rho,
+        noise,
+        signal,
+        tau,
+    );
+    if let Some(t) = tele {
+        let reg = t.registry();
+        reg.counter("rayfade_spatial_pairs_examined_total")
+            .add(stats.examined);
+        reg.counter("rayfade_spatial_pairs_retained_total")
+            .add(stats.retained);
+        reg.counter("rayfade_spatial_pairs_truncated_total")
+            .add(stats.truncated);
+        if let Some(ev) = t.event("sparse_ratios") {
+            ev.int("links", n as i64)
+                .int("nnz", ratios.nnz() as i64)
+                .num("delta", delta)
+                .num("tau_budget", tau_budget)
+                .num("tau_max", stats.tau_max)
+                .num("cell", cell)
+                .int("cells_x", nx as i64)
+                .int("cells_y", ny as i64)
+                .write();
+        }
+    }
+    (ratios, stats)
 }
 
 /// Default cell size: bounding-box side over `√n` (≈ one sender per cell
@@ -126,214 +216,179 @@ fn default_cell(network: &Network) -> f64 {
     }
 }
 
-fn build_inner(
-    network: &Network,
-    power: &PowerAssignment,
-    params: &SinrParams,
-    delta: f64,
-    cell: f64,
-    tele: Option<&Telemetry>,
-) -> (SparseInterferenceRatios, SparseBuildStats) {
-    let tau_budget = truncation_budget(delta);
-    let n = network.len();
-    let beta = params.beta;
-    let alpha = params.alpha;
-    let tracer = tele.and_then(|t| t.tracer());
-
-    let grid = {
-        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("spatial/grid_build")));
-        SpatialGrid::build(network, cell)
-    };
-
-    let _ratios_span = trace::guard(tracer, tracer.map(|tr| tr.span_id("spatial/sparse_ratios")));
-    let powers = power.powers(network, alpha);
-    let total_power = kahan_sum(powers.iter().copied());
-    let p_max = powers.iter().copied().fold(0.0f64, f64::max);
-
-    let rows: Vec<RowBuild> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            build_row(
-                i,
-                network,
-                &grid,
-                &powers,
-                total_power,
-                p_max,
-                beta,
-                alpha,
-                params.noise,
-                tau_budget,
-            )
-        })
-        .collect();
-
-    let mut row_ptr = vec![0usize; n + 1];
-    let nnz: usize = rows.iter().map(|r| r.entries.len()).sum();
-    let mut col = Vec::with_capacity(nnz);
-    let mut rho = Vec::with_capacity(nnz);
-    let mut noise = vec![0.0; n];
-    let mut signal = vec![0.0; n];
-    let mut tau = vec![0.0; n];
-    let mut stats = SparseBuildStats::default();
-    for (i, row) in rows.into_iter().enumerate() {
-        noise[i] = row.noise;
-        signal[i] = row.signal;
-        tau[i] = row.tau;
-        stats.examined += row.examined;
-        stats.truncated += row.truncated;
-        stats.retained += row.entries.len() as u64;
-        stats.tau_max = stats.tau_max.max(row.tau);
-        for (j, r) in row.entries {
-            col.push(j);
-            rho.push(r);
-        }
-        row_ptr[i + 1] = col.len();
-        if let Some(t) = tele {
-            t.registry()
-                .histogram("rayfade_spatial_truncated_logmass")
-                .observe(row.tau);
-        }
-    }
-    let ratios = SparseInterferenceRatios::from_raw_parts(
-        beta, delta, row_ptr, col, rho, noise, signal, tau,
-    );
-    if let Some(t) = tele {
-        let reg = t.registry();
-        reg.counter("rayfade_spatial_pairs_examined_total")
-            .add(stats.examined);
-        reg.counter("rayfade_spatial_pairs_retained_total")
-            .add(stats.retained);
-        reg.counter("rayfade_spatial_pairs_truncated_total")
-            .add(stats.truncated);
-        let (nx, ny) = grid.dims();
-        if let Some(ev) = t.event("sparse_ratios") {
-            ev.int("links", n as i64)
-                .int("nnz", ratios.nnz() as i64)
-                .num("delta", delta)
-                .num("tau_budget", tau_budget)
-                .num("tau_max", stats.tau_max)
-                .num("cell", cell)
-                .int("cells_x", nx as i64)
-                .int("cells_y", ny as i64)
-                .write();
-        }
-    }
-    (ratios, stats)
+/// The CSR rows of one chunk of consecutive receivers.
+struct Fragment {
+    /// End of each row in `col`/`rho`, relative to the fragment start.
+    row_end: Vec<usize>,
+    col: Vec<u32>,
+    rho: Vec<f64>,
+    noise: Vec<f64>,
+    signal: Vec<f64>,
+    tau: Vec<f64>,
+    examined: u64,
+    truncated: u64,
 }
 
-/// Builds one receiver row: ring expansion until the lumped exterior
-/// bound drops below `τ/2`, then greedy interior truncation within the
-/// remaining budget.
-#[allow(clippy::too_many_arguments)]
-fn build_row(
-    i: usize,
-    network: &Network,
-    grid: &SpatialGrid,
-    powers: &[f64],
+/// One receiver row's values besides its retained pairs.
+struct RowMeta {
+    noise: f64,
+    signal: f64,
+    tau: f64,
+    examined: u64,
+    truncated: u64,
+}
+
+/// Everything the per-receiver ring walk reads, shared by all chunks.
+struct RingWalk<'a> {
+    network: &'a Network,
+    grid: &'a SpatialGrid,
+    /// Link-indexed powers (for the own signal).
+    powers: &'a [f64],
+    /// Sender powers in the grid's cell order.
+    cell_power: Vec<f64>,
     total_power: f64,
     p_max: f64,
     beta: f64,
     alpha: f64,
-    noise_param: f64,
+    noise: f64,
     tau_budget: f64,
-) -> RowBuild {
-    let n = network.len();
-    // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
-    let d_own = network.cross_dist(i, i);
-    assert!(
-        d_own > 0.0,
-        "cross distance d(s_{i}, r_{i}) must be positive"
-    );
-    let s_ii = powers[i] / d_own.powf(alpha);
-    assert!(s_ii.is_finite(), "gain S({i},{i}) must be finite");
-    if s_ii == 0.0 {
-        // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
-        // its success probability is 0 regardless of interference.
-        return RowBuild {
-            entries: Vec::new(),
-            noise: 0.0,
-            signal: 0.0,
-            tau: 0.0,
+}
+
+impl RingWalk<'_> {
+    /// Builds the rows of receivers `rows`, reusing one scratch row.
+    fn chunk(&self, rows: Range<usize>) -> Fragment {
+        let mut frag = Fragment {
+            row_end: Vec::with_capacity(rows.len()),
+            col: Vec::new(),
+            rho: Vec::new(),
+            noise: Vec::with_capacity(rows.len()),
+            signal: Vec::with_capacity(rows.len()),
+            tau: Vec::with_capacity(rows.len()),
             examined: 0,
             truncated: 0,
         };
-    }
-    let noise = (-beta * noise_param / s_ii).exp();
-    let receiver = network.link(i).receiver;
-    let (cx, cy) = grid.cell_of(&receiver);
-    let mut entries: Vec<(u32, f64)> = Vec::new();
-    let mut examined_power = 0.0f64;
-    let mut examined_count = 0usize;
-    let exterior; // certified bound on unexamined log-mass, set at loop exit
-    let mut m = 0usize;
-    loop {
-        grid.for_each_in_ring(cx, cy, m, |j| {
-            let ju = j as usize;
-            examined_count += 1;
-            examined_power += powers[ju];
-            if ju == i {
-                return;
-            }
-            let d = network.cross_dist(ju, i);
-            assert!(d > 0.0, "cross distance d(s_{ju}, r_{i}) must be positive");
-            let s_ji = powers[ju] / d.powf(alpha);
-            assert!(s_ji.is_finite(), "gain S({ju},{i}) must be finite");
-            if s_ji == 0.0 {
-                return;
-            }
-            // Same guarded form as the dense cache.
-            let r = beta / (beta + s_ii / s_ji);
-            if r > 0.0 {
-                entries.push((j, r));
-            }
-        });
-        if examined_count == n {
-            exterior = 0.0;
-            break;
+        let mut entries: Vec<(u32, f64)> = Vec::new();
+        for i in rows {
+            let row = self.row(i, &mut entries);
+            frag.col.extend(entries.iter().map(|e| e.0));
+            frag.rho.extend(entries.iter().map(|e| e.1));
+            frag.row_end.push(frag.col.len());
+            frag.noise.push(row.noise);
+            frag.signal.push(row.signal);
+            frag.tau.push(row.tau);
+            frag.examined += row.examined;
+            frag.truncated += row.truncated;
         }
-        match grid.exterior_distance(&receiver, cx, cy, m) {
-            None => {
-                // Block covers the grid, so every sender was examined —
-                // unreachable given the count check above, but harmless.
+        frag
+    }
+
+    /// Builds receiver `i`'s row into the scratch `entries`: ring
+    /// expansion until the lumped exterior bound drops below `τ/2`, then
+    /// greedy interior truncation within the remaining budget. Leaves the
+    /// retained `(sender, ρ)` pairs in `entries`, sorted by sender.
+    fn row(&self, i: usize, entries: &mut Vec<(u32, f64)>) -> RowMeta {
+        entries.clear();
+        let (beta, alpha) = (self.beta, self.alpha);
+        let n = self.network.len();
+        // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
+        let d_own = self.network.cross_dist(i, i);
+        assert!(
+            d_own > 0.0,
+            "cross distance d(s_{i}, r_{i}) must be positive"
+        );
+        let s_ii = self.powers[i] / d_own.powf(alpha);
+        assert!(s_ii.is_finite(), "gain S({i},{i}) must be finite");
+        if s_ii == 0.0 {
+            // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
+            // its success probability is 0 regardless of interference.
+            return RowMeta {
+                noise: 0.0,
+                signal: 0.0,
+                tau: 0.0,
+                examined: 0,
+                truncated: 0,
+            };
+        }
+        let noise = (-beta * self.noise / s_ii).exp();
+        let receiver = self.network.link(i).receiver;
+        let (cx, cy) = self.grid.cell_of(&receiver);
+        let (items, positions) = (self.grid.items(), self.grid.positions());
+        let mut examined_power = 0.0f64;
+        let mut examined_count = 0usize;
+        let exterior; // certified bound on unexamined log-mass, set at loop exit
+        let mut m = 0usize;
+        loop {
+            self.grid.for_each_ring_range(cx, cy, m, |range| {
+                examined_count += range.len();
+                for ((&j, sender), &p) in items[range.clone()]
+                    .iter()
+                    .zip(&positions[range.clone()])
+                    .zip(&self.cell_power[range])
+                {
+                    examined_power += p;
+                    let ju = j as usize;
+                    if ju == i {
+                        continue;
+                    }
+                    let d = sender.distance(&receiver);
+                    assert!(d > 0.0, "cross distance d(s_{ju}, r_{i}) must be positive");
+                    let s_ji = p / d.powf(alpha);
+                    assert!(s_ji.is_finite(), "gain S({ju},{i}) must be finite");
+                    if s_ji == 0.0 {
+                        continue;
+                    }
+                    // Same guarded form as the dense cache.
+                    let r = beta / (beta + s_ii / s_ji);
+                    if r > 0.0 {
+                        entries.push((j, r));
+                    }
+                }
+            });
+            if examined_count == n {
                 exterior = 0.0;
                 break;
             }
-            Some(d_min) => {
-                if d_min > 0.0 && tau_budget > 0.0 {
-                    let p_rem = (total_power - examined_power).max(0.0);
-                    let denom = s_ii * d_min.powf(alpha);
-                    let x = beta * p_max / denom; // ≥ β·ḡ of any unexamined sender
-                    if x.is_finite() {
-                        // ρ ≤ ρ̄ = x/(x+1) < 1 and −ln(1−ρ) ≤ k(ρ̄)·ρ.
-                        let rho_bar = x / (x + 1.0);
-                        let kfac = if rho_bar > 0.0 {
-                            -(-rho_bar).ln_1p() / rho_bar
-                        } else {
-                            1.0
-                        };
-                        let bound = kfac * beta * p_rem / denom;
-                        if bound <= 0.5 * tau_budget {
-                            exterior = bound;
-                            break;
+            match self.grid.exterior_distance(&receiver, cx, cy, m) {
+                None => {
+                    // Block covers the grid, so every sender was examined —
+                    // unreachable given the count check above, but harmless.
+                    exterior = 0.0;
+                    break;
+                }
+                Some(d_min) => {
+                    if d_min > 0.0 && self.tau_budget > 0.0 {
+                        let p_rem = (self.total_power - examined_power).max(0.0);
+                        let denom = s_ii * d_min.powf(alpha);
+                        let x = beta * self.p_max / denom; // ≥ β·ḡ of any unexamined sender
+                        if x.is_finite() {
+                            // ρ ≤ ρ̄ = x/(x+1) < 1 and −ln(1−ρ) ≤ k(ρ̄)·ρ.
+                            let rho_bar = x / (x + 1.0);
+                            let kfac = if rho_bar > 0.0 {
+                                -(-rho_bar).ln_1p() / rho_bar
+                            } else {
+                                1.0
+                            };
+                            let bound = kfac * beta * p_rem / denom;
+                            if bound <= 0.5 * self.tau_budget {
+                                exterior = bound;
+                                break;
+                            }
                         }
                     }
                 }
             }
+            m += 1;
         }
-        m += 1;
-    }
-    let examined = examined_count.saturating_sub(1) as u64; // own sender is not a pair
-    entries.sort_unstable_by_key(|e| e.0);
-    let before = entries.len();
-    let dropped = truncate_smallest(&mut entries, tau_budget - exterior);
-    RowBuild {
-        noise,
-        signal: s_ii,
-        tau: dropped + exterior,
-        examined,
-        truncated: (before - entries.len()) as u64,
-        entries,
+        let examined = examined_count.saturating_sub(1) as u64; // own sender is not a pair
+        let before = entries.len();
+        let dropped = truncate_smallest(entries, self.tau_budget - exterior);
+        RowMeta {
+            noise,
+            signal: s_ii,
+            tau: dropped + exterior,
+            examined,
+            truncated: (before - entries.len()) as u64,
+        }
     }
 }
 
@@ -442,10 +497,7 @@ mod tests {
         let net = small_net(20, 9);
         let power = PowerAssignment::figure1_uniform();
         let params = SinrParams::new(4.0, 2.5, 4e-7);
-        let (_, stats) = {
-            let (r, s) = build_inner(&net, &power, &params, 0.1, default_cell(&net), Some(&tele));
-            (r, s)
-        };
+        let (_, stats) = build_sparse_ratios_stats(&net, &power, &params, 0.1, Some(&tele));
         tele.flush();
         let prom = tele.registry().prometheus_text();
         assert!(prom.contains("rayfade_spatial_pairs_examined_total"));

@@ -2,13 +2,17 @@
 //!
 //! Buckets the sender of every link into square cells of a fixed size,
 //! with deterministic iteration order (cells row-major, link indices
-//! ascending within a cell). The index answers three kinds of questions:
+//! ascending within a cell). The senders are stored in that **cell
+//! order**: [`SpatialGrid::items`] holds the link indices and
+//! [`SpatialGrid::positions`] the sender positions beside them, so a run
+//! of consecutive cells in one grid row is one contiguous slice of both.
+//! The index answers two kinds of questions:
 //!
-//! * membership — which senders fall in a given cell or Chebyshev ring
-//!   of cells ([`SpatialGrid::for_each_in_ring`]),
-//! * proximity — all senders within a radius
-//!   ([`SpatialGrid::radius_indices`]) or the k nearest senders
-//!   ([`SpatialGrid::k_nearest`]), and
+//! * membership — which senders fall in a given cell
+//!   ([`SpatialGrid::in_cell`]) or Chebyshev ring of cells
+//!   ([`SpatialGrid::for_each_ring_range`], which hands out the ring's
+//!   cells of each grid row as contiguous ranges of cell-order
+//!   positions), and
 //! * certified exclusion — a lower bound on the distance from a point to
 //!   every sender *outside* an examined block of cells
 //!   ([`SpatialGrid::exterior_distance`]), which is what the sparse-ratio
@@ -21,6 +25,7 @@
 
 use rayfade_geometry::{BoundingBox, Network, Point};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Hard cap on the number of grid cells — catches pathologically small
 /// cell sizes before they allocate gigabytes of offsets.
@@ -37,10 +42,11 @@ pub struct SpatialGrid {
     /// CSR over cells in row-major `(cy, cx)` order:
     /// cell `(cx, cy)` holds `items[cell_start[cy*nx+cx]..cell_start[cy*nx+cx+1]]`.
     cell_start: Vec<usize>,
-    /// Link indices, ascending within each cell.
+    /// Link indices in cell order, ascending within each cell.
     items: Vec<u32>,
-    /// Sender position per link, for distance filtering in queries.
-    senders: Vec<Point>,
+    /// Sender positions in cell order: `positions[k]` is the sender of
+    /// link `items[k]`.
+    positions: Vec<Point>,
 }
 
 impl SpatialGrid {
@@ -57,7 +63,6 @@ impl SpatialGrid {
         );
         let n = network.len();
         assert!(n <= u32::MAX as usize, "link index must fit in u32");
-        let senders: Vec<Point> = network.iter().map(|(_, l)| l.sender).collect();
         let bbox = network
             .bounding_box()
             .unwrap_or_else(|| BoundingBox::square(0.0));
@@ -75,17 +80,19 @@ impl SpatialGrid {
         // Counting sort: deterministic, items ascending per cell because
         // links are visited in index order.
         let mut cell_start = vec![0usize; nx * ny + 1];
-        for p in &senders {
-            cell_start[index_of(p) + 1] += 1;
+        for l in network.links() {
+            cell_start[index_of(&l.sender) + 1] += 1;
         }
         for c in 0..nx * ny {
             cell_start[c + 1] += cell_start[c];
         }
         let mut cursor = cell_start.clone();
         let mut items = vec![0u32; n];
-        for (j, p) in senders.iter().enumerate() {
-            let c = index_of(p);
+        let mut positions = vec![Point::ORIGIN; n];
+        for (j, l) in network.links().iter().enumerate() {
+            let c = index_of(&l.sender);
             items[cursor[c]] = j as u32;
+            positions[cursor[c]] = l.sender;
             cursor[c] += 1;
         }
         SpatialGrid {
@@ -95,7 +102,7 @@ impl SpatialGrid {
             ny,
             cell_start,
             items,
-            senders,
+            positions,
         }
     }
 
@@ -145,20 +152,51 @@ impl SpatialGrid {
         Self::clamped_cell(p, &self.origin, self.cell, self.nx, self.ny)
     }
 
+    /// Link indices in cell order (cells row-major, ascending within a
+    /// cell).
+    #[inline]
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
+
+    /// Sender positions in cell order, parallel to [`items`](Self::items).
+    #[inline]
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
     /// Link indices whose sender falls in cell `(cx, cy)`, ascending.
     #[inline]
     pub fn in_cell(&self, cx: usize, cy: usize) -> &[u32] {
-        let c = cy * self.nx + cx;
-        &self.items[self.cell_start[c]..self.cell_start[c + 1]]
+        &self.items[self.cell_range(cx, cx, cy)]
     }
 
-    /// Calls `f` for every sender in the Chebyshev ring of cell-distance
-    /// exactly `m` around `(cx, cy)` (ring 0 is the cell itself). Cells
-    /// outside the grid are skipped; visit order is deterministic
-    /// (top row, middle columns, bottom row, each left-to-right).
-    pub fn for_each_in_ring<F: FnMut(u32)>(&self, cx: usize, cy: usize, m: usize, mut f: F) {
+    /// Cell-order positions of the senders in cells `x_lo..=x_hi` of grid
+    /// row `y`: consecutive cells of a row are contiguous in cell order.
+    #[inline]
+    fn cell_range(&self, x_lo: usize, x_hi: usize, y: usize) -> Range<usize> {
+        let row = y * self.nx;
+        self.cell_start[row + x_lo]..self.cell_start[row + x_hi + 1]
+    }
+
+    /// Calls `f` with the cell-order positions (indices into
+    /// [`items`](Self::items) and [`positions`](Self::positions)) of every
+    /// sender in the Chebyshev ring of cell-distance exactly `m` around
+    /// `(cx, cy)` (ring 0 is the cell itself), as contiguous ranges: one
+    /// for each of the ring's top and bottom rows, one for each side cell
+    /// of the rows between. Cells outside the grid are skipped and empty
+    /// ranges are not handed out. The visit order is deterministic: the
+    /// top row, then the left and right cells of each middle row, then
+    /// the bottom row, each left to right.
+    pub fn for_each_ring_range<F: FnMut(Range<usize>)>(
+        &self,
+        cx: usize,
+        cy: usize,
+        m: usize,
+        mut f: F,
+    ) {
         let (cx, cy, m) = (cx as i64, cy as i64, m as i64);
-        let visit_row = |y: i64, x_lo: i64, x_hi: i64, f: &mut F| {
+        let mut visit_row = |y: i64, x_lo: i64, x_hi: i64| {
             if y < 0 || y >= self.ny as i64 {
                 return;
             }
@@ -167,22 +205,21 @@ impl SpatialGrid {
             if x_lo > x_hi {
                 return;
             }
-            for x in x_lo..=x_hi {
-                for &j in self.in_cell(x as usize, y as usize) {
-                    f(j);
-                }
+            let range = self.cell_range(x_lo as usize, x_hi as usize, y as usize);
+            if !range.is_empty() {
+                f(range);
             }
         };
         if m == 0 {
-            visit_row(cy, cx, cx, &mut f);
+            visit_row(cy, cx, cx);
             return;
         }
-        visit_row(cy - m, cx - m, cx + m, &mut f);
+        visit_row(cy - m, cx - m, cx + m);
         for y in (cy - m + 1)..=(cy + m - 1) {
-            visit_row(y, cx - m, cx - m, &mut f);
-            visit_row(y, cx + m, cx + m, &mut f);
+            visit_row(y, cx - m, cx - m);
+            visit_row(y, cx + m, cx + m);
         }
-        visit_row(cy + m, cx - m, cx + m, &mut f);
+        visit_row(cy + m, cx - m, cx + m);
     }
 
     /// Lower bound on the distance from `p` to any indexed sender
@@ -217,59 +254,6 @@ impl SpatialGrid {
         }
         Some(d.max(0.0))
     }
-
-    /// All link indices whose sender lies within distance `r` of `p`,
-    /// ascending.
-    pub fn radius_indices(&self, p: &Point, r: f64) -> Vec<usize> {
-        assert!(r.is_finite() && r >= 0.0, "radius must be finite and >= 0");
-        let (lo_cx, lo_cy) = self.cell_of(&Point::new(p.x - r, p.y - r));
-        let (hi_cx, hi_cy) = self.cell_of(&Point::new(p.x + r, p.y + r));
-        let mut out = Vec::new();
-        for cy in lo_cy..=hi_cy {
-            for cx in lo_cx..=hi_cx {
-                for &j in self.in_cell(cx, cy) {
-                    if self.senders[j as usize].distance(p) <= r {
-                        out.push(j as usize);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The `k` indexed senders nearest to `p`, ordered by distance
-    /// (ties by link index). Returns fewer than `k` only when the grid
-    /// indexes fewer links.
-    pub fn k_nearest(&self, p: &Point, k: usize) -> Vec<usize> {
-        let k = k.min(self.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let (cx, cy) = self.cell_of(p);
-        let mut cand: Vec<(f64, u32)> = Vec::new();
-        let mut m = 0usize;
-        loop {
-            self.for_each_in_ring(cx, cy, m, |j| {
-                cand.push((self.senders[j as usize].distance(p), j));
-            });
-            match self.exterior_distance(p, cx, cy, m) {
-                None => break, // everything examined
-                Some(bound) => {
-                    if cand.len() >= k {
-                        cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                        if cand[k - 1].0 <= bound {
-                            break;
-                        }
-                    }
-                }
-            }
-            m += 1;
-        }
-        cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        cand.truncate(k);
-        cand.into_iter().map(|(_, j)| j as usize).collect()
-    }
 }
 
 #[cfg(test)]
@@ -290,6 +274,13 @@ mod tests {
         net
     }
 
+    /// Link indices of the senders in ring `m`, in visit order.
+    fn ring(g: &SpatialGrid, cx: usize, cy: usize, m: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        g.for_each_ring_range(cx, cy, m, |r| out.extend_from_slice(&g.items()[r]));
+        out
+    }
+
     #[test]
     fn build_is_deterministic_and_buckets_every_sender() {
         let net = lattice();
@@ -304,6 +295,10 @@ mod tests {
                 seen.extend_from_slice(g1.in_cell(cx, cy));
             }
         }
+        assert_eq!(seen, g1.items(), "cells concatenate to the cell order");
+        for (&j, p) in g1.items().iter().zip(g1.positions()) {
+            assert_eq!(*p, net.link(j as usize).sender, "position of link {j}");
+        }
         seen.sort_unstable();
         assert_eq!(seen, (0..9).collect::<Vec<_>>());
     }
@@ -315,7 +310,7 @@ mod tests {
         let (cx, cy) = g.cell_of(&Point::new(10.0, 10.0));
         let mut seen = Vec::new();
         for m in 0..16 {
-            g.for_each_in_ring(cx, cy, m, |j| seen.push(j));
+            seen.extend(ring(&g, cx, cy, m));
             if g.exterior_distance(&Point::new(10.0, 10.0), cx, cy, m)
                 .is_none()
             {
@@ -324,6 +319,21 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..9).collect::<Vec<_>>(), "each sender exactly once");
+    }
+
+    #[test]
+    fn ring_ranges_follow_rows_top_to_bottom() {
+        // Cell size 10 puts one lattice sender in each of the 3×3 cells
+        // (the receivers widen the box by one unit, not a cell).
+        let g = SpatialGrid::build(&lattice(), 10.0);
+        assert_eq!(g.dims(), (3, 3));
+        // Ring 1 around the centre cell: all of row y = 0 (the smallest
+        // y comes first), the two side cells of row 1, then all of row 2.
+        let mut ranges = Vec::new();
+        g.for_each_ring_range(1, 1, 1, |r| ranges.push(r));
+        assert_eq!(ranges, vec![0..3, 3..4, 5..6, 6..9]);
+        assert_eq!(ring(&g, 1, 1, 1), vec![0, 1, 2, 3, 5, 6, 7, 8]);
+        assert_eq!(ring(&g, 1, 1, 0), vec![4]);
     }
 
     #[test]
@@ -338,10 +348,7 @@ mod tests {
             };
             // Every sender outside the examined block must be at least
             // `bound` away.
-            let mut inside = Vec::new();
-            for mm in 0..=m {
-                g.for_each_in_ring(cx, cy, mm, |j| inside.push(j));
-            }
+            let inside: Vec<u32> = (0..=m).flat_map(|mm| ring(&g, cx, cy, mm)).collect();
             for j in 0..net.len() as u32 {
                 if !inside.contains(&j) {
                     let d = net.link(j as usize).sender.distance(&p);
@@ -352,39 +359,11 @@ mod tests {
     }
 
     #[test]
-    fn radius_query_matches_brute_force() {
-        let net = lattice();
-        let g = SpatialGrid::build(&net, 3.0);
-        let p = Point::new(12.0, 7.0);
-        for r in [0.0, 5.0, 11.0, 40.0] {
-            let want: Vec<usize> = (0..net.len())
-                .filter(|&j| net.link(j).sender.distance(&p) <= r)
-                .collect();
-            assert_eq!(g.radius_indices(&p, r), want, "r = {r}");
-        }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force() {
-        let net = lattice();
-        let g = SpatialGrid::build(&net, 3.0);
-        let p = Point::new(1.0, 2.0);
-        let mut all: Vec<(f64, usize)> = (0..net.len())
-            .map(|j| (net.link(j).sender.distance(&p), j))
-            .collect();
-        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for k in [0, 1, 4, 9, 20] {
-            let want: Vec<usize> = all.iter().take(k).map(|&(_, j)| j).collect();
-            assert_eq!(g.k_nearest(&p, k), want, "k = {k}");
-        }
-    }
-
-    #[test]
     fn empty_network_builds_an_empty_grid() {
         let g = SpatialGrid::build(&Network::default(), 1.0);
         assert!(g.is_empty());
-        assert_eq!(g.k_nearest(&Point::ORIGIN, 3), Vec::<usize>::new());
-        assert_eq!(g.radius_indices(&Point::ORIGIN, 10.0), Vec::<usize>::new());
+        assert!(g.positions().is_empty());
+        assert_eq!(ring(&g, 0, 0, 0), Vec::<u32>::new());
     }
 
     #[test]
