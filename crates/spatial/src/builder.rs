@@ -33,12 +33,14 @@
 //! senders in cell order ([`SpatialGrid::positions`]), the builder
 //! gathers their powers into the same order once, and each grid row of a
 //! ring is one contiguous range of both
-//! ([`SpatialGrid::for_each_ring_range`]). Receivers are built in chunks
-//! of consecutive links on the rayon pool; a chunk reuses one scratch row
-//! for all its receivers and appends the survivors straight into its own
-//! CSR fragment, and the fragments are concatenated in receiver order. No
-//! receiver keeps an allocation of its own, so the build's peak heap is a
-//! small multiple of the finished cache.
+//! ([`SpatialGrid::for_each_ring_range`]). Receivers are walked in the
+//! grid's cell order ([`SpatialGrid::items`]), so consecutive receivers
+//! share most of their rings and the walk stays in cache, in fixed chunks
+//! of 256 on the rayon pool; a chunk reuses one scratch row for all its
+//! receivers and appends the survivors straight into its own CSR
+//! fragment. Assembly scatters the rows back into link order, freeing
+//! each fragment once copied. No receiver keeps an allocation of its own,
+//! so the build's peak heap is a small multiple of the finished cache.
 //!
 //! How far the rings must expand depends strongly on `α`: the tail
 //! log-mass beyond radius `R` of a constant-density deployment scales
@@ -54,7 +56,6 @@ use rayfade_sinr::{
 };
 use rayfade_telemetry::{trace, Telemetry};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Build statistics of one [`build_sparse_ratios`] run, also exported as
 /// telemetry counters.
@@ -132,35 +133,48 @@ pub fn build_sparse_ratios_stats(
             noise: params.noise,
             tau_budget,
         };
+        let order = grid.items();
         (0..n.div_ceil(CHUNK))
             .into_par_iter()
-            .map(|c| walk.chunk(c * CHUNK..((c + 1) * CHUNK).min(n)))
+            .map(|c| walk.chunk(&order[c * CHUNK..((c + 1) * CHUNK).min(n)]))
             .collect()
     };
-    drop(grid);
+    let order = grid.into_items();
 
-    // Concatenate the fragments in receiver order, freeing each once
-    // copied.
-    let nnz: usize = fragments.iter().map(|f| f.col.len()).sum();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut col = Vec::with_capacity(nnz);
-    let mut rho = Vec::with_capacity(nnz);
-    let mut noise = Vec::with_capacity(n);
-    let mut signal = Vec::with_capacity(n);
-    let mut tau = Vec::with_capacity(n);
+    // The rows come in cell order: size each link's row, then copy every
+    // row into its place in link order, freeing each fragment once copied.
+    let mut row_ptr = vec![0usize; n + 1];
+    let rows = fragments.iter().flat_map(|f| &f.rows);
+    for (&i, row) in order.iter().zip(rows) {
+        row_ptr[i as usize + 1] = row.len;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let nnz = row_ptr[n];
+    let mut col = vec![0u32; nnz];
+    let mut rho = vec![0.0f64; nnz];
+    let mut noise = vec![0.0f64; n];
+    let mut signal = vec![0.0f64; n];
+    let mut tau = vec![0.0f64; n];
     let mut stats = SparseBuildStats::default();
+    let mut receivers = order.iter();
     for frag in fragments {
-        let base = col.len();
-        row_ptr.extend(frag.row_end.iter().map(|&end| base + end));
-        col.extend_from_slice(&frag.col);
-        rho.extend_from_slice(&frag.rho);
-        noise.extend_from_slice(&frag.noise);
-        signal.extend_from_slice(&frag.signal);
-        tau.extend_from_slice(&frag.tau);
+        let mut start = 0;
+        for (row, &i) in frag.rows.iter().zip(receivers.by_ref()) {
+            let (i, end) = (i as usize, start + row.len);
+            let at = row_ptr[i];
+            col[at..at + row.len].copy_from_slice(&frag.col[start..end]);
+            rho[at..at + row.len].copy_from_slice(&frag.rho[start..end]);
+            noise[i] = row.noise;
+            signal[i] = row.signal;
+            tau[i] = row.tau;
+            start = end;
+        }
         stats.examined += frag.examined;
         stats.truncated += frag.truncated;
     }
+    drop(order);
     stats.retained = nnz as u64;
     stats.tau_max = tau.iter().copied().fold(0.0, f64::max);
     if let Some(t) = tele {
@@ -216,26 +230,23 @@ fn default_cell(network: &Network) -> f64 {
     }
 }
 
-/// The CSR rows of one chunk of consecutive receivers.
+/// The CSR rows of one chunk of receivers, in the chunk's order.
 struct Fragment {
-    /// End of each row in `col`/`rho`, relative to the fragment start.
-    row_end: Vec<usize>,
+    rows: Vec<Row>,
+    /// The retained senders of every row, one row after another.
     col: Vec<u32>,
     rho: Vec<f64>,
-    noise: Vec<f64>,
-    signal: Vec<f64>,
-    tau: Vec<f64>,
     examined: u64,
     truncated: u64,
 }
 
 /// One receiver row's values besides its retained pairs.
-struct RowMeta {
+struct Row {
+    /// Retained pairs.
+    len: usize,
     noise: f64,
     signal: f64,
     tau: f64,
-    examined: u64,
-    truncated: u64,
 }
 
 /// Everything the per-receiver ring walk reads, shared by all chunks.
@@ -255,38 +266,29 @@ struct RingWalk<'a> {
 }
 
 impl RingWalk<'_> {
-    /// Builds the rows of receivers `rows`, reusing one scratch row.
-    fn chunk(&self, rows: Range<usize>) -> Fragment {
+    /// Builds the rows of `receivers` in the given order, reusing one
+    /// scratch row.
+    fn chunk(&self, receivers: &[u32]) -> Fragment {
         let mut frag = Fragment {
-            row_end: Vec::with_capacity(rows.len()),
+            rows: Vec::with_capacity(receivers.len()),
             col: Vec::new(),
             rho: Vec::new(),
-            noise: Vec::with_capacity(rows.len()),
-            signal: Vec::with_capacity(rows.len()),
-            tau: Vec::with_capacity(rows.len()),
             examined: 0,
             truncated: 0,
         };
         let mut entries: Vec<(u32, f64)> = Vec::new();
-        for i in rows {
-            let row = self.row(i, &mut entries);
-            frag.col.extend(entries.iter().map(|e| e.0));
-            frag.rho.extend(entries.iter().map(|e| e.1));
-            frag.row_end.push(frag.col.len());
-            frag.noise.push(row.noise);
-            frag.signal.push(row.signal);
-            frag.tau.push(row.tau);
-            frag.examined += row.examined;
-            frag.truncated += row.truncated;
+        for &i in receivers {
+            self.push_row(i as usize, &mut entries, &mut frag);
         }
         frag
     }
 
-    /// Builds receiver `i`'s row into the scratch `entries`: ring
-    /// expansion until the lumped exterior bound drops below `τ/2`, then
-    /// greedy interior truncation within the remaining budget. Leaves the
-    /// retained `(sender, ρ)` pairs in `entries`, sorted by sender.
-    fn row(&self, i: usize, entries: &mut Vec<(u32, f64)>) -> RowMeta {
+    /// Builds receiver `i`'s row in the scratch `entries` and appends it
+    /// to `frag`: ring expansion until the lumped exterior bound drops
+    /// below `τ/2`, then greedy interior truncation within the remaining
+    /// budget, which leaves the retained `(sender, ρ)` pairs sorted by
+    /// sender.
+    fn push_row(&self, i: usize, entries: &mut Vec<(u32, f64)>, frag: &mut Fragment) {
         entries.clear();
         let (beta, alpha) = (self.beta, self.alpha);
         let n = self.network.len();
@@ -301,13 +303,13 @@ impl RingWalk<'_> {
         if s_ii == 0.0 {
             // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
             // its success probability is 0 regardless of interference.
-            return RowMeta {
+            frag.rows.push(Row {
+                len: 0,
                 noise: 0.0,
                 signal: 0.0,
                 tau: 0.0,
-                examined: 0,
-                truncated: 0,
-            };
+            });
+            return;
         }
         let noise = (-beta * self.noise / s_ii).exp();
         let receiver = self.network.link(i).receiver;
@@ -379,16 +381,18 @@ impl RingWalk<'_> {
             }
             m += 1;
         }
-        let examined = examined_count.saturating_sub(1) as u64; // own sender is not a pair
+        frag.examined += examined_count.saturating_sub(1) as u64; // own sender is not a pair
         let before = entries.len();
         let dropped = truncate_smallest(entries, self.tau_budget - exterior);
-        RowMeta {
+        frag.truncated += (before - entries.len()) as u64;
+        frag.col.extend(entries.iter().map(|e| e.0));
+        frag.rho.extend(entries.iter().map(|e| e.1));
+        frag.rows.push(Row {
+            len: entries.len(),
             noise,
             signal: s_ii,
             tau: dropped + exterior,
-            examined,
-            truncated: (before - entries.len()) as u64,
-        }
+        });
     }
 }
 

@@ -165,6 +165,11 @@ impl SpatialGrid {
         &self.positions
     }
 
+    /// Consumes the grid, keeping only the cell order of the links.
+    pub(crate) fn into_items(self) -> Vec<u32> {
+        self.items
+    }
+
     /// Link indices whose sender falls in cell `(cx, cy)`, ascending.
     #[inline]
     pub fn in_cell(&self, cx: usize, cy: usize) -> &[u32] {

@@ -26,9 +26,10 @@
 //!   then greedily drops the smallest examined ratios within the
 //!   remaining budget (`rayfade_sinr::sparse::truncate_smallest`, which
 //!   takes a row in walk order and returns the survivors sorted by
-//!   sender). Chunks of receivers are built in parallel, each straight
-//!   into its own CSR fragment with one reused scratch row, and the
-//!   fragments are concatenated in receiver order. The retained ratios
+//!   sender). Chunks of receivers, taken in the grid's cell order, are
+//!   built in parallel, each straight into its own CSR fragment with one
+//!   reused scratch row, and assembly scatters the rows back into link
+//!   order. The retained ratios
 //!   are bit-equal to the dense cache; the dropped mass is certified per
 //!   receiver (see `rayfade_sinr::sparse` for the interval semantics).
 //!
