@@ -188,12 +188,12 @@ fn pins() -> Vec<(&'static str, DynamicConfig, &'static [u64])> {
         (
             "crossover/aloha/rayleigh/analytic/bernoulli",
             at_crossover(Aloha, BERNOULLI),
-            &[0x5ab4c568d505a9d2, 0x384c288bb3925de9],
+            &[0x3887507c44793ae7, 0xc3e12b5fcb379f64],
         ),
         (
             "crossover/regret/rayleigh/analytic/markov",
             at_crossover(Regret, MARKOV),
-            &[0x07ed03873ff7278d, 0xeea9049423781bfd],
+            &[0x4e0d2a0dc23b34bc, 0x5baa7d58bc3003a8],
         ),
     ]
 }

@@ -4,17 +4,19 @@
 //! directly from a [`Network`] and a [`PowerAssignment`] without ever
 //! materializing a dense row, in two passes per receiver `i`:
 //!
-//! 1. **Ring expansion with a lumped exterior bound.** Grid rings around
-//!    the receiver's cell are examined outward. After ring `m`, every
-//!    unexamined sender is at least `d_min` away
-//!    ([`SpatialGrid::exterior_distance`]), so its normalized gain is at
-//!    most `ḡ = p_max/(S̄_{i,i}·d_min^α)` and its ratio at most
-//!    `ρ̄ = β·ḡ/(β·ḡ + 1) < 1`. Since `−ln(1−ρ) ≤ k(ρ̄)·ρ` for
-//!    `ρ ≤ ρ̄` with `k(x) = −ln(1−x)/x`, and
-//!    `Σρ ≤ β·P_rem/(S̄_{i,i}·d_min^α)` over the unexamined total power
-//!    `P_rem`, the whole unexamined exterior contributes log-mass at most
-//!    `B = k(ρ̄)·β·P_rem/(S̄_{i,i}·d_min^α)`. Expansion stops once
-//!    `B ≤ τ/2` (or everything is examined, making `B = 0`).
+//! 1. **Ring expansion with an annulus-by-annulus tail bound.** Grid
+//!    rings around the receiver's cell are examined outward. A sender at
+//!    distance at least `d` with power at most `p_max` has
+//!    `x = β·S_ji/S̄_{i,i} ≤ a/d^α` with `a = β·p_max/S̄_{i,i}`, so its
+//!    log-mass `−ln(1−ρ) = ln(1+x) ≤ x` is at most `a/d^α`. The
+//!    unexamined cells after ring `m` are split into dyadic annuli —
+//!    block `2^{k+1}` minus block `2^k`, plus the partial annulus between
+//!    block `m` and the next dyadic radius — and each annulus is charged
+//!    its exact sender count times that per-sender bound, at its own
+//!    inner distance ([`SpatialGrid::exterior_distance`]) and with counts
+//!    from the grid's summed-area table ([`SpatialGrid::block_count`]).
+//!    The sum `B` bounds the whole unexamined log-mass. Expansion stops
+//!    once `B ≤ τ/2` (or everything is examined, making `B = 0`).
 //! 2. **Greedy interior truncation.** The examined ratios — computed with
 //!    arithmetic bit-equal to `GainMatrix::from_geometry` +
 //!    `InterferenceRatios::new` — go to `truncate_smallest`, which drops
@@ -42,18 +44,34 @@
 //! each fragment once copied. No receiver keeps an allocation of its own,
 //! so the build's peak heap is a small multiple of the finished cache.
 //!
-//! How far the rings must expand depends strongly on `α`: the tail
-//! log-mass beyond radius `R` of a constant-density deployment scales
-//! like `R^{2−α}`, so truncation only pays off for `α > 2` and the
-//! crossover radius shrinks rapidly as `α` grows (see EXPERIMENTS.md §S1
-//! for the derivation and measured crossovers).
+//! # Why the tail bound needs no rounding argument
+//!
+//! The bound is a sum of non-negative terms, each an exact integer count
+//! times `a/d^α` evaluated from exact inputs (the largest power, the own
+//! signal, a grid distance). Every term is accurate to a few ulps
+//! relative to itself, and nothing is subtracted. A bound built from a
+//! running total of unexamined power, `P_total − P_examined`, is not: once
+//! the walk has examined a sender whose power dwarfs the rest, the f64
+//! difference cancels to 0 and certifies a tail of senders that were
+//! never looked at (`tests/tail_oracle.rs` keeps that case).
+//!
+//! # Cost
+//!
+//! The annulus terms are computed once per receiver, O(log n) of them,
+//! into suffix sums, so the stop test after each ring is O(1): the
+//! partial annulus plus one suffix. At a fixed density and `α > 2` the
+//! log-mass beyond radius `R` scales like `R^{2−α}` whatever `n` is, so
+//! the stop ring — and the examined pairs per receiver — do not grow
+//! with `n`, and the build costs O(n log n) (`tests/examined_pairs.rs`
+//! gates the pair count). How far the rings expand still depends
+//! strongly on `α`: truncation only pays off for `α > 2`, and at the
+//! Figure-1 exponent α = 2.2 the walk covers most of a small grid (see
+//! EXPERIMENTS.md §S2).
 
 use crate::grid::SpatialGrid;
-use rayfade_geometry::{LinkGeometry, Network};
+use rayfade_geometry::{LinkGeometry, Network, Point};
 use rayfade_sinr::sparse::truncate_smallest;
-use rayfade_sinr::{
-    kahan_sum, truncation_budget, PowerAssignment, SinrParams, SparseInterferenceRatios,
-};
+use rayfade_sinr::{truncation_budget, PowerAssignment, SinrParams, SparseInterferenceRatios};
 use rayfade_telemetry::{trace, Telemetry};
 use rayon::prelude::*;
 
@@ -125,7 +143,6 @@ pub fn build_sparse_ratios_stats(
             network,
             cell_power: grid.items().iter().map(|&j| powers[j as usize]).collect(),
             grid: &grid,
-            total_power: kahan_sum(powers.iter().copied()),
             p_max: powers.iter().copied().fold(0.0f64, f64::max),
             powers: &powers,
             beta: params.beta,
@@ -257,7 +274,7 @@ struct RingWalk<'a> {
     powers: &'a [f64],
     /// Sender powers in the grid's cell order.
     cell_power: Vec<f64>,
-    total_power: f64,
+    /// Largest sender power: every unexamined sender is charged at it.
     p_max: f64,
     beta: f64,
     alpha: f64,
@@ -284,8 +301,8 @@ impl RingWalk<'_> {
     }
 
     /// Builds receiver `i`'s row in the scratch `entries` and appends it
-    /// to `frag`: ring expansion until the lumped exterior bound drops
-    /// below `τ/2`, then greedy interior truncation within the remaining
+    /// to `frag`: ring expansion until the [`TailBound`] drops below
+    /// `τ/2`, then greedy interior truncation within the remaining
     /// budget, which leaves the retained `(sender, ρ)` pairs sorted by
     /// sender.
     fn push_row(&self, i: usize, entries: &mut Vec<(u32, f64)>, frag: &mut Fragment) {
@@ -315,11 +332,14 @@ impl RingWalk<'_> {
         let receiver = self.network.link(i).receiver;
         let (cx, cy) = self.grid.cell_of(&receiver);
         let (items, positions) = (self.grid.items(), self.grid.positions());
-        let mut examined_power = 0.0f64;
+        // δ = 0 scans every ring: there is no budget to spend on a tail.
+        let tail = (self.tau_budget > 0.0)
+            .then(|| TailBound::new(self.grid, receiver, beta * self.p_max / s_ii, alpha));
         let mut examined_count = 0usize;
-        let exterior; // certified bound on unexamined log-mass, set at loop exit
+        let mut own_examined = false;
         let mut m = 0usize;
-        loop {
+        // Certified bound on the unexamined log-mass at the stop.
+        let exterior = loop {
             self.grid.for_each_ring_range(cx, cy, m, |range| {
                 examined_count += range.len();
                 for ((&j, sender), &p) in items[range.clone()]
@@ -327,9 +347,9 @@ impl RingWalk<'_> {
                     .zip(&positions[range.clone()])
                     .zip(&self.cell_power[range])
                 {
-                    examined_power += p;
                     let ju = j as usize;
                     if ju == i {
+                        own_examined = true;
                         continue;
                     }
                     let d = sender.distance(&receiver);
@@ -347,41 +367,17 @@ impl RingWalk<'_> {
                 }
             });
             if examined_count == n {
-                exterior = 0.0;
-                break;
+                break 0.0;
             }
-            match self.grid.exterior_distance(&receiver, cx, cy, m) {
-                None => {
-                    // Block covers the grid, so every sender was examined —
-                    // unreachable given the count check above, but harmless.
-                    exterior = 0.0;
-                    break;
-                }
-                Some(d_min) => {
-                    if d_min > 0.0 && self.tau_budget > 0.0 {
-                        let p_rem = (self.total_power - examined_power).max(0.0);
-                        let denom = s_ii * d_min.powf(alpha);
-                        let x = beta * self.p_max / denom; // ≥ β·ḡ of any unexamined sender
-                        if x.is_finite() {
-                            // ρ ≤ ρ̄ = x/(x+1) < 1 and −ln(1−ρ) ≤ k(ρ̄)·ρ.
-                            let rho_bar = x / (x + 1.0);
-                            let kfac = if rho_bar > 0.0 {
-                                -(-rho_bar).ln_1p() / rho_bar
-                            } else {
-                                1.0
-                            };
-                            let bound = kfac * beta * p_rem / denom;
-                            if bound <= 0.5 * self.tau_budget {
-                                exterior = bound;
-                                break;
-                            }
-                        }
-                    }
+            if let Some(tail) = &tail {
+                let bound = tail.after_ring(m);
+                if bound <= 0.5 * self.tau_budget {
+                    break bound;
                 }
             }
             m += 1;
-        }
-        frag.examined += examined_count.saturating_sub(1) as u64; // own sender is not a pair
+        };
+        frag.examined += (examined_count - usize::from(own_examined)) as u64; // own sender is not a pair
         let before = entries.len();
         let dropped = truncate_smallest(entries, self.tau_budget - exterior);
         frag.truncated += (before - entries.len()) as u64;
@@ -396,20 +392,101 @@ impl RingWalk<'_> {
     }
 }
 
+/// Dyadic block radii `1, 2, 4, …, 2²⁵`: block `2²⁴` already covers any
+/// grid of at most 2²⁴ cells.
+const LEVELS: usize = 26;
+
+/// Certified bound on the log-mass that the senders outside a block of
+/// cells around one receiver contribute, charging each dyadic annulus of
+/// cells at its own inner distance (see the [module docs](self)).
+///
+/// Annulus `k` holds the cells of block `2^{k+1}` outside block `2^k`.
+/// Every sender in it lies at least `d_k`, the exterior distance of block
+/// `2^k`, from the receiver and has power at most `p_max`, so its
+/// `x = β·S_ji/S̄_{i,i}` is at most `a/d_k^α` with `a = β·p_max/S̄_{i,i}`,
+/// and its log-mass `−ln(1−ρ) = ln(1+x)` at most `x`. The annulus is
+/// charged its exact sender count times `a/d_k^α`. The terms are summed once per receiver into
+/// suffix sums, so the bound after any ring costs O(1): the partial
+/// annulus between the ring and the next dyadic radius, plus one suffix.
+pub(crate) struct TailBound<'a> {
+    grid: &'a SpatialGrid,
+    receiver: Point,
+    cell: (usize, usize),
+    a: f64,
+    alpha: f64,
+    /// `suffix[k]` bounds the mass outside block `2^k` (0 once the block
+    /// covers the grid).
+    suffix: [f64; LEVELS],
+}
+
+impl<'a> TailBound<'a> {
+    /// The annulus terms of the receiver at `receiver`, with
+    /// `a = β·p_max/S̄_{i,i}`.
+    pub(crate) fn new(grid: &'a SpatialGrid, receiver: Point, a: f64, alpha: f64) -> Self {
+        let (cx, cy) = grid.cell_of(&receiver);
+        let mut tail = TailBound {
+            grid,
+            receiver,
+            cell: (cx, cy),
+            a,
+            alpha,
+            suffix: [0.0; LEVELS],
+        };
+        let mut levels = 0;
+        while let Some(d) = grid.exterior_distance(&receiver, cx, cy, 1 << levels) {
+            let count =
+                grid.block_count(cx, cy, 2 << levels) - grid.block_count(cx, cy, 1 << levels);
+            tail.suffix[levels] = tail.charge(count, d);
+            levels += 1;
+        }
+        for k in (0..levels).rev() {
+            tail.suffix[k] += tail.suffix[k + 1];
+        }
+        tail
+    }
+
+    /// Bound on the log-mass of `count` senders at distance `d` or more.
+    fn charge(&self, count: u32, d: f64) -> f64 {
+        if count == 0 {
+            0.0
+        } else {
+            f64::from(count) * (self.a / d.powf(self.alpha))
+        }
+    }
+
+    /// Bound on the log-mass of every sender outside block `m`, i.e. not
+    /// yet examined after ring `m`.
+    pub(crate) fn after_ring(&self, m: usize) -> f64 {
+        let (cx, cy) = self.cell;
+        let Some(d) = self.grid.exterior_distance(&self.receiver, cx, cy, m) else {
+            return 0.0;
+        };
+        // The first dyadic radius 2^k ≥ m; the cells between block m and
+        // block 2^k lie at least `d` away.
+        let k = (usize::BITS - m.saturating_sub(1).leading_zeros()) as usize;
+        let partial = self.grid.block_count(cx, cy, 1 << k) - self.grid.block_count(cx, cy, m);
+        self.suffix[k] + self.charge(partial, d)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rayfade_geometry::generator::PaperTopology;
-    use rayfade_sinr::{GainMatrix, InterferenceRatios, SparseSuccessAccumulator};
+    use rayfade_sinr::{kahan_sum, GainMatrix, InterferenceRatios, SparseSuccessAccumulator};
 
-    fn small_net(links: usize, seed: u64) -> Network {
+    fn uniform(links: usize, side: f64, seed: u64) -> Network {
         PaperTopology {
             links,
-            side: 400.0,
+            side,
             min_length: 20.0,
             max_length: 40.0,
         }
         .generate(seed)
+    }
+
+    fn small_net(links: usize, seed: u64) -> Network {
+        uniform(links, 400.0, seed)
     }
 
     #[test]
@@ -516,6 +593,95 @@ mod tests {
         assert!(names.contains(&"spatial/grid_build"), "{names:?}");
         assert!(names.contains(&"spatial/sparse_ratios"), "{names:?}");
         assert!(stats.examined >= stats.retained + stats.truncated);
+    }
+
+    /// Every other sender's exact log-mass `ln(1 + β·S_ji/S_ii)` at
+    /// receiver `i`, with the Chebyshev distance of its cell from the
+    /// receiver's cell: the senders outside block `m` are those beyond `m`.
+    fn masses_by_ring(
+        net: &Network,
+        powers: &[f64],
+        params: &SinrParams,
+        grid: &SpatialGrid,
+        i: usize,
+    ) -> Vec<(usize, f64)> {
+        let receiver = net.link(i).receiver;
+        let (cx, cy) = grid.cell_of(&receiver);
+        let s_ii = powers[i] / net.length(i).powf(params.alpha);
+        (0..net.len())
+            .filter(|&j| j != i)
+            .map(|j| {
+                let sender = net.link(j).sender;
+                let (x, y) = grid.cell_of(&sender);
+                let s_ji = powers[j] / sender.distance(&receiver).powf(params.alpha);
+                let mass = (params.beta * s_ji / s_ii).ln_1p();
+                (x.abs_diff(cx).max(y.abs_diff(cy)), mass)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tail_bound_covers_the_exact_mass_outside_every_block() {
+        let clustered = rayfade_geometry::ClusteredTopology {
+            links: 240,
+            clusters: 4,
+            side: 20_000.0,
+            spread: 200.0,
+            min_length: 20.0,
+            max_length: 40.0,
+        }
+        .generate(0xc2);
+        let deployments = [
+            ("sparse", uniform(200, 14_000.0, 21)),
+            ("dense", uniform(200, 1_400.0, 22)),
+            ("clustered", clustered),
+        ];
+        let mut checked = 0;
+        for (name, net) in &deployments {
+            let grid = SpatialGrid::build(net, default_cell(net));
+            for alpha in [2.2, 3.0, 4.0, 5.0] {
+                let params = SinrParams::new(alpha, 2.5, 4e-7);
+                for power in [
+                    PowerAssignment::figure1_uniform(),
+                    PowerAssignment::figure1_square_root(),
+                ] {
+                    let powers = power.powers(net, alpha);
+                    let p_max = powers.iter().copied().fold(0.0, f64::max);
+                    for i in 0..net.len() {
+                        let receiver = net.link(i).receiver;
+                        let s_ii = powers[i] / net.length(i).powf(alpha);
+                        let tail =
+                            TailBound::new(&grid, receiver, params.beta * p_max / s_ii, alpha);
+                        let (cx, cy) = grid.cell_of(&receiver);
+                        let masses = masses_by_ring(net, &powers, &params, &grid, i);
+                        // The walk's stop at δ = 1e-3, or the ring that covers the grid.
+                        let half = 0.5 * truncation_budget(1e-3);
+                        let covers = |m| grid.exterior_distance(&receiver, cx, cy, m).is_none();
+                        let stop = (0..)
+                            .find(|&m| covers(m) || tail.after_ring(m) <= half)
+                            .unwrap();
+                        for m in 0..=stop + 2 {
+                            let bound = tail.after_ring(m);
+                            let exact = kahan_sum(masses.iter().filter(|e| e.0 > m).map(|e| e.1));
+                            assert!(
+                                bound >= exact * (1.0 - 1e-12),
+                                "{name}, α = {alpha}, {power:?}, receiver {i}, ring {m} \
+                                 (stop {stop}): bound {bound:e} < exact mass {exact:e}"
+                            );
+                            if covers(m) {
+                                assert_eq!(bound, 0.0);
+                                break;
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            checked > 5_000,
+            "only {checked} rings checked outside the full grid"
+        );
     }
 
     #[test]

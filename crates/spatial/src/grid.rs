@@ -15,8 +15,11 @@
 //!   positions), and
 //! * certified exclusion — a lower bound on the distance from a point to
 //!   every sender *outside* an examined block of cells
-//!   ([`SpatialGrid::exterior_distance`]), which is what the sparse-ratio
-//!   builder's ring expansion uses to stop early with a certificate.
+//!   ([`SpatialGrid::exterior_distance`]), and the exact number of
+//!   senders inside any block ([`SpatialGrid::block_count`], O(1) from a
+//!   summed-area table of per-cell counts), which is what the
+//!   sparse-ratio builder's tail bound charges annulus by annulus to stop
+//!   its ring expansion early with a certificate.
 //!
 //! The grid covers the bounding box of **all** link endpoints (senders
 //! and receivers), so a receiver always lies inside its own cell and the
@@ -47,6 +50,9 @@ pub struct SpatialGrid {
     /// Sender positions in cell order: `positions[k]` is the sender of
     /// link `items[k]`.
     positions: Vec<Point>,
+    /// Summed-area table of sender counts over `(nx+1) × (ny+1)` corners:
+    /// `counts[y*(nx+1)+x]` senders lie in cells `[0, x) × [0, y)`.
+    counts: Vec<u32>,
 }
 
 impl SpatialGrid {
@@ -95,6 +101,17 @@ impl SpatialGrid {
             positions[cursor[c]] = l.sender;
             cursor[c] += 1;
         }
+        // Row y's cells are contiguous in cell order, so the senders in
+        // its cells [0, x) are a difference of two offsets.
+        let w = nx + 1;
+        let mut counts = vec![0u32; w * (ny + 1)];
+        for y in 0..ny {
+            let row = y * nx;
+            for x in 1..=nx {
+                let in_row = (cell_start[row + x] - cell_start[row]) as u32;
+                counts[(y + 1) * w + x] = counts[y * w + x] + in_row;
+            }
+        }
         SpatialGrid {
             cell,
             origin,
@@ -103,6 +120,7 @@ impl SpatialGrid {
             cell_start,
             items,
             positions,
+            counts,
         }
     }
 
@@ -227,6 +245,30 @@ impl SpatialGrid {
         visit_row(cy + m, cx - m, cx + m);
     }
 
+    /// The block of cells `[cx−m, cx+m] × [cy−m, cy+m]` clipped to the
+    /// grid, as inclusive bounds `(lo_x, hi_x, lo_y, hi_y)`.
+    fn block(&self, cx: usize, cy: usize, m: usize) -> (usize, usize, usize, usize) {
+        (
+            cx.saturating_sub(m),
+            cx.saturating_add(m).min(self.nx - 1),
+            cy.saturating_sub(m),
+            cy.saturating_add(m).min(self.ny - 1),
+        )
+    }
+
+    /// Number of senders in the block of cells `[cx−m, cx+m] × [cy−m, cy+m]`
+    /// (clipped to the grid), exact and O(1) from the summed-area table.
+    pub fn block_count(&self, cx: usize, cy: usize, m: usize) -> u32 {
+        let (lo_x, hi_x, lo_y, hi_y) = self.block(cx, cy, m);
+        let w = self.nx + 1;
+        let at = |x: usize, y: usize| self.counts[y * w + x];
+        // Columns [0, hi_x] minus columns [0, lo_x), over rows lo_y..=hi_y:
+        // both differences are counts, so neither can underflow.
+        let upto_hi = at(hi_x + 1, hi_y + 1) - at(hi_x + 1, lo_y);
+        let before_lo = at(lo_x, hi_y + 1) - at(lo_x, lo_y);
+        upto_hi - before_lo
+    }
+
     /// Lower bound on the distance from `p` to any indexed sender
     /// *outside* the block of cells `[cx−m, cx+m] × [cy−m, cy+m]`, or
     /// `None` when the block already covers the whole grid (nothing is
@@ -237,10 +279,7 @@ impl SpatialGrid {
     /// endpoint bounding box. This is the certificate behind the sparse
     /// builder's early ring-expansion stop.
     pub fn exterior_distance(&self, p: &Point, cx: usize, cy: usize, m: usize) -> Option<f64> {
-        let lo_x = cx.saturating_sub(m);
-        let hi_x = (cx + m).min(self.nx - 1);
-        let lo_y = cy.saturating_sub(m);
-        let hi_y = (cy + m).min(self.ny - 1);
+        let (lo_x, hi_x, lo_y, hi_y) = self.block(cx, cy, m);
         if lo_x == 0 && hi_x == self.nx - 1 && lo_y == 0 && hi_y == self.ny - 1 {
             return None;
         }
@@ -364,11 +403,32 @@ mod tests {
     }
 
     #[test]
+    fn block_counts_match_brute_force() {
+        let g = SpatialGrid::build(&lattice(), 4.0);
+        let (nx, ny) = g.dims();
+        for cy in 0..ny {
+            for cx in 0..nx {
+                for m in 0..nx.max(ny) {
+                    let mut brute = 0;
+                    for y in cy.saturating_sub(m)..=(cy + m).min(ny - 1) {
+                        for x in cx.saturating_sub(m)..=(cx + m).min(nx - 1) {
+                            brute += g.in_cell(x, y).len() as u32;
+                        }
+                    }
+                    assert_eq!(g.block_count(cx, cy, m), brute, "block {m} at ({cx}, {cy})");
+                }
+            }
+        }
+        assert_eq!(g.block_count(0, 0, nx.max(ny)), 9);
+    }
+
+    #[test]
     fn empty_network_builds_an_empty_grid() {
         let g = SpatialGrid::build(&Network::default(), 1.0);
         assert!(g.is_empty());
         assert!(g.positions().is_empty());
         assert_eq!(ring(&g, 0, 0, 0), Vec::<u32>::new());
+        assert_eq!(g.block_count(0, 0, 3), 0);
     }
 
     #[test]

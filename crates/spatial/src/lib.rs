@@ -14,15 +14,17 @@
 //!   [`Network`](rayfade_geometry::Network) senders (deterministic
 //!   bucketing with the sender positions stored in cell order, ring
 //!   walks that hand out a ring as contiguous ranges of that order,
-//!   certified exterior-distance bounds for ring expansion), and
+//!   certified exterior-distance bounds and exact block counts for ring
+//!   expansion), and
 //! * [`builder`] — [`build_sparse_ratios`], which constructs a
 //!   [`SparseInterferenceRatios`](rayfade_sinr::SparseInterferenceRatios)
 //!   directly from geometry, never touching most of the n² pairs: per
-//!   receiver it expands grid rings outward until a lumped bound on the
-//!   *unexamined* exterior log-mass drops below half the truncation
-//!   budget `τ = −ln(1−δ)` (that bound charges all unexamined power at
-//!   the nearest exterior distance, so at a fixed density the stop
-//!   radius grows like `n^{1/α}` and the build like `n^{1+2/α}`),
+//!   receiver it expands grid rings outward until a bound on the
+//!   *unexamined* log-mass drops below half the truncation budget
+//!   `τ = −ln(1−δ)` (the bound charges each dyadic annulus of unexamined
+//!   cells its exact sender count times the largest power, at the
+//!   annulus's own inner distance, so at a fixed density the stop ring
+//!   does not grow with `n` and the build costs O(n log n)),
 //!   then greedily drops the smallest examined ratios within the
 //!   remaining budget (`rayfade_sinr::sparse::truncate_smallest`, which
 //!   takes a row in walk order and returns the survivors sorted by
