@@ -69,11 +69,12 @@
 //! EXPERIMENTS.md §S2).
 
 use crate::grid::SpatialGrid;
-use rayfade_geometry::{LinkGeometry, Network, Point};
+use rayfade_geometry::{Network, Point};
 use rayfade_sinr::sparse::truncate_smallest;
 use rayfade_sinr::{truncation_budget, PowerAssignment, SinrParams, SparseInterferenceRatios};
 use rayfade_telemetry::{trace, Telemetry};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Build statistics of one [`build_sparse_ratios`] run, also exported as
 /// telemetry counters.
@@ -144,16 +145,15 @@ pub fn build_sparse_ratios_stats(
             cell_power: grid.items().iter().map(|&j| powers[j as usize]).collect(),
             grid: &grid,
             p_max: powers.iter().copied().fold(0.0f64, f64::max),
-            powers: &powers,
             beta: params.beta,
             alpha: params.alpha,
             noise: params.noise,
             tau_budget,
         };
-        let order = grid.items();
+        drop(powers);
         (0..n.div_ceil(CHUNK))
             .into_par_iter()
-            .map(|c| walk.chunk(&order[c * CHUNK..((c + 1) * CHUNK).min(n)]))
+            .map(|c| walk.chunk(c * CHUNK..((c + 1) * CHUNK).min(n)))
             .collect()
     };
     let order = grid.into_items();
@@ -270,8 +270,6 @@ struct Row {
 struct RingWalk<'a> {
     network: &'a Network,
     grid: &'a SpatialGrid,
-    /// Link-indexed powers (for the own signal).
-    powers: &'a [f64],
     /// Sender powers in the grid's cell order.
     cell_power: Vec<f64>,
     /// Largest sender power: every unexamined sender is charged at it.
@@ -283,39 +281,42 @@ struct RingWalk<'a> {
 }
 
 impl RingWalk<'_> {
-    /// Builds the rows of `receivers` in the given order, reusing one
-    /// scratch row.
-    fn chunk(&self, receivers: &[u32]) -> Fragment {
+    /// Builds the rows of the receivers of links `items()[cells]`, in that
+    /// cell order, reusing one scratch row.
+    fn chunk(&self, cells: Range<usize>) -> Fragment {
         let mut frag = Fragment {
-            rows: Vec::with_capacity(receivers.len()),
+            rows: Vec::with_capacity(cells.len()),
             col: Vec::new(),
             rho: Vec::new(),
             examined: 0,
             truncated: 0,
         };
         let mut entries: Vec<(u32, f64)> = Vec::new();
-        for &i in receivers {
-            self.push_row(i as usize, &mut entries, &mut frag);
+        for k in cells {
+            self.push_row(k, &mut entries, &mut frag);
         }
         frag
     }
 
-    /// Builds receiver `i`'s row in the scratch `entries` and appends it
-    /// to `frag`: ring expansion until the [`TailBound`] drops below
-    /// `τ/2`, then greedy interior truncation within the remaining
-    /// budget, which leaves the retained `(sender, ρ)` pairs sorted by
-    /// sender.
-    fn push_row(&self, i: usize, entries: &mut Vec<(u32, f64)>, frag: &mut Fragment) {
+    /// Builds the row of the receiver of link `i = items()[k]` in the
+    /// scratch `entries` and appends it to `frag`: ring expansion until
+    /// the [`TailBound`] drops below `τ/2`, then greedy interior
+    /// truncation within the remaining budget, which leaves the retained
+    /// `(sender, ρ)` pairs sorted by sender.
+    fn push_row(&self, k: usize, entries: &mut Vec<(u32, f64)>, frag: &mut Fragment) {
         entries.clear();
         let (beta, alpha) = (self.beta, self.alpha);
-        let n = self.network.len();
+        let (items, positions) = (self.grid.items(), self.grid.positions());
+        let n = items.len();
+        let i = items[k] as usize;
+        let receiver = self.network.link(i).receiver;
         // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
-        let d_own = self.network.cross_dist(i, i);
+        let d_own = positions[k].distance(&receiver);
         assert!(
             d_own > 0.0,
             "cross distance d(s_{i}, r_{i}) must be positive"
         );
-        let s_ii = self.powers[i] / d_own.powf(alpha);
+        let s_ii = self.cell_power[k] / d_own.powf(alpha);
         assert!(s_ii.is_finite(), "gain S({i},{i}) must be finite");
         if s_ii == 0.0 {
             // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
@@ -329,9 +330,7 @@ impl RingWalk<'_> {
             return;
         }
         let noise = (-beta * self.noise / s_ii).exp();
-        let receiver = self.network.link(i).receiver;
         let (cx, cy) = self.grid.cell_of(&receiver);
-        let (items, positions) = (self.grid.items(), self.grid.positions());
         // δ = 0 scans every ring: there is no budget to spend on a tail.
         let tail = (self.tau_budget > 0.0)
             .then(|| TailBound::new(self.grid, receiver, beta * self.p_max / s_ii, alpha));
@@ -433,10 +432,11 @@ impl<'a> TailBound<'a> {
             suffix: [0.0; LEVELS],
         };
         let mut levels = 0;
+        let mut inner = grid.block_count(cx, cy, 1);
         while let Some(d) = grid.exterior_distance(&receiver, cx, cy, 1 << levels) {
-            let count =
-                grid.block_count(cx, cy, 2 << levels) - grid.block_count(cx, cy, 1 << levels);
-            tail.suffix[levels] = tail.charge(count, d);
+            let outer = grid.block_count(cx, cy, 2 << levels);
+            tail.suffix[levels] = tail.charge(outer - inner, d);
+            inner = outer;
             levels += 1;
         }
         for k in (0..levels).rev() {
@@ -473,6 +473,7 @@ impl<'a> TailBound<'a> {
 mod tests {
     use super::*;
     use rayfade_geometry::generator::PaperTopology;
+    use rayfade_geometry::LinkGeometry;
     use rayfade_sinr::{kahan_sum, GainMatrix, InterferenceRatios, SparseSuccessAccumulator};
 
     fn uniform(links: usize, side: f64, seed: u64) -> Network {

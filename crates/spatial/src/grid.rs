@@ -44,7 +44,7 @@ pub struct SpatialGrid {
     ny: usize,
     /// CSR over cells in row-major `(cy, cx)` order:
     /// cell `(cx, cy)` holds `items[cell_start[cy*nx+cx]..cell_start[cy*nx+cx+1]]`.
-    cell_start: Vec<usize>,
+    cell_start: Vec<u32>,
     /// Link indices in cell order, ascending within each cell.
     items: Vec<u32>,
     /// Sender positions in cell order: `positions[k]` is the sender of
@@ -85,7 +85,7 @@ impl SpatialGrid {
         };
         // Counting sort: deterministic, items ascending per cell because
         // links are visited in index order.
-        let mut cell_start = vec![0usize; nx * ny + 1];
+        let mut cell_start = vec![0u32; nx * ny + 1];
         for l in network.links() {
             cell_start[index_of(&l.sender) + 1] += 1;
         }
@@ -97,8 +97,9 @@ impl SpatialGrid {
         let mut positions = vec![Point::ORIGIN; n];
         for (j, l) in network.links().iter().enumerate() {
             let c = index_of(&l.sender);
-            items[cursor[c]] = j as u32;
-            positions[cursor[c]] = l.sender;
+            let k = cursor[c] as usize;
+            items[k] = j as u32;
+            positions[k] = l.sender;
             cursor[c] += 1;
         }
         // Row y's cells are contiguous in cell order, so the senders in
@@ -108,7 +109,7 @@ impl SpatialGrid {
         for y in 0..ny {
             let row = y * nx;
             for x in 1..=nx {
-                let in_row = (cell_start[row + x] - cell_start[row]) as u32;
+                let in_row = cell_start[row + x] - cell_start[row];
                 counts[(y + 1) * w + x] = counts[y * w + x] + in_row;
             }
         }
@@ -199,7 +200,7 @@ impl SpatialGrid {
     #[inline]
     fn cell_range(&self, x_lo: usize, x_hi: usize, y: usize) -> Range<usize> {
         let row = y * self.nx;
-        self.cell_start[row + x_lo]..self.cell_start[row + x_hi + 1]
+        self.cell_start[row + x_lo] as usize..self.cell_start[row + x_hi + 1] as usize
     }
 
     /// Calls `f` with the cell-order positions (indices into
