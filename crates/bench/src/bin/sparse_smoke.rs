@@ -20,7 +20,9 @@
 //! event carrying δ and the certificate `τ_max`.
 //!
 //! `--quick` drops to 10 000 links at the same deployment density for a
-//! fast local sanity pass; CI runs the full size.
+//! fast local sanity pass; CI runs the full size. `--links N` runs `N`
+//! links at the same density instead (e.g. `--links 1000000`, which the
+//! builder handles inside the same RSS ceiling).
 
 use rayfade_bench::{telemetry_ref, Cli};
 use rayfade_geometry::PaperTopology;
@@ -34,7 +36,7 @@ use std::time::Instant;
 /// examined row until assembly, so such a build fails the run.
 const RSS_CEILING_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Full-size link count (quick mode divides by 10).
+/// Default link count (quick mode divides by 10; `--links` overrides).
 const LINKS: usize = 100_000;
 
 /// Deployment density: one link per 10⁵ area units (`side = √(n·10⁵)`),
@@ -66,11 +68,32 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Splits `--links N` off the command line and parses the rest as the
+/// common options.
+fn parse_args() -> (Option<usize>, Cli) {
+    let mut links = None;
+    let mut rest = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--links" {
+            let value = args.next().expect("--links requires a link count");
+            let n: usize = value
+                .parse()
+                .unwrap_or_else(|e| panic!("--links {value}: {e}"));
+            assert!(n > 0, "--links must be at least 1");
+            links = Some(n);
+        } else {
+            rest.push(a);
+        }
+    }
+    (links, Cli::parse_from(rest))
+}
+
 fn main() {
-    let cli = Cli::parse();
+    let (links, cli) = parse_args();
     let tele = cli.experiment_telemetry("sparse_smoke");
 
-    let links = if cli.quick { LINKS / 10 } else { LINKS };
+    let links = links.unwrap_or(if cli.quick { LINKS / 10 } else { LINKS });
     let topology = PaperTopology {
         links,
         side: (links as f64 * AREA_PER_LINK).sqrt(),

@@ -41,12 +41,18 @@ impl Cli {
     /// Parses `--quick`, `--out <dir>`, `--telemetry <dir>`, `--trace`
     /// and `--monitor` from `std::env::args`.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// [`parse`](Self::parse) over `args`, without the program name: for
+    /// binaries that take options of their own and pass the rest on.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
         let mut quick = false;
         let mut out = PathBuf::from("results");
         let mut telemetry = None;
         let mut trace = false;
         let mut monitor = false;
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => quick = true,
@@ -227,6 +233,23 @@ mod tests {
         let (d, p2) = figure2_instance(0, 10);
         assert_eq!(d.len(), 10);
         assert_eq!(p2.noise, 0.0);
+    }
+
+    #[test]
+    fn parse_from_reads_the_common_options() {
+        let args = ["--quick", "--out", "o", "--telemetry", "t", "--trace"];
+        let cli = Cli::parse_from(args.map(String::from));
+        assert_eq!(
+            cli,
+            Cli {
+                quick: true,
+                out: PathBuf::from("o"),
+                telemetry: Some(PathBuf::from("t")),
+                trace: true,
+                monitor: false,
+            }
+        );
+        assert_eq!(Cli::parse_from(Vec::new()).out, PathBuf::from("results"));
     }
 
     #[test]

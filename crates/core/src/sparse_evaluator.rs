@@ -2,7 +2,9 @@
 //!
 //! [`SparseSuccessEvaluator`] mirrors [`SuccessEvaluator`]
 //! on top of the ε-truncated
-//! [`SparseInterferenceRatios`] cache: construction is near-linear when built from geometry, one
+//! [`SparseInterferenceRatios`] cache: construction from geometry costs
+//! O(n log n) (a bounded number of examined pairs per receiver at a fixed
+//! density, plus O(log n) tail-bound terms), one
 //! probability change costs O(deg) instead of O(n), and every query
 //! additionally exposes the certified error interval `[p·e^{−τᵢ}, p]`
 //! around the exact dense value (see `rayfade_sinr::sparse`).
@@ -27,10 +29,11 @@ use rayfade_telemetry::Telemetry;
 /// O(n²) build stays bit-identical to the historical path. At n = 2 047
 /// (one link per 10⁶ area units, α = 4) it costs ~115 ms for the gain
 /// matrix plus ~30 ms for the exact evaluator or ~110 ms for the
-/// churn-amortized one, against ~10 ms for the spatial-grid sparse build
-/// at n = 2 048 (one core of a 2-vCPU Xeon VM). Above it the dense cache
-/// grows unaffordable (n = 10⁵ would need ~160 GB) while the sparse
-/// build stays near-linear.
+/// churn-amortized one, against ~2–3 ms for the spatial-grid sparse build
+/// at n = 2 048 (8.4 examined pairs per receiver; one core of a 2-vCPU
+/// Xeon VM). Above it the dense cache grows unaffordable (n = 10⁵ would
+/// need ~160 GB) while the sparse build costs O(n log n): ~0.2 s at
+/// n = 10⁵.
 pub const SPARSE_CROSSOVER: usize = 2048;
 
 /// Truncation bound `δ` used when [`NetworkEvaluator`] routes to the
@@ -56,7 +59,7 @@ impl SparseSuccessEvaluator {
     }
 
     /// Builds the evaluator directly from geometry via the spatial-grid
-    /// builder — near-linear, never materializes a dense structure.
+    /// builder — O(n log n), never materializes a dense structure.
     pub fn for_network(
         network: &Network,
         power: &PowerAssignment,
@@ -332,7 +335,7 @@ impl NetworkEvaluator {
     }
 
     /// Builds from geometry: dense (via `GainMatrix::from_geometry`)
-    /// below [`SPARSE_CROSSOVER`]; at or above it, the near-linear
+    /// below [`SPARSE_CROSSOVER`]; at or above it, the O(n log n)
     /// spatial-grid builder — no dense structure is ever materialized.
     pub fn for_network(
         network: &Network,

@@ -404,9 +404,10 @@ const LEVELS: usize = 26;
 /// `2^k`, from the receiver and has power at most `p_max`, so its
 /// `x = β·S_ji/S̄_{i,i}` is at most `a/d_k^α` with `a = β·p_max/S̄_{i,i}`,
 /// and its log-mass `−ln(1−ρ) = ln(1+x)` at most `x`. The annulus is
-/// charged its exact sender count times `a/d_k^α`. The terms are summed once per receiver into
-/// suffix sums, so the bound after any ring costs O(1): the partial
-/// annulus between the ring and the next dyadic radius, plus one suffix.
+/// charged its exact sender count times `a/d_k^α`. The terms are summed
+/// once per receiver into suffix sums, so the bound after any ring costs
+/// O(1): the partial annulus between the ring and the next dyadic
+/// radius, plus one suffix.
 pub(crate) struct TailBound<'a> {
     grid: &'a SpatialGrid,
     receiver: Point,
