@@ -32,7 +32,7 @@ use rayfade_telemetry::Telemetry;
 /// churn-amortized one, against ~2–3 ms for the spatial-grid sparse build
 /// at n = 2 048 (8.4 examined pairs per receiver; one core of a 2-vCPU
 /// Xeon VM). Above it the dense cache grows unaffordable (n = 10⁵ would
-/// need ~160 GB) while the sparse build costs O(n log n): ~0.2 s at
+/// need ~160 GB) while the sparse build costs O(n log n): ~0.15 s at
 /// n = 10⁵.
 pub const SPARSE_CROSSOVER: usize = 2048;
 

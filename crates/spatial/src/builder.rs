@@ -31,10 +31,11 @@
 //!
 //! # Memory layout of the build
 //!
-//! The ring walk streams over contiguous memory. The grid stores the
-//! senders in cell order ([`SpatialGrid::positions`]), the builder
-//! gathers their powers into the same order once, and each grid row of a
-//! ring is one contiguous range of both
+//! The ring walk streams over contiguous memory and reads nothing by
+//! link index. The grid stores the senders in cell order
+//! ([`SpatialGrid::positions`]), the builder gathers their powers and
+//! their links' receiver positions into the same order once, and each
+//! grid row of a ring is one contiguous range of them
 //! ([`SpatialGrid::for_each_ring_range`]). Receivers are walked in the
 //! grid's cell order ([`SpatialGrid::items`]), so consecutive receivers
 //! share most of their rings and the walk stays in cache, in fixed chunks
@@ -141,8 +142,10 @@ pub fn build_sparse_ratios_stats(
     let fragments: Vec<Fragment> = {
         let powers = power.powers(network, params.alpha);
         let walk = RingWalk {
-            network,
             cell_power: grid.items().iter().map(|&j| powers[j as usize]).collect(),
+            cell_receiver: (grid.items().iter())
+                .map(|&j| network.link(j as usize).receiver)
+                .collect(),
             grid: &grid,
             p_max: powers.iter().copied().fold(0.0f64, f64::max),
             beta: params.beta,
@@ -268,10 +271,11 @@ struct Row {
 
 /// Everything the per-receiver ring walk reads, shared by all chunks.
 struct RingWalk<'a> {
-    network: &'a Network,
     grid: &'a SpatialGrid,
     /// Sender powers in the grid's cell order.
     cell_power: Vec<f64>,
+    /// Receiver positions of the same links, in the same order.
+    cell_receiver: Vec<Point>,
     /// Largest sender power: every unexamined sender is charged at it.
     p_max: f64,
     beta: f64,
@@ -309,7 +313,7 @@ impl RingWalk<'_> {
         let (items, positions) = (self.grid.items(), self.grid.positions());
         let n = items.len();
         let i = items[k] as usize;
-        let receiver = self.network.link(i).receiver;
+        let receiver = self.cell_receiver[k];
         // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
         let d_own = positions[k].distance(&receiver);
         assert!(

@@ -79,28 +79,47 @@ impl SpatialGrid {
             "cell size {cell} is too small for the indexed area ({nx}x{ny} cells)"
         );
         let origin = bbox.lo;
-        let index_of = |p: &Point| -> usize {
-            let (cx, cy) = Self::clamped_cell(p, &origin, cell, nx, ny);
-            cy * nx + cx
-        };
-        // Counting sort: deterministic, items ascending per cell because
-        // links are visited in index order.
+        let cell_of = |p: &Point| Self::clamped_cell(p, &origin, cell, nx, ny);
+        // Counting sort, stable so that links stay ascending within a cell,
+        // in two passes whose writes stay in cache: links into grid rows
+        // (one write stream per row), then each row's links into its cells.
+        let links = network.links();
+        let mut row_start = vec![0u32; ny + 1];
+        for l in links {
+            row_start[cell_of(&l.sender).1 + 1] += 1;
+        }
+        for y in 0..ny {
+            row_start[y + 1] += row_start[y];
+        }
+        let mut row_cursor = row_start.clone();
+        let mut by_row = vec![(0u32, 0u32); n]; // (link, cx)
+        for (j, l) in links.iter().enumerate() {
+            let (cx, cy) = cell_of(&l.sender);
+            let k = &mut row_cursor[cy];
+            by_row[*k as usize] = (j as u32, cx as u32);
+            *k += 1;
+        }
         let mut cell_start = vec![0u32; nx * ny + 1];
-        for l in network.links() {
-            cell_start[index_of(&l.sender) + 1] += 1;
-        }
-        for c in 0..nx * ny {
-            cell_start[c + 1] += cell_start[c];
-        }
-        let mut cursor = cell_start.clone();
         let mut items = vec![0u32; n];
         let mut positions = vec![Point::ORIGIN; n];
-        for (j, l) in network.links().iter().enumerate() {
-            let c = index_of(&l.sender);
-            let k = cursor[c] as usize;
-            items[k] = j as u32;
-            positions[k] = l.sender;
-            cursor[c] += 1;
+        let mut cell_cursor = vec![0u32; nx];
+        for y in 0..ny {
+            let row = &by_row[row_start[y] as usize..row_start[y + 1] as usize];
+            let starts = &mut cell_start[y * nx..=(y + 1) * nx];
+            starts[0] = row_start[y];
+            for &(_, cx) in row {
+                starts[cx as usize + 1] += 1;
+            }
+            for x in 0..nx {
+                starts[x + 1] += starts[x];
+            }
+            cell_cursor.copy_from_slice(&starts[..nx]);
+            for &(j, cx) in row {
+                let k = &mut cell_cursor[cx as usize];
+                items[*k as usize] = j;
+                positions[*k as usize] = links[j as usize].sender;
+                *k += 1;
+            }
         }
         // Row y's cells are contiguous in cell order, so the senders in
         // its cells [0, x) are a difference of two offsets.
