@@ -100,7 +100,7 @@ fn bench_slot_loop(c: &mut Criterion) {
         |b, cfg| {
             b.iter(|| {
                 let tele = Telemetry::new();
-                black_box(DynamicEngine::new(cfg.clone()).run_with_metrics(Some(&tele)))
+                black_box(DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None))
             })
         },
     );

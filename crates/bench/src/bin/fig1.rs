@@ -31,14 +31,15 @@ fn main() {
         config.fading_seeds
     );
     let tele = cli.experiment_telemetry("fig1");
-    let mut progress =
-        ProgressSink::stderr(config.networks, "networks", (config.networks / 10).max(1));
-    if let Some(t) = telemetry_ref(&tele) {
-        // Bridged counter: sees every tick even when the channel drops.
-        progress = progress.bridge_counter(t.registry().counter("rayfade_progress_units_total"));
-    }
-    let handle = progress.handle();
-    let result = run_figure1_with_telemetry(&config, move |_| handle.tick(1), telemetry_ref(&tele));
+    let progress = ProgressSink::stderr(config.networks, "networks", (config.networks / 10).max(1));
+    let units = telemetry_ref(&tele).map(|t| t.registry().counter("rayfade_progress_units_total"));
+    let on_network_done = |_| {
+        progress.tick(1);
+        if let Some(counter) = &units {
+            counter.inc();
+        }
+    };
+    let result = run_figure1_with_telemetry(&config, on_network_done, telemetry_ref(&tele));
     progress.finish();
 
     let mut table = Table::new(["q", "power", "model", "mean_successes", "std_err"]);

@@ -37,7 +37,7 @@
 //!   `cargo run -p rayfade-bench --release --bin perf_baseline --
 //!   [--check] [--quick] [--baseline PATH] [--tolerance FRAC] [--out DIR]`
 
-use rayfade_core::batch_expected_successes_traced;
+use rayfade_core::batch_expected_successes;
 use rayfade_dynamic::{
     ArrivalProcess, DynamicConfig, DynamicEngine, PolicyKind, SlotModelKind, SuccessModelKind,
 };
@@ -206,14 +206,14 @@ fn workloads() -> Vec<Workload> {
         name: "stability_slots",
         descriptor: dyn_descriptor(&dyn_cfg),
         run: Box::new(move |tele| {
-            let _ = DynamicEngine::new(dyn_cfg.clone()).run_with_telemetry(tele);
+            let _ = DynamicEngine::new(dyn_cfg.clone()).run_with_telemetry(tele, None);
         }),
     });
     list.push(Workload {
         name: "stability_slots_mc",
         descriptor: dyn_descriptor(&mc_cfg),
         run: Box::new(move |tele| {
-            let _ = DynamicEngine::new(mc_cfg.clone()).run_with_telemetry(tele);
+            let _ = DynamicEngine::new(mc_cfg.clone()).run_with_telemetry(tele, None);
         }),
     });
 
@@ -230,7 +230,7 @@ fn workloads() -> Vec<Workload> {
         name: "evaluator_batch",
         descriptor: format!("evaluator links={} vectors={}", gm.len(), prob_sets.len()),
         run: Box::new(move |tele| {
-            let _ = batch_expected_successes_traced(&gm, &params, &prob_sets, tele);
+            let _ = batch_expected_successes(&gm, &params, &prob_sets, tele);
         }),
     });
 

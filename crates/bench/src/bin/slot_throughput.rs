@@ -100,7 +100,7 @@ fn config_hash(cfg: &DynamicConfig, threads: usize) -> String {
 /// nanoseconds (one span per replication, always on).
 fn replication_ns(cfg: &DynamicConfig) -> u64 {
     let tele = Telemetry::new().with_tracing();
-    let _ = DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele));
+    let _ = DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None);
     let trace = tele.tracer().expect("tracing enabled").snapshot();
     let ns: u64 = trace
         .records

@@ -24,7 +24,7 @@
 //! links at the same density instead (e.g. `--links 1000000`, which the
 //! builder handles inside the same RSS ceiling).
 
-use rayfade_bench::{telemetry_ref, Cli};
+use rayfade_bench::{exit_usage, telemetry_ref, Cli, USAGE};
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams, SparseSuccessAccumulator};
 use rayfade_spatial::build_sparse_ratios_stats;
@@ -68,29 +68,31 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Splits `--links N` off the command line and parses the rest as the
-/// common options.
-fn parse_args() -> (Option<usize>, Cli) {
+/// Splits `--links N` off the command line (`args`, without the program
+/// name) and parses the rest as the common options.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Option<usize>, Cli), String> {
     let mut links = None;
     let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a == "--links" {
-            let value = args.next().expect("--links requires a link count");
-            let n: usize = value
-                .parse()
-                .unwrap_or_else(|e| panic!("--links {value}: {e}"));
-            assert!(n > 0, "--links must be at least 1");
+            let value = args.next().ok_or("--links requires a link count")?;
+            let n: usize = value.parse().map_err(|e| format!("--links {value}: {e}"))?;
+            if n == 0 {
+                return Err("--links must be at least 1".to_string());
+            }
             links = Some(n);
         } else {
             rest.push(a);
         }
     }
-    (links, Cli::parse_from(rest))
+    let cli = Cli::parse_from(rest).map_err(|e| e.to_string())?;
+    Ok((links, cli))
 }
 
 fn main() {
-    let (links, cli) = parse_args();
+    let (links, cli) = parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_usage(&e, &format!("[--links N] {USAGE}")));
     let tele = cli.experiment_telemetry("sparse_smoke");
 
     let links = links.unwrap_or(if cli.quick { LINKS / 10 } else { LINKS });
@@ -185,5 +187,51 @@ fn main() {
     eprintln!("wrote {}", csv_path.display());
     if let Some(t) = tele {
         t.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Option<usize>, Cli), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn links_splits_off_the_common_options() {
+        let (links, cli) = parse(&["--quick", "--links", "1000"]).unwrap();
+        assert_eq!(links, Some(1000));
+        assert!(cli.quick);
+    }
+
+    #[test]
+    fn zero_links_rejected() {
+        assert_eq!(
+            parse(&["--links", "0"]).unwrap_err(),
+            "--links must be at least 1"
+        );
+    }
+
+    #[test]
+    fn non_numeric_links_rejected() {
+        let err = parse(&["--links", "many"]).unwrap_err();
+        assert!(err.starts_with("--links many: "), "{err}");
+    }
+
+    #[test]
+    fn links_without_a_count_rejected() {
+        assert_eq!(
+            parse(&["--links"]).unwrap_err(),
+            "--links requires a link count"
+        );
+    }
+
+    #[test]
+    fn bad_common_option_rejected() {
+        assert_eq!(
+            parse(&["--links", "10", "--bogus"]).unwrap_err(),
+            "unknown argument: --bogus"
+        );
     }
 }

@@ -69,8 +69,9 @@ fn main() {
     };
     let tele = cli.experiment_telemetry("stability");
     let sweep = LambdaSweep::linear(base, max_lambda, steps);
-    let report = if cli.monitor {
-        let monitored = sweep.run_monitored(telemetry_ref(&tele), &MonitorSpec::default());
+    let spec = cli.monitor.then(MonitorSpec::default);
+    let monitored = sweep.run_with_telemetry(telemetry_ref(&tele), spec.as_ref());
+    if cli.monitor {
         let (agree, total) = monitored.verdict_agreement();
         println!(
             "claim: online drift verdict matches post-hoc fit on every cell — {} ({agree}/{total})",
@@ -82,10 +83,8 @@ fn main() {
             .write_health_journal(&health_path)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", health_path.display()));
         eprintln!("wrote {}", health_path.display());
-        monitored.report
-    } else {
-        sweep.run_with_telemetry(telemetry_ref(&tele))
-    };
+    }
+    let report = monitored.report;
 
     let mut table = Table::new([
         "policy",

@@ -3,12 +3,13 @@
 //!
 //! Runs the identical `DynamicEngine` configuration four times — plain
 //! (`run()`, telemetry compiled in but disabled via `None`), with a live
-//! metrics registry (`run_with_metrics(Some(_))`, which times every
-//! `policy.choose` call and tallies per-slot counters), with metrics
-//! plus span tracing (`with_tracing()`, sampled slot-phase spans and the
-//! always-on replication/selector spans), and with metrics plus the
-//! online health monitor (`run_monitored`, streaming drift/watermark/
-//! SLO detectors fed every sampled slot and every delivery) — and
+//! metrics registry (`run_with_telemetry(Some(_), None)`, which times
+//! every `policy.choose` call and tallies per-slot counters), with
+//! metrics plus span tracing (`with_tracing()`, sampled slot-phase spans
+//! and the always-on replication/selector spans), and with metrics plus
+//! the online health monitor (`run_with_telemetry(Some(_), Some(_))`,
+//! streaming drift/watermark/SLO detectors fed every sampled slot and
+//! every delivery) — and
 //! reports the wall-clock ratios. Outcomes are asserted bit-identical,
 //! so the only difference is instrumentation cost.
 //!
@@ -104,20 +105,21 @@ fn main() {
         // nor the health monitor may perturb the simulation.
         let plain = DynamicEngine::new(cfg.clone()).run();
         let tele = Telemetry::new();
-        let instrumented = DynamicEngine::new(cfg.clone()).run_with_metrics(Some(&tele));
+        let (instrumented, _) =
+            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None);
         assert_eq!(
             plain, instrumented,
             "slots={slots}: instrumented run diverged from baseline"
         );
         let tele = Telemetry::new().with_tracing();
-        let traced = DynamicEngine::new(cfg.clone()).run_with_metrics(Some(&tele));
+        let (traced, _) = DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None);
         assert_eq!(
             plain, traced,
             "slots={slots}: traced run diverged from baseline"
         );
         let tele = Telemetry::new();
         let (monitored, _health) =
-            DynamicEngine::new(cfg.clone()).run_monitored(Some(&tele), &monitor_cfg);
+            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), Some(&monitor_cfg));
         assert_eq!(
             plain, monitored,
             "slots={slots}: monitored run diverged from baseline"
@@ -137,14 +139,16 @@ fn main() {
                     let _ = DynamicEngine::new(cfg.clone()).run();
                 },
                 &mut || {
-                    let _ = DynamicEngine::new(cfg.clone()).run_with_metrics(Some(&metrics_tele));
-                },
-                &mut || {
-                    let _ = DynamicEngine::new(cfg.clone()).run_with_metrics(Some(&traced_tele));
+                    let _ = DynamicEngine::new(cfg.clone())
+                        .run_with_telemetry(Some(&metrics_tele), None);
                 },
                 &mut || {
                     let _ = DynamicEngine::new(cfg.clone())
-                        .run_monitored(Some(&monitor_tele), &monitor_cfg);
+                        .run_with_telemetry(Some(&traced_tele), None);
+                },
+                &mut || {
+                    let _ = DynamicEngine::new(cfg.clone())
+                        .run_with_telemetry(Some(&monitor_tele), Some(&monitor_cfg));
                 },
             ],
         );

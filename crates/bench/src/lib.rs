@@ -5,10 +5,10 @@
 //! All binaries accept `--quick` for a reduced smoke configuration,
 //! `--out <dir>` to choose where CSV files land (default `results/`),
 //! `--telemetry <dir>` to dump a metrics registry and JSONL journal on
-//! exit, `--trace` (implies nothing without `--telemetry`) to also
-//! record spans and write a Chrome-trace JSON plus a self-profile table,
-//! and `--monitor` to run the online health detectors where supported
-//! (see README's Observability section).
+//! exit, `--trace` (requires `--telemetry`) to also record spans and
+//! write a Chrome-trace JSON plus a self-profile table, and `--monitor`
+//! to run the online health detectors where supported (see README's
+//! Observability section). A bad command line exits with status 2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -16,7 +16,11 @@
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{GainMatrix, PowerAssignment, SinrParams};
 use rayfade_telemetry::Telemetry;
+use std::fmt;
 use std::path::PathBuf;
+
+/// The common options, as a usage line shows them.
+pub const USAGE: &str = "[--quick] [--out <dir>] [--telemetry <dir> [--trace]] [--monitor]";
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,16 +41,55 @@ pub struct Cli {
     pub monitor: bool,
 }
 
+/// A command line the common options reject.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// An argument that is none of the common options.
+    UnknownArgument(String),
+    /// `--out` or `--telemetry` (named here) given last, without its
+    /// directory.
+    MissingDirectory(&'static str),
+    /// `--trace` without `--telemetry <dir>`: traces land next to the
+    /// journal.
+    TraceWithoutTelemetry,
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::UnknownArgument(arg) => write!(f, "unknown argument: {arg}"),
+            CliError::MissingDirectory(flag) => write!(f, "{flag} requires a directory argument"),
+            CliError::TraceWithoutTelemetry => write!(
+                f,
+                "--trace requires --telemetry <dir> (traces land next to the journal)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+/// Prints `error` and a usage line listing `options` to stderr, then
+/// exits with status 2, the conventional status for a bad command line.
+pub fn exit_usage(error: &dyn fmt::Display, options: &str) -> ! {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let program = std::path::Path::new(&arg0).file_name().unwrap_or_default();
+    eprintln!("error: {error}");
+    eprintln!("usage: {} {options}", program.to_string_lossy());
+    std::process::exit(2)
+}
+
 impl Cli {
     /// Parses `--quick`, `--out <dir>`, `--telemetry <dir>`, `--trace`
-    /// and `--monitor` from `std::env::args`.
+    /// and `--monitor` from `std::env::args`; on a bad command line,
+    /// prints the error and a usage line and exits with status 2.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e, USAGE))
     }
 
     /// [`parse`](Self::parse) over `args`, without the program name: for
     /// binaries that take options of their own and pass the rest on.
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let mut quick = false;
         let mut out = PathBuf::from("results");
         let mut telemetry = None;
@@ -57,32 +100,29 @@ impl Cli {
             match a.as_str() {
                 "--quick" => quick = true,
                 "--out" => {
-                    out = PathBuf::from(args.next().expect("--out requires a directory argument"))
+                    out = PathBuf::from(args.next().ok_or(CliError::MissingDirectory("--out"))?)
                 }
                 "--telemetry" => {
                     telemetry = Some(PathBuf::from(
                         args.next()
-                            .expect("--telemetry requires a directory argument"),
+                            .ok_or(CliError::MissingDirectory("--telemetry"))?,
                     ))
                 }
                 "--trace" => trace = true,
                 "--monitor" => monitor = true,
-                other => panic!(
-                    "unknown argument: {other} (expected --quick / --out <dir> / \
-                     --telemetry <dir> / --trace / --monitor)"
-                ),
+                other => return Err(CliError::UnknownArgument(other.to_string())),
             }
         }
         if trace && telemetry.is_none() {
-            panic!("--trace requires --telemetry <dir> (traces land next to the journal)");
+            return Err(CliError::TraceWithoutTelemetry);
         }
-        Cli {
+        Ok(Cli {
             quick,
             out,
             telemetry,
             trace,
             monitor,
-        }
+        })
     }
 
     /// Path for a CSV artifact inside the output directory.
@@ -241,15 +281,44 @@ mod tests {
         let cli = Cli::parse_from(args.map(String::from));
         assert_eq!(
             cli,
-            Cli {
+            Ok(Cli {
                 quick: true,
                 out: PathBuf::from("o"),
                 telemetry: Some(PathBuf::from("t")),
                 trace: true,
                 monitor: false,
-            }
+            })
         );
-        assert_eq!(Cli::parse_from(Vec::new()).out, PathBuf::from("results"));
+        assert_eq!(
+            Cli::parse_from(Vec::new()).map(|cli| cli.out),
+            Ok(PathBuf::from("results"))
+        );
+    }
+
+    fn parse(args: &[&str]) -> Result<Cli, CliError> {
+        Cli::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_from_rejects_an_unknown_argument() {
+        let err = parse(&["--quick", "--bogus"]).unwrap_err();
+        assert_eq!(err, CliError::UnknownArgument("--bogus".to_string()));
+        assert_eq!(err.to_string(), "unknown argument: --bogus");
+    }
+
+    #[test]
+    fn parse_from_rejects_a_missing_directory() {
+        assert_eq!(parse(&["--out"]), Err(CliError::MissingDirectory("--out")));
+        assert_eq!(
+            parse(&["--quick", "--telemetry"]),
+            Err(CliError::MissingDirectory("--telemetry"))
+        );
+    }
+
+    #[test]
+    fn parse_from_rejects_trace_without_telemetry() {
+        assert_eq!(parse(&["--trace"]), Err(CliError::TraceWithoutTelemetry));
+        assert!(parse(&["--trace", "--telemetry", "t"]).is_ok());
     }
 
     #[test]

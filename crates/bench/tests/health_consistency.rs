@@ -176,13 +176,13 @@ fn monitored_journal_is_byte_identical_modulo_health_records() {
 
     let plain_path = scratch("plain.jsonl");
     let tele = Telemetry::with_journal(&plain_path).expect("create plain journal");
-    let plain = sweep.run_with_telemetry(Some(&tele));
+    let plain = sweep.run_with_telemetry(Some(&tele), None).report;
     tele.flush();
     drop(tele);
 
     let mon_path = scratch("monitored.jsonl");
     let tele = Telemetry::with_journal(&mon_path).expect("create monitored journal");
-    let monitored = sweep.run_monitored(Some(&tele), &MonitorSpec::default());
+    let monitored = sweep.run_with_telemetry(Some(&tele), Some(&MonitorSpec::default()));
     tele.flush();
     drop(tele);
 

@@ -129,7 +129,7 @@ fn corrupting_one_dyn_slot_is_attributed_to_exact_seq_and_path() {
     let corrupted = scratch("corrupted.jsonl");
     for path in [&reference, &corrupted] {
         let tele = Telemetry::with_journal(path).expect("create journal");
-        sweep.run_with_telemetry(Some(&tele));
+        sweep.run_with_telemetry(Some(&tele), None);
         tele.flush();
     }
     // Sanity: deterministic engine, identical journals before corruption.
@@ -205,7 +205,7 @@ fn traced_quick_run_correlates_spans_onto_journal_records() {
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| sweep.run_with_telemetry(Some(&tele)));
+        .install(|| sweep.run_with_telemetry(Some(&tele), None));
     tele.flush();
     let trace = tele.tracer().expect("tracer attached").snapshot();
     assert_eq!(trace.dropped, 0, "quick run must fit the span rings");

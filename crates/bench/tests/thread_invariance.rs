@@ -83,7 +83,9 @@ fn stability_sweep_journal_and_csv_rows_identical_at_pool_sizes_1_2_8() {
     for &threads in &POOL_SIZES {
         let path = scratch(&format!("stability-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
-        let report = at_pool_size(threads, || sweep.run_with_telemetry(Some(&tele)));
+        let report = at_pool_size(threads, || {
+            sweep.run_with_telemetry(Some(&tele), None).report
+        });
         tele.flush();
         journals.push((threads, std::fs::read(&path).expect("read journal")));
         reports.push((threads, report));
@@ -125,7 +127,9 @@ fn monitored_sweep_journal_and_health_identical_at_pool_sizes_1_4_8() {
         let path = scratch(&format!("monitored-{threads}.jsonl"));
         let health_path = scratch(&format!("monitored-health-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
-        let report = at_pool_size(threads, || sweep.run_monitored(Some(&tele), &spec));
+        let report = at_pool_size(threads, || {
+            sweep.run_with_telemetry(Some(&tele), Some(&spec))
+        });
         tele.flush();
         report
             .write_health_journal(&health_path)

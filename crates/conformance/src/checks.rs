@@ -345,8 +345,8 @@ fn batch_evaluators(inst: &Instance) -> Result<(), String> {
         vec![0.0; n],
         vec![1.0; n],
     ];
-    let totals = batch_expected_successes(&inst.gain, &inst.params, &prob_sets);
-    let vectors = batch_success_probabilities(&inst.gain, &inst.params, &prob_sets);
+    let totals = batch_expected_successes(&inst.gain, &inst.params, &prob_sets, None);
+    let vectors = batch_success_probabilities(&inst.gain, &inst.params, &prob_sets, None);
     for (k, probs) in prob_sets.iter().enumerate() {
         let want = oracle::expected_successes(&inst.gain, &inst.params, probs);
         ensure!(
@@ -363,7 +363,7 @@ fn batch_evaluators(inst: &Instance) -> Result<(), String> {
         }
     }
     let sets = vec![Vec::new(), inst.random_subset(7), (0..n).collect()];
-    let set_totals = batch_expected_successes_of_sets(&inst.gain, &inst.params, &sets);
+    let set_totals = batch_expected_successes_of_sets(&inst.gain, &inst.params, &sets, None);
     for (k, set) in sets.iter().enumerate() {
         let want = oracle::expected_successes_of_set(&inst.gain, &inst.params, set);
         ensure!(

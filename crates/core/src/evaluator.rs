@@ -181,19 +181,13 @@ impl SuccessEvaluator {
 /// win over calling [`expected_successes`](crate::expected_successes) per
 /// vector is the shared O(n²) ratio precomputation and the parallelism
 /// across vectors (Monte Carlo replications, `q`-grid sweeps).
+///
+/// When `tele` carries a tracer, the shared ratio precomputation runs
+/// under an `evaluator/ratios` span and the parallel sweep under
+/// `evaluator/batch` (one span per call — a batch is a chunky unit of
+/// work, so tracing is never sampled here). `None` is the uninstrumented
+/// path; the result is bit-identical either way.
 pub fn batch_expected_successes(
-    gain: &GainMatrix,
-    params: &SinrParams,
-    prob_sets: &[Vec<f64>],
-) -> Vec<f64> {
-    batch_expected_successes_traced(gain, params, prob_sets, None)
-}
-
-/// [`batch_expected_successes`] with optional span tracing: the shared
-/// ratio precomputation runs under an `evaluator/ratios` span and the
-/// parallel sweep under `evaluator/batch` (one span per call — a batch
-/// is a chunky unit of work, so tracing is never sampled here).
-pub fn batch_expected_successes_traced(
     gain: &GainMatrix,
     params: &SinrParams,
     prob_sets: &[Vec<f64>],
@@ -216,18 +210,9 @@ pub fn batch_expected_successes_traced(
 }
 
 /// Evaluates the full success-probability vector for many probability
-/// vectors against one shared ratio cache, in parallel (rayon).
+/// vectors against one shared ratio cache, in parallel (rayon), under the
+/// same optional spans as [`batch_expected_successes`].
 pub fn batch_success_probabilities(
-    gain: &GainMatrix,
-    params: &SinrParams,
-    prob_sets: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    batch_success_probabilities_traced(gain, params, prob_sets, None)
-}
-
-/// [`batch_success_probabilities`] with optional span tracing (same span
-/// names as [`batch_expected_successes_traced`]).
-pub fn batch_success_probabilities_traced(
     gain: &GainMatrix,
     params: &SinrParams,
     prob_sets: &[Vec<f64>],
@@ -251,18 +236,9 @@ pub fn batch_success_probabilities_traced(
 
 /// Evaluates `Σ_{i∈S} Q_i` for many fixed transmit sets against one
 /// shared ratio cache, in parallel (rayon) — the batch counterpart of
-/// [`expected_successes_of_set`](crate::expected_successes_of_set).
+/// [`expected_successes_of_set`](crate::expected_successes_of_set), under
+/// the same optional spans as [`batch_expected_successes`].
 pub fn batch_expected_successes_of_sets(
-    gain: &GainMatrix,
-    params: &SinrParams,
-    sets: &[Vec<usize>],
-) -> Vec<f64> {
-    batch_expected_successes_of_sets_traced(gain, params, sets, None)
-}
-
-/// [`batch_expected_successes_of_sets`] with optional span tracing (same
-/// span names as [`batch_expected_successes_traced`]).
-pub fn batch_expected_successes_of_sets_traced(
     gain: &GainMatrix,
     params: &SinrParams,
     sets: &[Vec<usize>],
@@ -389,8 +365,8 @@ mod tests {
             vec![0.5, 0.0, 0.9],
             vec![0.0, 0.0, 0.0],
         ];
-        let totals = batch_expected_successes(&gm, &params, &prob_sets);
-        let vectors = batch_success_probabilities(&gm, &params, &prob_sets);
+        let totals = batch_expected_successes(&gm, &params, &prob_sets, None);
+        let vectors = batch_success_probabilities(&gm, &params, &prob_sets, None);
         for (k, probs) in prob_sets.iter().enumerate() {
             let want = expected_successes(&gm, &params, probs);
             assert!((totals[k] - want).abs() < 1e-12);
@@ -400,7 +376,7 @@ mod tests {
             }
         }
         let sets = vec![vec![0], vec![0, 2], vec![0, 1, 2], vec![]];
-        let set_totals = batch_expected_successes_of_sets(&gm, &params, &sets);
+        let set_totals = batch_expected_successes_of_sets(&gm, &params, &sets, None);
         for (k, set) in sets.iter().enumerate() {
             let want = expected_successes_of_set(&gm, &params, set);
             assert!((set_totals[k] - want).abs() < 1e-12, "set {set:?}");
@@ -414,17 +390,20 @@ mod tests {
         let prob_sets = vec![vec![1.0, 1.0, 1.0], vec![0.5, 0.0, 0.9]];
         let sets = vec![vec![0, 2], vec![1]];
         let tele = Telemetry::new().with_tracing();
-        let totals = batch_expected_successes_traced(&gm, &params, &prob_sets, Some(&tele));
-        let vectors = batch_success_probabilities_traced(&gm, &params, &prob_sets, Some(&tele));
-        let set_totals = batch_expected_successes_of_sets_traced(&gm, &params, &sets, Some(&tele));
-        assert_eq!(totals, batch_expected_successes(&gm, &params, &prob_sets));
+        let totals = batch_expected_successes(&gm, &params, &prob_sets, Some(&tele));
+        let vectors = batch_success_probabilities(&gm, &params, &prob_sets, Some(&tele));
+        let set_totals = batch_expected_successes_of_sets(&gm, &params, &sets, Some(&tele));
+        assert_eq!(
+            totals,
+            batch_expected_successes(&gm, &params, &prob_sets, None)
+        );
         assert_eq!(
             vectors,
-            batch_success_probabilities(&gm, &params, &prob_sets)
+            batch_success_probabilities(&gm, &params, &prob_sets, None)
         );
         assert_eq!(
             set_totals,
-            batch_expected_successes_of_sets(&gm, &params, &sets)
+            batch_expected_successes_of_sets(&gm, &params, &sets, None)
         );
         let trace = tele.tracer().unwrap().snapshot();
         assert_eq!(trace.dropped, 0);

@@ -77,9 +77,8 @@ pub use distribution::{
     expected_total_utility_exact, expected_utility_exact, sinr_ccdf, QuadratureConfig,
 };
 pub use evaluator::{
-    batch_expected_successes, batch_expected_successes_of_sets,
-    batch_expected_successes_of_sets_traced, batch_expected_successes_traced,
-    batch_success_probabilities, batch_success_probabilities_traced, SuccessEvaluator,
+    batch_expected_successes, batch_expected_successes_of_sets, batch_success_probabilities,
+    SuccessEvaluator,
 };
 pub use logstar::{log_star, simulation_rounds, simulation_sequence};
 pub use nakagami::{sample_gamma, sample_nakagami_power, NakagamiModel};

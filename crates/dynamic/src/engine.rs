@@ -460,73 +460,47 @@ impl DynamicEngine {
     /// Runs every replication (rayon-parallel, deterministic order) and
     /// returns the per-network outcomes.
     pub fn run(&self) -> Vec<DynamicOutcome> {
-        self.run_with_telemetry(None)
+        self.replicate(None, None).0
     }
 
     /// Like [`run`](Self::run), but records `rayfade_dynamic_*` /
     /// `rayfade_sched_*` metrics into the registry during the parallel
     /// replications and then journals `dyn_run` / `dyn_slot` / `dyn_net`
     /// events post-collect, in deterministic order (journal bytes do not
-    /// depend on rayon scheduling). `None` is the uninstrumented fast
-    /// path; the returned outcomes are bit-identical either way.
-    pub fn run_with_telemetry(&self, tele: Option<&Telemetry>) -> Vec<DynamicOutcome> {
-        let outcomes = self.run_with_metrics(tele);
-        self.journal_outcomes(tele, &outcomes);
-        outcomes
-    }
-
-    /// The metrics-only half of [`run_with_telemetry`](Self::run_with_telemetry):
-    /// replications tally registry metrics but nothing is journaled.
-    /// Sweeps running many engines in parallel use this and journal each
-    /// engine's outcomes afterwards, in deterministic order.
-    pub fn run_with_metrics(&self, tele: Option<&Telemetry>) -> Vec<DynamicOutcome> {
-        (0..self.config.networks as u64)
-            .into_par_iter()
-            .map(|net| self.run_network_full(net, tele, None).0)
-            .collect()
-    }
-
-    /// Like [`run_with_telemetry`](Self::run_with_telemetry), but each
-    /// replication also feeds an online [`HealthMonitor`] and the
-    /// journal additionally carries the per-replication `health` events
-    /// (inserted after each `dyn_net`, leaving the rest of the event
-    /// stream identical to the unmonitored one). The monitor is pure
-    /// read-side state — outcomes are bit-equal to an unmonitored run's.
-    pub fn run_monitored(
+    /// depend on rayon scheduling). With a `monitor`, each replication
+    /// also feeds an online [`HealthMonitor`]: its [`HealthReport`] is
+    /// returned (one per network), exported to the registry post-collect,
+    /// and journaled as `health` events after that replication's
+    /// `dyn_net`, leaving the rest of the event stream identical to the
+    /// unmonitored one. `None` for both is the uninstrumented fast path;
+    /// the returned outcomes are bit-identical either way.
+    pub fn run_with_telemetry(
         &self,
         tele: Option<&Telemetry>,
-        monitor: &MonitorConfig,
+        monitor: Option<&MonitorConfig>,
     ) -> (Vec<DynamicOutcome>, Vec<HealthReport>) {
-        let (outcomes, health) = self.run_monitored_metrics(tele, monitor);
-        if let Some(t) = tele {
-            // Exported post-collect in network order, so float-valued
-            // monitor metrics never depend on rayon scheduling.
-            for report in &health {
-                report.export(t.registry());
-            }
-        }
-        self.journal_outcomes_with_health(tele, &outcomes, &health);
+        let (outcomes, health) = self.replicate(tele, monitor);
+        self.journal_outcomes(tele, &outcomes, &health);
         (outcomes, health)
     }
 
-    /// The replication half of [`run_monitored`](Self::run_monitored):
-    /// runs tally engine registry metrics but nothing is journaled and
-    /// the monitor reports are *not* yet exported — callers (like
-    /// [`run_monitored`](Self::run_monitored) or a sweep) export and
-    /// journal them afterwards in deterministic order.
-    pub fn run_monitored_metrics(
+    /// The replication half of [`run_with_telemetry`](Self::run_with_telemetry):
+    /// replications tally registry metrics, but nothing is journaled and
+    /// the monitor reports are not yet exported. Sweeps running many
+    /// engines in parallel use this and call
+    /// [`journal_outcomes`](Self::journal_outcomes) afterwards, in
+    /// deterministic order.
+    pub(crate) fn replicate(
         &self,
         tele: Option<&Telemetry>,
-        monitor: &MonitorConfig,
+        monitor: Option<&MonitorConfig>,
     ) -> (Vec<DynamicOutcome>, Vec<HealthReport>) {
-        let pairs: Vec<(DynamicOutcome, HealthReport)> = (0..self.config.networks as u64)
+        let pairs: Vec<(DynamicOutcome, Option<HealthReport>)> = (0..self.config.networks as u64)
             .into_par_iter()
-            .map(|net| {
-                let (outcome, report) = self.run_network_full(net, tele, Some(monitor));
-                (outcome, report.expect("monitored replication has a report"))
-            })
+            .map(|net| self.run_network_full(net, tele, monitor))
             .collect();
-        pairs.into_iter().unzip()
+        let (outcomes, health): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+        (outcomes, health.into_iter().flatten().collect())
     }
 
     /// Runs one replication.
@@ -759,30 +733,28 @@ impl DynamicEngine {
         (outcome, mon.map(|m| m.report()))
     }
 
-    /// Journals a `dyn_run` header plus, per replication (in network
-    /// order), the sampled `dyn_slot` trace records and a `dyn_net`
-    /// summary. Kept separate from the rayon-parallel replication phase
-    /// so journal bytes are deterministic regardless of scheduling;
-    /// no-op when `tele` is `None` or carries no journal. Public so
-    /// sweeps (e.g. [`crate::stability::LambdaSweep`]) can run cells
-    /// metrics-only in parallel and journal afterwards.
-    pub fn journal_outcomes(&self, tele: Option<&Telemetry>, outcomes: &[DynamicOutcome]) {
-        self.journal_outcomes_with_health(tele, outcomes, &[]);
-    }
-
-    /// Like [`journal_outcomes`](Self::journal_outcomes), but each
-    /// replication's [`HealthReport`] (indexed by network) journals its
-    /// `health` events directly after that replication's `dyn_net`
-    /// record. With `health` empty the event stream is exactly
-    /// [`journal_outcomes`](Self::journal_outcomes)' — the "bit-identical
-    /// modulo inserted health records" contract.
-    pub fn journal_outcomes_with_health(
+    /// Records a finished run post-collect: exports each replication's
+    /// [`HealthReport`] to the registry, then journals a `dyn_run` header
+    /// plus, per replication (in network order), the sampled `dyn_slot`
+    /// trace records, a `dyn_net` summary and that replication's `health`
+    /// events (`health` is indexed by network; empty for an unmonitored
+    /// run, whose event stream then carries no `health` records). Kept
+    /// separate from the rayon-parallel replication phase so registry
+    /// floats and journal bytes are deterministic regardless of
+    /// scheduling; no-op when `tele` is `None`.
+    pub(crate) fn journal_outcomes(
         &self,
         tele: Option<&Telemetry>,
         outcomes: &[DynamicOutcome],
         health: &[HealthReport],
     ) {
-        let Some(journal) = tele.and_then(Telemetry::journal) else {
+        let Some(t) = tele else {
+            return;
+        };
+        for report in health {
+            report.export(t.registry());
+        }
+        let Some(journal) = t.journal() else {
             return;
         };
         let cfg = &self.config;
@@ -1109,7 +1081,8 @@ mod tests {
             // Journal *and* tracer attached: the strongest instrumented
             // configuration must still not perturb outcomes.
             let tele = Telemetry::with_journal(&path).unwrap().with_tracing();
-            let outs = engine.run_with_telemetry(Some(&tele));
+            let (outs, health) = engine.run_with_telemetry(Some(&tele), None);
+            assert!(health.is_empty(), "no monitor, no health reports");
             tele.flush();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
@@ -1175,7 +1148,7 @@ mod tests {
             drift_threshold: 1.0,
             ..MonitorConfig::default()
         };
-        let (outcomes, health) = engine.run_monitored(Some(&tele), &monitor);
+        let (outcomes, health) = engine.run_with_telemetry(Some(&tele), Some(&monitor));
         tele.flush();
         assert_eq!(plain, outcomes, "monitoring must not perturb outcomes");
         assert_eq!(health.len(), 2, "one report per replication");
@@ -1343,7 +1316,7 @@ mod tests {
         let run_once = |name: &str| {
             let path = dir.join(format!("{name}-{}.jsonl", std::process::id()));
             let tele = Telemetry::with_journal(&path).unwrap();
-            let outs = engine.run_with_telemetry(Some(&tele));
+            let (outs, _) = engine.run_with_telemetry(Some(&tele), None);
             tele.flush();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
@@ -1391,7 +1364,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sparse-accuracy-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let outs = engine.run_with_telemetry(Some(&tele));
+        let (outs, _) = engine.run_with_telemetry(Some(&tele), None);
         tele.flush();
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -219,7 +219,7 @@ impl OnlinePolicy for QueueMaxWeight {
         fill_weights(&mut self.weights, backlogs);
         // GreedyCapacity skips weight-0 links, so empty queues are never
         // selected.
-        let (set, stats) = self.selector.select_with_affectance_stats_traced(
+        let (set, stats) = self.selector.select_with_affectance_stats(
             &self.affectance,
             &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
             tracer,
@@ -323,14 +323,14 @@ impl OnlinePolicy for RayleighMaxWeight {
         // RayleighGreedy requires strictly positive weight to activate a
         // link, so empty queues are never selected.
         let (set, stats) = match &self.ratios {
-            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats_traced(
+            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats(
                 ratios,
                 &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
                 tracer,
             ),
             RatioCache::Sparse(ratios) => {
                 self.selector
-                    .select_sparse_stats_traced(ratios, Some(&self.weights), tracer)
+                    .select_sparse_stats(ratios, Some(&self.weights), tracer)
             }
         };
         self.stats.merge(&stats);

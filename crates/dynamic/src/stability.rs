@@ -175,7 +175,7 @@ impl LambdaSweep {
     /// report. Cell order is deterministic: policies × models × λ
     /// ascending.
     pub fn run(&self) -> StabilityReport {
-        self.run_with_telemetry(None)
+        self.run_with_telemetry(None, None).report
     }
 
     /// Like [`run`](Self::run), but tallies registry metrics during the
@@ -183,35 +183,21 @@ impl LambdaSweep {
     /// sweep order, so journal bytes never depend on rayon scheduling —
     /// a `stability_config` header, each cell's `dyn_run`/`dyn_slot`/
     /// `dyn_net` trace, a `stability_cell` verdict per cell, and one
-    /// `lambda_star` event per (policy, model) curve. The report is
-    /// bit-identical to [`run`](Self::run)'s either way.
-    pub fn run_with_telemetry(&self, tele: Option<&Telemetry>) -> StabilityReport {
-        self.run_inner(tele, None).report
-    }
-
-    /// Like [`run_with_telemetry`](Self::run_with_telemetry), but every
-    /// replication also feeds an online [`rayfade_telemetry::HealthMonitor`]
-    /// configured from `spec` (drift threshold derived per cell from its
-    /// λ, mirroring the post-hoc rule). The journal gains the inserted
-    /// `health` events — per replication after its `dyn_net`, plus one
-    /// `lambda_stability` summary per cell before its `stability_cell` —
-    /// and is otherwise identical to the unmonitored stream; the
-    /// [`StabilityReport`] is bit-equal to [`run`](Self::run)'s.
-    pub fn run_monitored(
+    /// `lambda_star` event per (policy, model) curve.
+    ///
+    /// With a `monitor` spec, every replication also feeds an online
+    /// [`rayfade_telemetry::HealthMonitor`] configured from it (drift
+    /// threshold derived per cell from its λ, mirroring the post-hoc
+    /// rule), and the result carries per-cell [`CellHealth`]. The journal
+    /// then gains the inserted `health` events — per replication after
+    /// its `dyn_net`, plus one `lambda_stability` summary per cell before
+    /// its `stability_cell` — and is otherwise identical to the
+    /// unmonitored stream. The [`StabilityReport`] is bit-identical to
+    /// [`run`](Self::run)'s either way.
+    pub fn run_with_telemetry(
         &self,
         tele: Option<&Telemetry>,
-        spec: &MonitorSpec,
-    ) -> MonitoredStabilityReport {
-        self.run_inner(tele, Some(spec))
-    }
-
-    /// Shared sweep driver: the monitored and unmonitored paths differ
-    /// only in whether replications carry a monitor and in the inserted
-    /// `health` journal events.
-    fn run_inner(
-        &self,
-        tele: Option<&Telemetry>,
-        spec: Option<&MonitorSpec>,
+        monitor: Option<&MonitorSpec>,
     ) -> MonitoredStabilityReport {
         let mut configs = Vec::new();
         for policy in PolicyKind::all() {
@@ -236,19 +222,14 @@ impl LambdaSweep {
         }
         let tracer = tele.and_then(Telemetry::tracer);
         let cell_span = tracer.map(|tr| tr.span_id("stability/cell"));
-        let runs: Vec<(DynamicConfig, Vec<DynamicOutcome>, Vec<HealthReport>)> = configs
+        let runs: Vec<(DynamicEngine, Vec<DynamicOutcome>, Vec<HealthReport>)> = configs
             .into_par_iter()
             .map(|cfg| {
                 let _g = rayfade_telemetry::trace::guard(tracer, cell_span);
-                let engine = DynamicEngine::new(cfg.clone());
-                let (outcomes, reports) = match spec {
-                    None => (engine.run_with_metrics(tele), Vec::new()),
-                    Some(spec) => {
-                        let mcfg = spec.monitor_config(cfg.arrival.rate(), cfg.links);
-                        engine.run_monitored_metrics(tele, &mcfg)
-                    }
-                };
-                (cfg, outcomes, reports)
+                let mcfg = monitor.map(|spec| spec.monitor_config(cfg.arrival.rate(), cfg.links));
+                let engine = DynamicEngine::new(cfg);
+                let (outcomes, reports) = engine.replicate(tele, mcfg.as_ref());
+                (engine, outcomes, reports)
             })
             .collect();
 
@@ -272,17 +253,9 @@ impl LambdaSweep {
 
         let mut cells = Vec::with_capacity(runs.len());
         let mut health = Vec::new();
-        for (cfg, outcomes, reports) in &runs {
-            let engine = DynamicEngine::new(cfg.clone());
-            if let Some(t) = tele {
-                // Monitor registry export happens here, post-collect in
-                // sweep order, so float-valued monitor metrics never
-                // depend on rayon scheduling.
-                for report in reports {
-                    report.export(t.registry());
-                }
-            }
-            engine.journal_outcomes_with_health(tele, outcomes, reports);
+        for (engine, outcomes, reports) in &runs {
+            engine.journal_outcomes(tele, outcomes, reports);
+            let cfg = engine.config();
             let cell = judge_cell(
                 cfg.policy,
                 cfg.model,
@@ -290,7 +263,7 @@ impl LambdaSweep {
                 cfg.links,
                 outcomes,
             );
-            if let Some(spec) = spec {
+            if let Some(spec) = monitor {
                 let cell_health = CellHealth::from_reports(spec, &cell, cfg.links, reports);
                 if let Some(ev) = tele.and_then(|t| t.event("health")) {
                     cell_health.summary_fields(ev).write();
@@ -484,8 +457,8 @@ impl CellHealth {
     }
 }
 
-/// A [`LambdaSweep::run_monitored`] result: the ordinary post-hoc report
-/// plus per-cell online health.
+/// A [`LambdaSweep::run_with_telemetry`] result: the ordinary post-hoc
+/// report plus per-cell online health.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitoredStabilityReport {
     /// The post-hoc report, bit-equal to [`LambdaSweep::run`]'s.
@@ -742,7 +715,7 @@ mod tests {
         };
         let sweep = LambdaSweep::linear(base, 0.3, 3);
         let plain = sweep.run();
-        let monitored = sweep.run_monitored(None, &MonitorSpec::default());
+        let monitored = sweep.run_with_telemetry(None, Some(&MonitorSpec::default()));
         assert_eq!(
             plain, monitored.report,
             "monitoring must not change the post-hoc report"
@@ -771,7 +744,7 @@ mod tests {
             ..tiny_base()
         };
         let sweep = LambdaSweep::linear(base, 0.2, 1);
-        let monitored = sweep.run_monitored(None, &MonitorSpec::default());
+        let monitored = sweep.run_with_telemetry(None, Some(&MonitorSpec::default()));
 
         let dir = std::env::temp_dir().join("rayfade-dynamic-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -820,8 +793,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sweep-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let instrumented = sweep.run_with_telemetry(Some(&tele));
-        assert_eq!(plain, instrumented, "telemetry must not change verdicts");
+        let instrumented = sweep.run_with_telemetry(Some(&tele), None);
+        assert_eq!(
+            plain, instrumented.report,
+            "telemetry must not change verdicts"
+        );
+        assert!(instrumented.health.is_empty());
 
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -74,41 +74,8 @@ impl GameOutcome {
     }
 }
 
-/// Runs the capacity game with one RWM learner per link; the SINR
-/// threshold is taken from the model itself (see [`HasBeta`]).
-pub fn run_game<M: SuccessModel + HasBeta>(model: &mut M, config: &GameConfig) -> GameOutcome {
-    let beta = model.beta();
-    run_game_with_beta(model, beta, config)
-}
-
-/// Threshold accessor used by the game; both provided models carry their
-/// parameters.
-pub trait HasBeta {
-    /// The SINR success threshold β.
-    fn beta(&self) -> f64;
-}
-
-impl HasBeta for rayfade_sinr::NonFadingModel {
-    fn beta(&self) -> f64 {
-        self.params().beta
-    }
-}
-
-impl HasBeta for rayfade_core::RayleighModel {
-    fn beta(&self) -> f64 {
-        self.params().beta
-    }
-}
-
-impl HasBeta for rayfade_core::NakagamiModel {
-    fn beta(&self) -> f64 {
-        self.params().beta
-    }
-}
-
-/// Runs the game with an explicit SINR threshold (the general entry
-/// point; [`run_game`] delegates here for models implementing
-/// [`HasBeta`]).
+/// Runs the capacity game with one RWM learner per link against the SINR
+/// threshold `beta`.
 ///
 /// Each round: every learner samples an action; one call to
 /// [`SuccessModel::resolve_sinrs`] yields, for transmitting links, their

@@ -28,8 +28,7 @@ pub mod rwm;
 
 pub use exp3::{BanditLearner, Exp3};
 pub use game::{
-    run_game, run_game_bandit, run_game_instrumented, run_game_with_beta, GameConfig, GameOutcome,
-    HasBeta,
+    run_game_bandit, run_game_instrumented, run_game_with_beta, GameConfig, GameOutcome,
 };
 pub use multichannel::{run_game_multichannel, MultichannelGameConfig, MultichannelGameOutcome};
 pub use nash::{best_response_dynamics, is_pure_nash, NashOutcome, RewardModel};

@@ -177,13 +177,18 @@ impl RayleighGreedy {
         ratios: &InterferenceRatios,
         inst: &CapacityInstance<'_>,
     ) -> Vec<usize> {
-        self.select_with_ratios_stats(ratios, inst).0
+        self.select_with_ratios_stats(ratios, inst, None).0
     }
 
     /// [`select_with_ratios`](Self::select_with_ratios) that also returns
     /// the work tally: candidates scored per round, accepted vs. rejected,
     /// and accumulator guard trips (always 0 here — the selector runs in
-    /// log-domain mode — but reported uniformly for telemetry).
+    /// log-domain mode — but reported uniformly for telemetry). With a
+    /// `tracer`, the whole candidate-scoring loop runs under a
+    /// `selector/rayleigh_greedy` span. Callers that invoke the selector
+    /// every slot should gate the tracer on their sampling policy — a span
+    /// per selection is cheap, but only when it is not one per
+    /// microsecond.
     ///
     /// # Panics
     /// If the cache size does not match the instance.
@@ -191,8 +196,13 @@ impl RayleighGreedy {
         &self,
         ratios: &InterferenceRatios,
         inst: &CapacityInstance<'_>,
+        tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
         assert_eq!(ratios.len(), inst.len(), "ratio cache size mismatch");
+        let _g = trace::guard(
+            tracer,
+            tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
+        );
         let n = inst.len();
         let mut acc = SuccessAccumulator::new(n, AccumMode::LogDomain);
         let mut selected: Vec<usize> = Vec::new();
@@ -225,24 +235,6 @@ impl RayleighGreedy {
         (selected, stats)
     }
 
-    /// [`select_with_ratios_stats`](Self::select_with_ratios_stats) under
-    /// an optional `selector/rayleigh_greedy` span covering the whole
-    /// candidate-scoring loop. Callers that invoke the selector every
-    /// slot should gate the tracer on their sampling policy — a span per
-    /// selection is cheap, but only when it is not one per microsecond.
-    pub fn select_with_ratios_stats_traced(
-        &self,
-        ratios: &InterferenceRatios,
-        inst: &CapacityInstance<'_>,
-        tracer: Option<&Tracer>,
-    ) -> (Vec<usize>, SelectionStats) {
-        let _g = trace::guard(
-            tracer,
-            tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
-        );
-        self.select_with_ratios_stats(ratios, inst)
-    }
-
     /// [`select`](Self::select) against an ε-truncated sparse ratio
     /// cache — the large-instance path. With truncation bound `δ = 0`
     /// the cache is bit-equal to the dense one and so is the selection;
@@ -252,12 +244,14 @@ impl RayleighGreedy {
     /// O(n), so a full run costs O(rounds · n + Σ deg) — this is what
     /// makes queue-weighted scheduling feasible at n ≈ 10⁵.
     pub fn select_sparse(&self, ratios: &SparseInterferenceRatios) -> Vec<usize> {
-        self.select_sparse_stats(ratios, None).0
+        self.select_sparse_stats(ratios, None, None).0
     }
 
     /// [`select_sparse`](Self::select_sparse) with optional per-link
-    /// weights and the same work tally as the dense variant. NaN or
-    /// non-positive weights exclude a link.
+    /// weights and the same work tally and optional
+    /// `selector/rayleigh_greedy` span as
+    /// [`select_with_ratios_stats`](Self::select_with_ratios_stats). NaN
+    /// or non-positive weights exclude a link.
     ///
     /// # Panics
     /// If a weight vector is given and its length does not match the cache.
@@ -265,11 +259,16 @@ impl RayleighGreedy {
         &self,
         ratios: &SparseInterferenceRatios,
         weights: Option<&[f64]>,
+        tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
         let n = ratios.len();
         if let Some(w) = weights {
             assert_eq!(w.len(), n, "weight vector size mismatch");
         }
+        let _g = trace::guard(
+            tracer,
+            tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
+        );
         let weight = |j: usize| weights.map_or(1.0, |w| w[j]);
         let mut acc = SparseSuccessAccumulator::new(n);
         let mut selected: Vec<usize> = Vec::new();
@@ -300,31 +299,24 @@ impl RayleighGreedy {
         stats.rejected = stats.candidates_scored.saturating_sub(stats.accepted);
         (selected, stats)
     }
-
-    /// [`select_sparse_stats`](Self::select_sparse_stats) under the same
-    /// optional `selector/rayleigh_greedy` span as the dense variant.
-    pub fn select_sparse_stats_traced(
-        &self,
-        ratios: &SparseInterferenceRatios,
-        weights: Option<&[f64]>,
-        tracer: Option<&Tracer>,
-    ) -> (Vec<usize>, SelectionStats) {
-        let _g = trace::guard(
-            tracer,
-            tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
-        );
-        self.select_sparse_stats(ratios, weights)
-    }
 }
 
 impl GreedyCapacity {
     /// [`CapacityAlgorithm::select`] that also returns the work tally:
     /// every link whose affectance guards were evaluated counts as
     /// scored, and scored − accepted as rejected (`rederivations` is
-    /// always 0 — this selector keeps no incremental evaluator).
-    pub fn select_with_stats(&self, inst: &CapacityInstance<'_>) -> (Vec<usize>, SelectionStats) {
+    /// always 0 — this selector keeps no incremental evaluator). With a
+    /// `tracer`, the affectance build and the guarded scan run under a
+    /// `selector/greedy` span (same sampling caveat as
+    /// [`RayleighGreedy::select_with_ratios_stats`]).
+    pub fn select_with_stats(
+        &self,
+        inst: &CapacityInstance<'_>,
+        tracer: Option<&Tracer>,
+    ) -> (Vec<usize>, SelectionStats) {
+        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
         let aff = Affectance::new(inst.gain, inst.params);
-        self.select_with_affectance_stats(&aff, inst)
+        self.select_with_affectance_stats(&aff, inst, None)
     }
 
     /// [`select_with_stats`](Self::select_with_stats) against a prebuilt
@@ -333,7 +325,8 @@ impl GreedyCapacity {
     /// slot loops), where rebuilding the O(n²) cache per call dominates
     /// the selection itself. `Affectance` is a pure function of
     /// `(gain, params)`, so the selection is bit-identical to the
-    /// per-call path.
+    /// per-call path. With a `tracer`, the scan runs under the same
+    /// `selector/greedy` span.
     ///
     /// # Panics
     /// If the cache size does not match the instance.
@@ -341,9 +334,11 @@ impl GreedyCapacity {
         &self,
         aff: &Affectance,
         inst: &CapacityInstance<'_>,
+        tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
         assert!(self.in_budget >= 0.0 && self.acceptance_cap <= 1.0 + 1e-12);
         assert_eq!(aff.len(), inst.len(), "affectance cache size mismatch");
+        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
         let order = self.ordering(inst);
         let mut accepted: Vec<usize> = Vec::new();
         let mut stats = SelectionStats::default();
@@ -380,31 +375,6 @@ impl GreedyCapacity {
         stats.rejected = stats.candidates_scored - stats.accepted;
         (accepted, stats)
     }
-
-    /// [`select_with_stats`](Self::select_with_stats) under an optional
-    /// `selector/greedy` span covering the whole affectance-guarded scan
-    /// (same sampling caveat as
-    /// [`RayleighGreedy::select_with_ratios_stats_traced`]).
-    pub fn select_with_stats_traced(
-        &self,
-        inst: &CapacityInstance<'_>,
-        tracer: Option<&Tracer>,
-    ) -> (Vec<usize>, SelectionStats) {
-        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
-        self.select_with_stats(inst)
-    }
-
-    /// [`select_with_affectance_stats`](Self::select_with_affectance_stats)
-    /// under the same optional `selector/greedy` span.
-    pub fn select_with_affectance_stats_traced(
-        &self,
-        aff: &Affectance,
-        inst: &CapacityInstance<'_>,
-        tracer: Option<&Tracer>,
-    ) -> (Vec<usize>, SelectionStats) {
-        let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
-        self.select_with_affectance_stats(aff, inst)
-    }
 }
 
 impl CapacityAlgorithm for GreedyCapacity {
@@ -413,7 +383,7 @@ impl CapacityAlgorithm for GreedyCapacity {
     }
 
     fn select(&self, inst: &CapacityInstance<'_>) -> Vec<usize> {
-        self.select_with_stats(inst).0
+        self.select_with_stats(inst, None).0
     }
 }
 
@@ -549,19 +519,19 @@ mod tests {
         let tracer = Tracer::new();
         let greedy = GreedyCapacity::new();
         assert_eq!(
-            greedy.select_with_stats_traced(&inst, Some(&tracer)),
-            greedy.select_with_stats(&inst),
+            greedy.select_with_stats(&inst, Some(&tracer)),
+            greedy.select_with_stats(&inst, None),
             "tracing must not change the selection"
         );
         assert_eq!(
-            greedy.select_with_stats_traced(&inst, None),
-            greedy.select_with_stats(&inst)
+            greedy.select_with_stats(&inst, None).0,
+            greedy.select(&inst)
         );
         let ratios = InterferenceRatios::new(&gm, &params);
         let rayleigh = RayleighGreedy::new();
         assert_eq!(
-            rayleigh.select_with_ratios_stats_traced(&ratios, &inst, Some(&tracer)),
-            rayleigh.select_with_ratios_stats(&ratios, &inst)
+            rayleigh.select_with_ratios_stats(&ratios, &inst, Some(&tracer)),
+            rayleigh.select_with_ratios_stats(&ratios, &inst, None)
         );
         let trace = tracer.snapshot();
         assert_eq!(trace.dropped, 0);
@@ -582,16 +552,16 @@ mod tests {
                 .collect();
             let inst = CapacityInstance::weighted(&gm, &params, &w);
             assert_eq!(
-                greedy.select_with_affectance_stats(&aff, &inst),
-                greedy.select_with_stats(&inst),
+                greedy.select_with_affectance_stats(&aff, &inst, None),
+                greedy.select_with_stats(&inst, None),
                 "round {round}: cached affectance must not change the selection"
             );
         }
         let tracer = Tracer::new();
         let inst = CapacityInstance::unweighted(&gm, &params);
         assert_eq!(
-            greedy.select_with_affectance_stats_traced(&aff, &inst, Some(&tracer)),
-            greedy.select_with_stats(&inst)
+            greedy.select_with_affectance_stats(&aff, &inst, Some(&tracer)),
+            greedy.select_with_stats(&inst, None)
         );
         assert_eq!(
             tracer
@@ -611,8 +581,11 @@ mod tests {
         let gm3 = GainMatrix::from_raw(3, vec![10.0, 0.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 10.0]);
         let params = SinrParams::new(2.0, 1.0, 0.0);
         let aff = Affectance::new(&gm3, &params);
-        let _ = GreedyCapacity::new()
-            .select_with_affectance_stats(&aff, &CapacityInstance::unweighted(&gm, &params));
+        let _ = GreedyCapacity::new().select_with_affectance_stats(
+            &aff,
+            &CapacityInstance::unweighted(&gm, &params),
+            None,
+        );
     }
 
     #[test]
@@ -744,8 +717,8 @@ mod tests {
         let dense = InterferenceRatios::new(&gm, &params);
         let sparse = SparseInterferenceRatios::from_gain(&gm, &params, 0.0);
         let alg = RayleighGreedy::new();
-        let (dense_set, dense_stats) = alg.select_with_ratios_stats(&dense, &inst);
-        let (sparse_set, sparse_stats) = alg.select_sparse_stats(&sparse, None);
+        let (dense_set, dense_stats) = alg.select_with_ratios_stats(&dense, &inst, None);
+        let (sparse_set, sparse_stats) = alg.select_sparse_stats(&sparse, None, None);
         assert_eq!(dense_set, sparse_set, "delta = 0 must reproduce dense");
         assert_eq!(
             dense_stats.candidates_scored,
@@ -758,7 +731,7 @@ mod tests {
         let winst = CapacityInstance::weighted(&gm, &params, &w);
         assert_eq!(
             alg.select_with_ratios(&dense, &winst),
-            alg.select_sparse_stats(&sparse, Some(&w)).0
+            alg.select_sparse_stats(&sparse, Some(&w), None).0
         );
     }
 
@@ -776,7 +749,7 @@ mod tests {
         let sparse = SparseInterferenceRatios::from_gain(&gm, &params, 0.0);
         let w = vec![f64::NAN, 0.0, 1.0];
         let set = RayleighGreedy::new()
-            .select_sparse_stats(&sparse, Some(&w))
+            .select_sparse_stats(&sparse, Some(&w), None)
             .0;
         assert_eq!(set, vec![2]);
     }
@@ -788,8 +761,8 @@ mod tests {
         let alg = RayleighGreedy::new();
         let tracer = Tracer::new();
         assert_eq!(
-            alg.select_sparse_stats_traced(&sparse, None, Some(&tracer)),
-            alg.select_sparse_stats(&sparse, None),
+            alg.select_sparse_stats(&sparse, None, Some(&tracer)),
+            alg.select_sparse_stats(&sparse, None, None),
             "tracing must not change the selection"
         );
         let trace = tracer.snapshot();
@@ -808,7 +781,7 @@ mod tests {
         let (gm, params) = paper_instance(5, 40);
         let inst = CapacityInstance::unweighted(&gm, &params);
 
-        let (set, stats) = GreedyCapacity::new().select_with_stats(&inst);
+        let (set, stats) = GreedyCapacity::new().select_with_stats(&inst, None);
         assert_eq!(set, GreedyCapacity::new().select(&inst), "same selection");
         assert_eq!(stats.accepted, set.len() as u64);
         assert_eq!(stats.candidates_scored, stats.accepted + stats.rejected);
@@ -816,7 +789,7 @@ mod tests {
         assert!(stats.candidates_scored >= set.len() as u64);
 
         let ratios = InterferenceRatios::new(&gm, &params);
-        let (rset, rstats) = RayleighGreedy::new().select_with_ratios_stats(&ratios, &inst);
+        let (rset, rstats) = RayleighGreedy::new().select_with_ratios_stats(&ratios, &inst, None);
         assert_eq!(rset, RayleighGreedy::new().select(&inst), "same selection");
         assert_eq!(rstats.accepted, rset.len() as u64);
         assert_eq!(rstats.candidates_scored, rstats.accepted + rstats.rejected);

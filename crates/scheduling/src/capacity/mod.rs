@@ -40,9 +40,9 @@ pub(crate) fn strictly_positive(x: f64) -> bool {
 /// evaluator's underflow guard forced an O(n) product re-derivation
 /// (always 0 for selectors that keep no accumulator). Metrics stay the
 /// caller's job — the dynamic engine and bench binaries fold these
-/// tallies into their own counters — but the selectors optionally emit
-/// wall-time spans via the `*_traced` variants (e.g.
-/// [`greedy::GreedyCapacity::select_with_stats_traced`]) so profiles can
+/// tallies into their own counters — but the `select_*_stats` selectors
+/// emit a wall-time span when given a tracer (e.g.
+/// [`greedy::GreedyCapacity::select_with_stats`]) so profiles can
 /// attribute slot time to candidate scoring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionStats {

@@ -161,20 +161,12 @@ pub struct Figure1Result {
 
 /// Runs the Figure 1 experiment (parallel over networks).
 pub fn run_figure1(config: &Figure1Config) -> Figure1Result {
-    run_figure1_with_progress(config, |_| {})
+    run_figure1_with_telemetry(config, |_| {}, None)
 }
 
 /// [`run_figure1`] with a per-network completion callback (e.g. a
-/// [`crate::progress::ProgressHandle`] tick). The callback runs on rayon
-/// worker threads and must be cheap.
-pub fn run_figure1_with_progress<F>(config: &Figure1Config, on_network_done: F) -> Figure1Result
-where
-    F: Fn(u64) + Sync,
-{
-    run_figure1_with_telemetry(config, on_network_done, None)
-}
-
-/// [`run_figure1_with_progress`] plus optional telemetry: per-curve-point
+/// [`crate::progress::ProgressSink`] tick; it runs on rayon worker
+/// threads and must be cheap) and optional telemetry: per-curve-point
 /// timings and success tallies go to the registry during the parallel
 /// sweep, and the finished curves are journaled afterwards (`fig1_config`,
 /// `fig1_point`, `fig1_argmax` events, in deterministic order). `None` is
@@ -448,25 +440,19 @@ pub struct Figure2Result {
 
 /// Runs the Figure 2 experiment (parallel over networks).
 pub fn run_figure2(config: &Figure2Config) -> Figure2Result {
-    run_figure2_with_progress(config, |_| {})
+    run_figure2_with_telemetry(config, |_| {}, None)
 }
 
-/// [`run_figure2`] with a per-network completion callback.
-pub fn run_figure2_with_progress<F>(config: &Figure2Config, on_network_done: F) -> Figure2Result
-where
-    F: Fn(u64) + Sync,
-{
-    run_figure2_with_telemetry(config, on_network_done, None)
-}
-
-/// [`run_figure2_with_progress`] plus optional telemetry: per-network
-/// game timings and learning tallies go to the registry; the averaged
-/// per-round series and regret summary are journaled post-collect
-/// (`fig2_config`, `fig2_round`, `fig2_summary` events, deterministic
-/// order). Per-network games themselves run uninstrumented — their
-/// `learn_round` journal events would interleave nondeterministically
-/// under rayon; use [`rayfade_learning::run_game_instrumented`] directly
-/// for a single game's round-by-round trace.
+/// [`run_figure2`] with a per-network completion callback (same contract
+/// as [`run_figure1_with_telemetry`]'s) and optional telemetry:
+/// per-network game timings and learning tallies go to the registry; the
+/// averaged per-round series and regret summary are journaled
+/// post-collect (`fig2_config`, `fig2_round`, `fig2_summary` events,
+/// deterministic order). Per-network games themselves run
+/// uninstrumented — their `learn_round` journal events would interleave
+/// nondeterministically under rayon; use
+/// [`rayfade_learning::run_game_instrumented`] directly for a single
+/// game's round-by-round trace.
 pub fn run_figure2_with_telemetry<F>(
     config: &Figure2Config,
     on_network_done: F,

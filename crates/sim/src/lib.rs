@@ -26,11 +26,11 @@ pub mod slots;
 pub mod stats;
 
 pub use engine::{
-    optimum_statistic, run_figure1, run_figure1_analytic, run_figure1_with_progress,
-    run_figure1_with_telemetry, run_figure2, run_figure2_with_progress, run_figure2_with_telemetry,
-    Curve, CurvePoint, Figure1Config, Figure1Result, Figure2Config, Figure2Result, PowerFamily,
+    optimum_statistic, run_figure1, run_figure1_analytic, run_figure1_with_telemetry, run_figure2,
+    run_figure2_with_telemetry, Curve, CurvePoint, Figure1Config, Figure1Result, Figure2Config,
+    Figure2Result, PowerFamily,
 };
-pub use progress::{ProgressHandle, ProgressSink};
+pub use progress::ProgressSink;
 pub use report::{fmt_f, gnuplot_script, sparkline, write_gnuplot_script, Table};
 pub use slots::{
     draw_activation, nonfading_success_curve_point, rayleigh_expected_successes,

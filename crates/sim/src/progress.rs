@@ -1,135 +1,49 @@
-//! Streaming progress reporting for long-running sweeps.
+//! Progress reporting for long-running sweeps.
 //!
 //! The full Figure 1 run evaluates 40 networks × 4 curves × 20 grid points
 //! × 250 seeded slots; on slower machines that's minutes of silence
-//! without feedback. [`ProgressSink`] decouples the hot rayon workers from
-//! terminal I/O: workers send lightweight ticks over a crossbeam channel,
-//! a dedicated thread renders them (rate-limited) to any `Write` sink
-//! guarded by a `parking_lot` mutex.
-//!
-//! Ticks are advisory — [`ProgressHandle::tick`] never blocks a worker —
-//! but dropped ticks are no longer invisible: every unit that fails to
-//! enqueue is tallied in an atomic ([`ProgressHandle::dropped_units`]),
-//! [`ProgressSink::finish`] prints the drop total when it is nonzero, and
-//! a bridged telemetry [`Counter`](rayfade_telemetry::Counter) (see
-//! [`ProgressSink::bridge_counter`]) observes every unit regardless of
-//! channel pressure.
-//!
-//! Shutdown is by explicit sentinel, **not** by channel closure: handles
-//! are freely cloneable and may outlive the sink, so `finish()` must not
-//! wait for every clone to drop.
+//! without feedback. Rayon workers report each finished unit through
+//! [`ProgressSink::tick`], which adds it to the count under one mutex and
+//! writes a line whenever the count passes another `report_every` units.
+//! Units are coarse (one per network), so the lock is taken a few dozen
+//! times per run.
 
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-/// Channel capacity used by [`ProgressSink::new`].
-const DEFAULT_CAPACITY: usize = 1024;
-
-enum Msg {
-    Tick(u64),
-    Done,
-}
-
-/// A handle workers use to report completed units. Cloneable; may outlive
-/// the sink (late ticks are counted as dropped, never blocked on).
-#[derive(Debug, Clone)]
-pub struct ProgressHandle {
-    tx: Sender<Msg>,
-    dropped: Arc<AtomicU64>,
-    bridge: Option<Arc<rayfade_telemetry::Counter>>,
-}
-
-impl ProgressHandle {
-    /// Reports `units` newly completed work items. Never blocks the
-    /// caller: if the channel is full or closed the units are dropped
-    /// from *rendering* (and tallied in [`Self::dropped_units`]); a
-    /// bridged telemetry counter still sees them.
-    pub fn tick(&self, units: u64) {
-        if let Some(counter) = &self.bridge {
-            counter.add(units);
-        }
-        if self.tx.try_send(Msg::Tick(units)).is_err() {
-            self.dropped.fetch_add(units, Ordering::Relaxed);
-        }
-    }
-
-    /// Total units dropped so far (shared across all clones and the
-    /// sink).
-    pub fn dropped_units(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// Aggregates ticks and renders progress lines to a sink.
+/// Counts completed units and writes progress lines to a sink. Shared by
+/// reference across worker threads.
 pub struct ProgressSink {
-    tx: Sender<Msg>,
-    worker: Option<JoinHandle<u64>>,
-    dropped: Arc<AtomicU64>,
-    bridge: Option<Arc<rayfade_telemetry::Counter>>,
-    /// Shared with the render thread so `shutdown` can append the
-    /// dropped-units warning after the worker has drained.
-    out: Arc<Mutex<Box<dyn Write + Send>>>,
+    total: u64,
     label: String,
+    report_every: u64,
+    state: Mutex<State>,
+}
+
+struct State {
+    done: u64,
+    out: Box<dyn Write + Send>,
 }
 
 impl ProgressSink {
     /// Creates a sink expecting `total` units, labelled `label`, writing
-    /// to `out`. A line is emitted at most every `report_every` units.
+    /// to `out`. A line is written each time the count passes another
+    /// `report_every` units, and when it reaches `total`.
     pub fn new<W: Write + Send + 'static>(
         total: u64,
         label: &str,
         report_every: u64,
         out: W,
     ) -> Self {
-        Self::with_capacity(total, label, report_every, out, DEFAULT_CAPACITY)
-    }
-
-    /// [`ProgressSink::new`] with an explicit channel capacity. Small
-    /// capacities drop ticks under pressure sooner; the drop tally keeps
-    /// that visible.
-    pub fn with_capacity<W: Write + Send + 'static>(
-        total: u64,
-        label: &str,
-        report_every: u64,
-        out: W,
-        capacity: usize,
-    ) -> Self {
         assert!(report_every > 0, "report_every must be positive");
-        assert!(capacity > 0, "channel capacity must be positive");
-        let (tx, rx) = bounded::<Msg>(capacity);
-        let label = label.to_string();
-        let sink: Arc<Mutex<Box<dyn Write + Send>>> = Arc::new(Mutex::new(Box::new(out)));
-        let thread_label = label.clone();
-        let thread_sink = Arc::clone(&sink);
-        let worker = std::thread::spawn(move || {
-            let mut done = 0u64;
-            let mut last_reported = 0u64;
-            for msg in rx {
-                match msg {
-                    Msg::Tick(units) => {
-                        done += units;
-                        if done - last_reported >= report_every || done >= total {
-                            last_reported = done;
-                            let mut w = thread_sink.lock();
-                            let _ = writeln!(w, "{thread_label}: {done}/{total}");
-                        }
-                    }
-                    Msg::Done => break,
-                }
-            }
-            done
-        });
         ProgressSink {
-            tx,
-            worker: Some(worker),
-            dropped: Arc::new(AtomicU64::new(0)),
-            bridge: None,
-            out: sink,
-            label,
+            total,
+            label: label.to_string(),
+            report_every,
+            state: Mutex::new(State {
+                done: 0,
+                out: Box::new(out),
+            }),
         }
     }
 
@@ -138,75 +52,46 @@ impl ProgressSink {
         Self::new(total, label, report_every, std::io::stderr())
     }
 
-    /// Bridges ticks into a telemetry counter: every unit reported through
-    /// handles created *after* this call is added to `counter` even when
-    /// the rendering channel is saturated. Returns `self` for chaining.
-    pub fn bridge_counter(mut self, counter: Arc<rayfade_telemetry::Counter>) -> Self {
-        self.bridge = Some(counter);
-        self
-    }
-
-    /// The cloneable handle to hand to workers.
-    pub fn handle(&self) -> ProgressHandle {
-        ProgressHandle {
-            tx: self.tx.clone(),
-            dropped: Arc::clone(&self.dropped),
-            bridge: self.bridge.clone(),
+    /// Reports `units` newly completed work items. Write errors are
+    /// ignored: progress lines are advisory.
+    pub fn tick(&self, units: u64) {
+        let mut state = self.state.lock().expect("a progress tick panicked");
+        let before = state.done;
+        state.done += units;
+        let done = state.done;
+        let passed_step = done / self.report_every > before / self.report_every;
+        let reached_total = before < self.total && done >= self.total;
+        if passed_step || reached_total {
+            let _ = writeln!(state.out, "{}: {done}/{}", self.label, self.total);
         }
     }
 
-    /// Total units dropped so far.
-    pub fn dropped_units(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Shuts the renderer down (outstanding queued ticks are processed
-    /// first), prints the drop total if any ticks were lost, and returns
-    /// the total units observed by the renderer.
-    pub fn finish(mut self) -> u64 {
-        self.shutdown()
-    }
-
-    fn shutdown(&mut self) -> u64 {
-        let Some(worker) = self.worker.take() else {
-            return 0;
-        };
-        // `send` (blocking) guarantees the sentinel is enqueued behind all
-        // ticks already in the channel; the worker drains them in order.
-        let _ = self.tx.send(Msg::Done);
-        let seen = worker.join().expect("progress thread panicked");
-        let dropped = self.dropped.load(Ordering::Relaxed);
-        if dropped > 0 {
-            let mut w = self.out.lock();
-            let _ = writeln!(
-                w,
-                "{}: warning: {dropped} progress unit(s) dropped (channel full); \
-                 rendered count {seen} undercounts by that amount",
-                self.label
-            );
-        }
-        seen
-    }
-}
-
-impl Drop for ProgressSink {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
+    /// Flushes the sink and returns the total units reported.
+    pub fn finish(self) -> u64 {
+        let mut state = self.state.into_inner().expect("a progress tick panicked");
+        let _ = state.out.flush();
+        state.done
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::Receiver;
+    use std::sync::Arc;
 
     /// A Write implementation collecting into a shared buffer.
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
+    impl SharedBuf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            self.0.lock().unwrap().extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -215,154 +100,47 @@ mod tests {
     }
 
     #[test]
-    fn counts_all_ticks_even_with_live_handles() {
-        let buf = SharedBuf::default();
-        let sink = ProgressSink::new(10, "work", 1, buf.clone());
-        let h = sink.handle();
-        for _ in 0..10 {
-            h.tick(1);
-        }
-        // `h` is still alive here — finish must not deadlock.
-        let seen = sink.finish();
-        assert_eq!(seen, 10);
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-        assert!(text.contains("work: 10/10"), "{text}");
-        // Late ticks on the surviving handle are dropped, and counted.
-        h.tick(5);
-        assert_eq!(h.dropped_units(), 5);
-    }
-
-    #[test]
     fn rate_limiting_reduces_lines() {
         let buf = SharedBuf::default();
         let sink = ProgressSink::new(100, "w", 50, buf.clone());
-        let h = sink.handle();
         for _ in 0..100 {
-            h.tick(1);
+            sink.tick(1);
         }
         sink.finish();
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
+        let text = buf.text();
         let lines = text.lines().count();
         assert!(lines <= 4, "expected few lines, got {lines}: {text}");
     }
 
     #[test]
     fn concurrent_ticks_from_many_threads() {
-        let sink = ProgressSink::new(400, "par", 100, std::io::sink());
-        let h = sink.handle();
+        let buf = SharedBuf::default();
+        let sink = ProgressSink::new(400, "par", 50, buf.clone());
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let h = h.clone();
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..100 {
-                        h.tick(1);
+                        sink.tick(1);
                     }
                 });
             }
         });
-        let dropped = sink.dropped_units();
-        let seen = sink.finish();
-        // try_send may drop ticks under extreme pressure — but now every
-        // drop is accounted for, so the books must balance exactly.
-        assert_eq!(seen + dropped, 400, "seen {seen} + dropped {dropped}");
-    }
-
-    /// A writer that blocks until the paired gate receives a release,
-    /// pinning the render thread mid-write so the channel backs up; the
-    /// bytes still land in the shared buffer once released.
-    struct GatedWriter {
-        gate: Receiver<()>,
-        inner: SharedBuf,
-    }
-
-    impl Write for GatedWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let _ = self.gate.recv();
-            self.inner.write(buf)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn full_channel_drops_are_counted_and_reported() {
-        let buf = SharedBuf::default();
-        let (release, gate) = bounded::<()>(16_384);
-        let writer = GatedWriter {
-            gate,
-            inner: buf.clone(),
-        };
-        let sink = ProgressSink::with_capacity(1_000, "full", 1, writer, 1);
-        let h = sink.handle();
-        // The render thread blocks inside `write` on the first tick it
-        // pulls; with capacity 1 the channel then fills and further ticks
-        // must drop. Loop until the tally proves a drop happened.
-        let mut sent = 0u64;
-        while h.dropped_units() == 0 {
-            h.tick(1);
-            sent += 1;
-            assert!(sent < 10_000, "drops never registered");
-        }
-        assert!(sink.dropped_units() > 0);
-        // Release the writer generously and shut down.
-        for _ in 0..16_000 {
-            let _ = release.try_send(());
-        }
-        drop(release);
-        let seen = sink.finish();
-        let dropped = h.dropped_units();
-        assert_eq!(
-            seen + dropped,
-            sent,
-            "every tick is either rendered or counted as dropped"
-        );
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
+        assert_eq!(sink.finish(), 400, "every tick is counted");
+        let text = buf.text();
+        let counts: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let rest = line.strip_prefix("par: ").expect("labelled line");
+                let (done, total) = rest.split_once('/').expect("done/total");
+                assert_eq!(total, "400");
+                done.parse().expect("numeric count")
+            })
+            .collect();
         assert!(
-            text.contains(&format!(
-                "full: warning: {dropped} progress unit(s) dropped"
-            )),
-            "finish must report the drop total: {text}"
+            counts.windows(2).all(|w| w[0] < w[1]),
+            "printed counts must increase: {text}"
         );
-    }
-
-    #[test]
-    fn bridged_counter_sees_every_unit_despite_drops() {
-        let counter = Arc::new(rayfade_telemetry::Counter::new());
-        let (release, gate) = bounded::<()>(16_384);
-        let writer = GatedWriter {
-            gate,
-            inner: SharedBuf::default(),
-        };
-        let sink = ProgressSink::with_capacity(100, "bridge", 1, writer, 1)
-            .bridge_counter(Arc::clone(&counter));
-        let h = sink.handle();
-        let mut sent = 0u64;
-        while h.dropped_units() == 0 {
-            h.tick(2);
-            sent += 2;
-            assert!(sent < 20_000, "drops never registered");
-        }
-        for _ in 0..16_000 {
-            let _ = release.try_send(());
-        }
-        drop(release);
-        let seen = sink.finish();
-        assert_eq!(counter.get(), sent, "bridge counts dropped units too");
-        assert!(
-            seen < sent,
-            "some units must have been dropped from rendering"
-        );
-    }
-
-    #[test]
-    fn drop_without_finish_does_not_hang() {
-        let sink = ProgressSink::new(5, "x", 1, std::io::sink());
-        let h = sink.handle();
-        h.tick(3);
-        drop(sink);
-        h.tick(1); // channel closed; dropped and counted
-        assert_eq!(h.dropped_units(), 1);
+        assert_eq!(text.lines().last(), Some("par: 400/400"), "{text}");
     }
 
     #[test]

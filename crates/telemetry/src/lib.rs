@@ -8,8 +8,6 @@
 //!   primitives safe to hammer from rayon workers ([`metrics`]).
 //! - [`Registry`] — get-or-create named metrics with Prometheus-text and
 //!   CSV exposition ([`registry`]).
-//! - [`Timer`] and the [`span!`] macro — RAII scope timing into
-//!   histograms ([`timer`]).
 //! - [`Journal`] — append-only JSONL event logs with monotone sequence
 //!   numbers instead of wall-clock timestamps, so deterministic runs
 //!   produce byte-identical journals — and [`JournalReader`], the
@@ -47,7 +45,6 @@ pub mod metrics;
 pub mod monitor;
 pub mod registry;
 pub mod stream;
-pub mod timer;
 pub mod trace;
 
 use std::io;
@@ -62,7 +59,6 @@ pub use monitor::{
 };
 pub use registry::Registry;
 pub use stream::{Ewma, OnlineSlope, QuantileSketch, SlidingWindow};
-pub use timer::Timer;
 pub use trace::{SpanGuard, SpanId, Tracer};
 
 /// A run's telemetry context: a metric [`Registry`], an optional event
@@ -198,24 +194,5 @@ mod tests {
         };
         assert_eq!(config_hash(&a), config_hash(&a));
         assert_ne!(config_hash(&a), config_hash(&b));
-    }
-
-    #[test]
-    fn span_macro_times_into_the_registry() {
-        let tele = Telemetry::new();
-        {
-            let _span = span!(Some(&tele), "rayfade_test_span_seconds");
-        }
-        {
-            // Telemetry off: no timer, no metric.
-            let none: Option<&Telemetry> = None;
-            let _span = span!(none, "rayfade_test_span_seconds");
-        }
-        assert_eq!(
-            tele.registry()
-                .histogram("rayfade_test_span_seconds")
-                .count(),
-            1
-        );
     }
 }
