@@ -53,10 +53,8 @@ fn naive_greedy(gm: &GainMatrix, params: &SinrParams, max_links: usize) -> Vec<u
 }
 
 /// Same greedy driven by the incremental evaluator: one `activation_gain`
-/// per candidate, one `insert` per round. Also returns the evaluator's
-/// underflow-guard rederivation count (an observability satellite: the
-/// guard should essentially never trip on paper-scale instances).
-fn incremental_greedy(gm: &GainMatrix, params: &SinrParams, max_links: usize) -> (Vec<usize>, u64) {
+/// per candidate, one `insert` per round.
+fn incremental_greedy(gm: &GainMatrix, params: &SinrParams, max_links: usize) -> Vec<usize> {
     let n = gm.len();
     let mut ev = SuccessEvaluator::new(gm, params);
     let mut active = vec![false; n];
@@ -81,7 +79,7 @@ fn incremental_greedy(gm: &GainMatrix, params: &SinrParams, max_links: usize) ->
             _ => break,
         }
     }
-    ((0..n).filter(|&j| active[j]).collect(), ev.rederivations())
+    (0..n).filter(|&j| active[j]).collect()
 }
 
 fn time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -106,15 +104,14 @@ fn main() {
     eprintln!("incremental evaluator vs naive re-scoring, n in {sizes:?} ...");
 
     let tele = cli.experiment_telemetry("evaluator");
-    let mut table = Table::new(["n", "k", "naive_ms", "incr_ms", "speedup", "rederivations"]);
+    let mut table = Table::new(["n", "k", "naive_ms", "incr_ms", "speedup"]);
     let mut last_speedup = 0.0;
     for &n in sizes {
         let (gm, params) = figure1_instance(0, n);
         let cap = n / 4;
         let repeats = if n <= 200 { 3 } else { 1 };
         let (naive_ms, naive_set) = time_ms(repeats, || naive_greedy(&gm, &params, cap));
-        let (incr_ms, (incr_set, rederivations)) =
-            time_ms(repeats, || incremental_greedy(&gm, &params, cap));
+        let (incr_ms, incr_set) = time_ms(repeats, || incremental_greedy(&gm, &params, cap));
         assert_eq!(
             naive_set, incr_set,
             "n={n}: evaluator-driven greedy diverged from the naive greedy"
@@ -124,8 +121,6 @@ fn main() {
         if let Some(t) = telemetry_ref(&tele) {
             let reg = t.registry();
             reg.counter("rayfade_evaluator_selections_total").inc();
-            reg.counter("rayfade_sched_rederivations_total")
-                .add(rederivations);
             reg.histogram("rayfade_evaluator_naive_seconds")
                 .observe(naive_ms / 1e3);
             reg.histogram("rayfade_evaluator_incremental_seconds")
@@ -135,7 +130,6 @@ fn main() {
             if let Some(ev) = t.event("evaluator_size") {
                 ev.int("n", n as i64)
                     .int("k", naive_set.len() as i64)
-                    .int("rederivations", rederivations as i64)
                     .write();
             }
         }
@@ -145,11 +139,9 @@ fn main() {
             fmt_f(naive_ms, 2),
             fmt_f(incr_ms, 2),
             fmt_f(speedup, 1),
-            rederivations.to_string(),
         ]);
         eprintln!(
-            "  n={n}: k={}, naive {naive_ms:.2} ms, incremental {incr_ms:.2} ms ({speedup:.1}x, \
-             {rederivations} rederivations)",
+            "  n={n}: k={}, naive {naive_ms:.2} ms, incremental {incr_ms:.2} ms ({speedup:.1}x)",
             naive_set.len()
         );
     }

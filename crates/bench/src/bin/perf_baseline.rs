@@ -44,7 +44,7 @@ use rayfade_dynamic::{
 use rayfade_geometry::PaperTopology;
 use rayfade_learning::{run_game_instrumented, GameConfig};
 use rayfade_sim::{run_figure1_with_telemetry, Figure1Config};
-use rayfade_sinr::{NonFadingModel, PowerAssignment, SinrParams, SparseSuccessAccumulator};
+use rayfade_sinr::{NonFadingModel, PowerAssignment, SinrParams, SuccessAccumulator};
 use rayfade_spatial::build_sparse_ratios;
 use rayfade_telemetry::{Json, Telemetry};
 use std::path::{Path, PathBuf};
@@ -293,7 +293,7 @@ fn workloads() -> Vec<Workload> {
                 sparse_delta,
                 tele,
             );
-            let mut acc = SparseSuccessAccumulator::new(ratios.len());
+            let mut acc = SuccessAccumulator::new(ratios.len());
             acc.set_uniform(&ratios, 0.5);
             let _ = std::hint::black_box(acc.expected_successes_interval(&ratios));
         }),

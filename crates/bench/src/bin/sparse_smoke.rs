@@ -26,7 +26,7 @@
 
 use rayfade_bench::{exit_usage, telemetry_ref, Cli, USAGE};
 use rayfade_geometry::PaperTopology;
-use rayfade_sinr::{PowerAssignment, SinrParams, SparseSuccessAccumulator};
+use rayfade_sinr::{PowerAssignment, SinrParams, SuccessAccumulator};
 use rayfade_spatial::build_sparse_ratios_stats;
 use std::time::Instant;
 
@@ -115,7 +115,7 @@ fn main() {
     let build_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let start = Instant::now();
-    let mut acc = SparseSuccessAccumulator::new(links);
+    let mut acc = SuccessAccumulator::new(links);
     acc.set_uniform(&ratios, Q);
     let (lo, hi) = acc.expected_successes_interval(&ratios);
     let eval_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -190,8 +190,8 @@ fn sparse_csr_identical_at_pool_sizes_1_2_8() {
     let power = PowerAssignment::figure1_uniform();
 
     /// One row's exact content: column indices, value bits, noise-factor
-    /// bits, signal bits, certificate (τᵢ) bits.
-    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64, u64);
+    /// bits, certificate (τᵢ) bits.
+    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64);
 
     /// Exact CSR content: per-row column indices plus the bit patterns
     /// of every float the evaluator reads, and the build statistics.
@@ -205,7 +205,6 @@ fn sparse_csr_identical_at_pool_sizes_1_2_8() {
                     cols.to_vec(),
                     vals.iter().map(|v| v.to_bits()).collect(),
                     ratios.noise_factor(i).to_bits(),
-                    ratios.signal(i).to_bits(),
                     ratios.tau(i).to_bits(),
                 )
             })

@@ -32,8 +32,8 @@ use rayfade_sched::{
     RayleighLocalSearch,
 };
 use rayfade_sinr::{
-    spectral_report, AccumMode, Affectance, AmortizedAccumulator, GainMatrix, SinrParams,
-    SparseInterferenceRatios, SparseSuccessAccumulator,
+    spectral_report, Affectance, AmortizedAccumulator, GainMatrix, SinrParams,
+    SparseInterferenceRatios, SuccessAccumulator,
 };
 
 /// Absolute tolerance floor of every comparison (see module docs).
@@ -118,8 +118,8 @@ macro_rules! ensure {
 /// docs and the TESTING.md catalogue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Check {
-    /// `SuccessEvaluator::set_probs` (both accumulation modes) vs the
-    /// direct Theorem 1 product oracle.
+    /// `SuccessEvaluator::set_probs` vs the direct Theorem 1 product
+    /// oracle.
     EvaluatorSetProbs,
     /// Incremental `set_prob`/`insert`/`remove` sequences vs the oracle
     /// at the final probability vector.
@@ -147,8 +147,8 @@ pub enum Check {
     SpectralRadius,
     /// ε-truncated `SparseInterferenceRatios` vs the dense evaluator and
     /// the oracle: at every `δ` the certified interval `[p·e^{−τᵢ}, p]`
-    /// must contain both, and at `δ = 0` the sparse value must agree
-    /// outright.
+    /// must contain both, and at `δ = 0` the sparse value must equal the
+    /// dense evaluator's bits and agree with the oracle outright.
     SparseTruncation,
     /// The churn-amortized quantized-log accumulator: a persistent
     /// instance driven through a random `set_prob`/`insert`/`remove`
@@ -240,28 +240,23 @@ impl Check {
 }
 
 fn evaluator_set_probs(inst: &Instance) -> Result<(), String> {
-    let n = inst.gain.len();
     let probs = inst.random_probs(1);
-    let oracle_q: Vec<f64> = (0..n)
-        .map(|i| oracle::success_probability(&inst.gain, &inst.params, &probs, i))
-        .collect();
-    let oracle_total = oracle::expected_successes(&inst.gain, &inst.params, &probs);
-    for mode in [AccumMode::LogDomain, AccumMode::Product] {
-        let mut ev = SuccessEvaluator::with_mode(&inst.gain, &inst.params, mode);
-        ev.set_probs(&probs);
-        for (i, &want) in oracle_q.iter().enumerate() {
-            let got = ev.success_probability(i);
-            ensure!(
-                close(got, want, 1e-9),
-                "{mode:?} Q[{i}] fast {got:e} vs oracle {want:e} (probs {probs:?})"
-            );
-        }
-        let got = ev.expected_successes();
+    let mut ev = SuccessEvaluator::new(&inst.gain, &inst.params);
+    ev.set_probs(&probs);
+    for i in 0..inst.gain.len() {
+        let want = oracle::success_probability(&inst.gain, &inst.params, &probs, i);
+        let got = ev.success_probability(i);
         ensure!(
-            close(got, oracle_total, 1e-9),
-            "{mode:?} E[successes] fast {got:e} vs oracle {oracle_total:e}"
+            close(got, want, 1e-9),
+            "Q[{i}] fast {got:e} vs oracle {want:e} (probs {probs:?})"
         );
     }
+    let oracle_total = oracle::expected_successes(&inst.gain, &inst.params, &probs);
+    let got = ev.expected_successes();
+    ensure!(
+        close(got, oracle_total, 1e-9),
+        "E[successes] fast {got:e} vs oracle {oracle_total:e}"
+    );
     Ok(())
 }
 
@@ -270,43 +265,41 @@ fn evaluator_incremental(inst: &Instance) -> Result<(), String> {
     if n == 0 {
         return Ok(());
     }
-    for mode in [AccumMode::LogDomain, AccumMode::Product] {
-        let mut rng = inst.rng(2);
-        let mut ev = SuccessEvaluator::with_mode(&inst.gain, &inst.params, mode);
-        let mut shadow = inst.random_probs(3);
-        ev.set_probs(&shadow);
-        for _ in 0..(3 * n + 4) {
-            let j = rng.gen_range(0..n);
-            match rng.gen_range(0u32..4) {
-                0 => {
-                    ev.insert(j);
-                    shadow[j] = 1.0;
-                }
-                1 => {
-                    ev.remove(j);
-                    shadow[j] = 0.0;
-                }
-                2 => {
-                    let q = [0.0, 1.0, 1e-12, 1.0 - 1e-12][rng.gen_range(0usize..4)];
-                    ev.set_prob(j, q);
-                    shadow[j] = q;
-                }
-                _ => {
-                    let q = rng.gen_range(0.0..=1.0);
-                    ev.set_prob(j, q);
-                    shadow[j] = q;
-                }
+    let mut rng = inst.rng(2);
+    let mut ev = SuccessEvaluator::new(&inst.gain, &inst.params);
+    let mut shadow = inst.random_probs(3);
+    ev.set_probs(&shadow);
+    for _ in 0..(3 * n + 4) {
+        let j = rng.gen_range(0..n);
+        match rng.gen_range(0u32..4) {
+            0 => {
+                ev.insert(j);
+                shadow[j] = 1.0;
+            }
+            1 => {
+                ev.remove(j);
+                shadow[j] = 0.0;
+            }
+            2 => {
+                let q = [0.0, 1.0, 1e-12, 1.0 - 1e-12][rng.gen_range(0usize..4)];
+                ev.set_prob(j, q);
+                shadow[j] = q;
+            }
+            _ => {
+                let q = rng.gen_range(0.0..=1.0);
+                ev.set_prob(j, q);
+                shadow[j] = q;
             }
         }
-        for i in 0..n {
-            let want = oracle::success_probability(&inst.gain, &inst.params, &shadow, i);
-            let got = ev.success_probability(i);
-            ensure!(
-                close(got, want, 1e-9),
-                "{mode:?} incremental Q[{i}] fast {got:e} vs oracle {want:e} after op \
-                 sequence (final probs {shadow:?})"
-            );
-        }
+    }
+    for i in 0..n {
+        let want = oracle::success_probability(&inst.gain, &inst.params, &shadow, i);
+        let got = ev.success_probability(i);
+        ensure!(
+            close(got, want, 1e-9),
+            "incremental Q[{i}] fast {got:e} vs oracle {want:e} after op \
+             sequence (final probs {shadow:?})"
+        );
     }
     Ok(())
 }
@@ -685,7 +678,7 @@ fn sparse_truncation(inst: &Instance) -> Result<(), String> {
             "delta {delta}: sparse cache has {} links, instance has {n}",
             sparse.len()
         );
-        let mut acc = SparseSuccessAccumulator::new(n);
+        let mut acc = SuccessAccumulator::new(n);
         acc.set_probs(&sparse, &probs);
         for (i, &want) in oracle_q.iter().enumerate() {
             let (lo, hi) = acc.success_interval(&sparse, i);
@@ -709,6 +702,10 @@ fn sparse_truncation(inst: &Instance) -> Result<(), String> {
                  interval [{lo:e}, {hi:e}]"
             );
             if delta == 0.0 {
+                ensure!(
+                    hi.to_bits() == d.to_bits(),
+                    "delta 0 must give the dense bits: sparse Q[{i}] = {hi:e} vs dense {d:e}"
+                );
                 ensure!(
                     close(hi, want, 1e-9),
                     "delta 0 must be exact: sparse Q[{i}] = {hi:e} vs oracle {want:e}"

@@ -1,35 +1,27 @@
 //! Incremental Theorem 1 evaluator.
 //!
-//! [`SuccessEvaluator`] bundles the precomputed [`InterferenceRatios`]
-//! cache with an incremental [`SuccessAccumulator`]: construction pays
-//! the O(n²) ratio precomputation once per `(GainMatrix, SinrParams)`
-//! pair, after which
+//! [`RatioEvaluator`] bundles a Theorem 1 ratio table with the incremental
+//! [`SuccessAccumulator`] over it. [`SuccessEvaluator`] is the evaluator on
+//! the dense [`InterferenceRatios`]: construction pays the O(n²) ratio
+//! precomputation once per `(GainMatrix, SinrParams)` pair, after which
 //!
 //! * changing one transmission probability (or toggling one link in a
 //!   transmit set) updates every affected `Q_i` in **O(n)**,
 //! * reading one `Q_i` is **O(1)**,
 //! * scoring a candidate activation
-//!   ([`activation_gain`](SuccessEvaluator::activation_gain)) is
+//!   ([`activation_gain`](RatioEvaluator::activation_gain)) is
 //!   **O(n)** — versus the O(n²) from-scratch evaluation of
 //!   [`success_probability`](crate::success_probability) per candidate.
 //!
 //! This is the intended engine for greedy capacity re-scoring, RWM/Exp3
 //! reward computation, and the dynamic slot loop, all of which mutate one
-//! link at a time.
-//!
-//! # Log-domain vs. product accumulation
-//!
-//! [`AccumMode::LogDomain`] (the default) keeps per-receiver sums
-//! `Σ ln(1 − ρ·q_j)`: updates are additions, so the accumulator cannot
-//! underflow no matter how many near-zero factors pile up, at the cost of
-//! one `exp` per probability query and ~1 ulp of the running sum of
-//! rounding drift per update. [`AccumMode::Product`] keeps the raw product
-//! and multiplies/divides single factors: queries are cheapest and short
-//! sequences are bit-faithful, but dividing by tiny factors loses
-//! precision and long products can underflow, so it re-derives a
-//! receiver's product from scratch (exact, O(n)) whenever a guard trips.
-//! Both stay within 1e-12 of the closed form on realistic instances; the
-//! property suite in `tests/evaluator_equivalence.rs` pins this.
+//! link at a time. The accumulator keeps per-receiver log-domain sums
+//! (see `rayfade_sinr::ratio`), which stay within 1e-12 of the closed
+//! form on realistic instances; the property suite in
+//! `tests/evaluator_equivalence.rs` pins this.
+//! [`SparseSuccessEvaluator`](crate::SparseSuccessEvaluator) is the same
+//! evaluator on the ε-truncated sparse table (see
+//! [`crate::sparse_evaluator`]).
 //!
 //! For embarrassingly parallel workloads (Monte Carlo replications,
 //! probability-grid sweeps) the free functions
@@ -38,38 +30,37 @@
 //! rayon.
 
 use rayfade_sinr::{
-    kahan_sum, AccumMode, GainMatrix, InterferenceRatios, SinrParams, SuccessAccumulator,
+    kahan_sum, GainMatrix, InterferenceRatios, RatioTable, SinrParams, SuccessAccumulator,
 };
 use rayfade_telemetry::{trace, Telemetry};
 use rayon::prelude::*;
 
-/// Incremental Theorem 1 evaluator: a ratio cache plus an O(n)-update
-/// success-probability accumulator (see the [module docs](self) for the
-/// complexity model and the log-domain vs product trade-off).
+/// Incremental Theorem 1 evaluator over the ratio table `R`: the table
+/// plus the success-probability accumulator over it (see the
+/// [module docs](self) for the complexity model).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SuccessEvaluator {
-    ratios: InterferenceRatios,
+pub struct RatioEvaluator<R> {
+    ratios: R,
     acc: SuccessAccumulator,
 }
 
+/// The exact evaluator on the dense ratio table.
+pub type SuccessEvaluator = RatioEvaluator<InterferenceRatios>;
+
 impl SuccessEvaluator {
-    /// Builds the evaluator (O(n²) precomputation) with the default
-    /// log-domain accumulator; all probabilities start at 0.
+    /// Builds the evaluator (O(n²) precomputation); all probabilities
+    /// start at 0.
     pub fn new(gain: &GainMatrix, params: &SinrParams) -> Self {
-        Self::with_mode(gain, params, AccumMode::default())
+        Self::from_ratios(InterferenceRatios::new(gain, params))
     }
+}
 
-    /// Builds the evaluator with an explicit accumulation mode.
-    pub fn with_mode(gain: &GainMatrix, params: &SinrParams, mode: AccumMode) -> Self {
-        let ratios = InterferenceRatios::new(gain, params);
-        let acc = SuccessAccumulator::new(ratios.len(), mode);
-        SuccessEvaluator { ratios, acc }
-    }
-
-    /// Wraps an existing ratio cache (shared caches can be cloned in).
-    pub fn from_ratios(ratios: InterferenceRatios, mode: AccumMode) -> Self {
-        let acc = SuccessAccumulator::new(ratios.len(), mode);
-        SuccessEvaluator { ratios, acc }
+impl<R: RatioTable> RatioEvaluator<R> {
+    /// Wraps an existing ratio table (shared tables can be cloned in); all
+    /// probabilities start at 0.
+    pub fn from_ratios(ratios: R) -> Self {
+        let acc = SuccessAccumulator::new(ratios.len());
+        RatioEvaluator { ratios, acc }
     }
 
     /// Number of links.
@@ -84,19 +75,10 @@ impl SuccessEvaluator {
         self.ratios.is_empty()
     }
 
-    /// The underlying ratio cache.
+    /// The underlying ratio table.
     #[inline]
-    pub fn ratios(&self) -> &InterferenceRatios {
+    pub fn ratios(&self) -> &R {
         &self.ratios
-    }
-
-    /// Lifetime number of underflow/precision-guard trips in the
-    /// underlying accumulator — each one an O(n) from-scratch product
-    /// re-derivation (always 0 in log-domain mode). Telemetry reads this
-    /// to expose how often the product-mode fast path degraded.
-    #[inline]
-    pub fn rederivations(&self) -> u64 {
-        self.acc.rederivations()
     }
 
     /// Current transmission probabilities.
@@ -116,33 +98,37 @@ impl SuccessEvaluator {
         self.acc.reset();
     }
 
-    /// Replaces the whole probability vector — O(n²) rebuild.
+    /// Replaces the whole probability vector — O(n²) dense, O(nnz)
+    /// sparse.
     pub fn set_probs(&mut self, probs: &[f64]) {
         self.acc.set_probs(&self.ratios, probs);
     }
 
-    /// Sets every probability to the same `q` — O(n²) rebuild.
+    /// Sets every probability to the same `q` — O(n²) dense, O(nnz)
+    /// sparse.
     pub fn set_uniform(&mut self, q: f64) {
         self.acc.set_uniform(&self.ratios, q);
     }
 
-    /// Changes one probability, updating all affected `Q_i` in O(n).
+    /// Changes one probability, updating all affected `Q_i` — O(n)
+    /// dense, O(deg j) sparse.
     pub fn set_prob(&mut self, j: usize, q: f64) {
         self.acc.set_prob(&self.ratios, j, q);
     }
 
-    /// Sets `q_j = 1` (link joins the transmit set) — O(n).
+    /// Sets `q_j = 1` (link joins the transmit set).
     pub fn insert(&mut self, j: usize) {
         self.acc.insert(&self.ratios, j);
     }
 
-    /// Sets `q_j = 0` (link leaves the transmit set) — O(n).
+    /// Sets `q_j = 0` (link leaves the transmit set).
     pub fn remove(&mut self, j: usize) {
         self.acc.remove(&self.ratios, j);
     }
 
-    /// Exact Theorem 1 success probability `Q_i` under the current
-    /// probabilities — O(1).
+    /// Theorem 1 success probability `Q_i` under the current
+    /// probabilities — O(1): exact on the dense table, the upper end of
+    /// the certified interval on a truncated one.
     #[inline]
     pub fn success_probability(&self, i: usize) -> f64 {
         self.acc.success_probability(&self.ratios, i)
@@ -156,6 +142,13 @@ impl SuccessEvaluator {
         self.acc.conditional_success_probability(&self.ratios, i)
     }
 
+    /// Certified interval `[p·e^{−τᵢ}, p]` containing the exact Theorem 1
+    /// probability of link `i` (collapsed on the dense table).
+    #[inline]
+    pub fn success_interval(&self, i: usize) -> (f64, f64) {
+        self.acc.success_interval(&self.ratios, i)
+    }
+
     /// All success probabilities — O(n).
     pub fn success_probabilities(&self) -> Vec<f64> {
         self.acc.success_probabilities(&self.ratios)
@@ -166,8 +159,15 @@ impl SuccessEvaluator {
         self.acc.expected_successes(&self.ratios)
     }
 
+    /// Certified interval containing the exact expected number of
+    /// successes (collapsed on the dense table).
+    pub fn expected_successes_interval(&self) -> (f64, f64) {
+        self.acc.expected_successes_interval(&self.ratios)
+    }
+
     /// Change in (optionally weighted) expected successes if silent link
-    /// `j` were activated — O(n), does not mutate the evaluator.
+    /// `j` were activated — O(n) dense, O(deg j) sparse; does not mutate
+    /// the evaluator.
     ///
     /// # Panics
     /// If `q_j ≠ 0`.
@@ -202,7 +202,7 @@ pub fn batch_expected_successes(
     prob_sets
         .into_par_iter()
         .map(|probs| {
-            let mut acc = SuccessAccumulator::new(ratios.len(), AccumMode::LogDomain);
+            let mut acc = SuccessAccumulator::new(ratios.len());
             acc.set_probs(&ratios, probs);
             acc.expected_successes(&ratios)
         })
@@ -227,7 +227,7 @@ pub fn batch_success_probabilities(
     prob_sets
         .into_par_iter()
         .map(|probs| {
-            let mut acc = SuccessAccumulator::new(ratios.len(), AccumMode::LogDomain);
+            let mut acc = SuccessAccumulator::new(ratios.len());
             acc.set_probs(&ratios, probs);
             acc.success_probabilities(&ratios)
         })
@@ -252,7 +252,7 @@ pub fn batch_expected_successes_of_sets(
     let _g = trace::guard(tracer, batch_span);
     sets.into_par_iter()
         .map(|set| {
-            let mut acc = SuccessAccumulator::new(ratios.len(), AccumMode::LogDomain);
+            let mut acc = SuccessAccumulator::new(ratios.len());
             for &j in set {
                 acc.insert(&ratios, j);
             }
@@ -297,18 +297,16 @@ mod tests {
         let gm = paper_gain();
         let params = SinrParams::new(2.0, 1.5, 0.2);
         let probs = [0.9, 0.3, 0.6];
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut ev = SuccessEvaluator::with_mode(&gm, &params, mode);
-            ev.set_probs(&probs);
-            let got = ev.success_probabilities();
-            let want = success_probabilities(&gm, &params, &probs);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-12, "{mode:?}: {g} vs {w}");
-            }
-            let total = ev.expected_successes();
-            let want_total = expected_successes(&gm, &params, &probs);
-            assert!((total - want_total).abs() < 1e-12);
+        let mut ev = SuccessEvaluator::new(&gm, &params);
+        ev.set_probs(&probs);
+        let got = ev.success_probabilities();
+        let want = success_probabilities(&gm, &params, &probs);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-12, "{g} vs {w}");
         }
+        let total = ev.expected_successes();
+        let want_total = expected_successes(&gm, &params, &probs);
+        assert!((total - want_total).abs() < 1e-12);
     }
 
     #[test]
@@ -417,7 +415,7 @@ mod tests {
         let gm = paper_gain();
         let params = SinrParams::new(2.0, 1.5, 0.0);
         let ratios = InterferenceRatios::new(&gm, &params);
-        let mut ev = SuccessEvaluator::from_ratios(ratios.clone(), AccumMode::Product);
+        let mut ev = SuccessEvaluator::from_ratios(ratios.clone());
         ev.insert(1);
         assert_eq!(ev.ratios(), &ratios);
         let want = success_probability(&gm, &params, &[0.0, 1.0, 0.0], 1);

@@ -78,7 +78,7 @@ pub use distribution::{
 };
 pub use evaluator::{
     batch_expected_successes, batch_expected_successes_of_sets, batch_success_probabilities,
-    SuccessEvaluator,
+    RatioEvaluator, SuccessEvaluator,
 };
 pub use logstar::{log_star, simulation_rounds, simulation_sequence};
 pub use nakagami::{sample_gamma, sample_nakagami_power, NakagamiModel};

@@ -1,13 +1,14 @@
 //! Sparse Theorem 1 evaluation and the dense/sparse routing facade.
 //!
-//! [`SparseSuccessEvaluator`] mirrors [`SuccessEvaluator`]
-//! on top of the ε-truncated
-//! [`SparseInterferenceRatios`] cache: construction from geometry costs
-//! O(n log n) (a bounded number of examined pairs per receiver at a fixed
-//! density, plus O(log n) tail-bound terms), one
+//! [`SparseSuccessEvaluator`] is the [`RatioEvaluator`] on the
+//! ε-truncated [`SparseInterferenceRatios`] table: construction from
+//! geometry costs O(n log n) (a bounded number of examined pairs per
+//! receiver at a fixed density, plus O(log n) tail-bound terms), one
 //! probability change costs O(deg) instead of O(n), and every query
 //! additionally exposes the certified error interval `[p·e^{−τᵢ}, p]`
-//! around the exact dense value (see `rayfade_sinr::sparse`).
+//! around the exact dense value (see `rayfade_sinr::sparse`). It runs the
+//! dense [`SuccessEvaluator`]'s code, so at `δ = 0` it gives the dense
+//! bits.
 //!
 //! [`NetworkEvaluator`] is the routing facade: below
 //! [`SPARSE_CROSSOVER`] links it builds the exact dense evaluator
@@ -16,11 +17,11 @@
 //! (`sim` probability-grid sweeps, the `dynamic` engine's analytic slot
 //! resolver) route through this facade and scale transparently.
 
-use crate::evaluator::SuccessEvaluator;
+use crate::evaluator::{RatioEvaluator, SuccessEvaluator};
 use rayfade_geometry::Network;
 use rayfade_sinr::{
     AmortizedAccumulator, GainMatrix, InterferenceRatios, PowerAssignment, SinrParams,
-    SparseInterferenceRatios, SparseSuccessAccumulator,
+    SparseInterferenceRatios,
 };
 use rayfade_telemetry::Telemetry;
 
@@ -42,13 +43,9 @@ pub const SPARSE_CROSSOVER: usize = 2048;
 /// that run at these sizes.
 pub const DEFAULT_SPARSE_DELTA: f64 = 1e-3;
 
-/// Incremental sparse Theorem 1 evaluator with certified error intervals
-/// (see the [module docs](self)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseSuccessEvaluator {
-    ratios: SparseInterferenceRatios,
-    acc: SparseSuccessAccumulator,
-}
+/// The certified evaluator on the ε-truncated sparse ratio table (see the
+/// [module docs](self)).
+pub type SparseSuccessEvaluator = RatioEvaluator<SparseInterferenceRatios>;
 
 impl SparseSuccessEvaluator {
     /// Builds the evaluator from a dense gain matrix with truncation
@@ -72,122 +69,10 @@ impl SparseSuccessEvaluator {
         ))
     }
 
-    /// Wraps an existing sparse ratio cache.
-    pub fn from_ratios(ratios: SparseInterferenceRatios) -> Self {
-        let acc = SparseSuccessAccumulator::new(ratios.len());
-        SparseSuccessEvaluator { ratios, acc }
-    }
-
-    /// Number of links.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ratios.len()
-    }
-
-    /// Whether the instance has no links.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ratios.is_empty()
-    }
-
-    /// The underlying sparse ratio cache.
-    #[inline]
-    pub fn ratios(&self) -> &SparseInterferenceRatios {
-        &self.ratios
-    }
-
-    /// The truncation bound `δ` the cache was built for.
+    /// The truncation bound `δ` the table was built for.
     #[inline]
     pub fn delta(&self) -> f64 {
-        self.ratios.delta()
-    }
-
-    /// Current transmission probabilities.
-    #[inline]
-    pub fn probs(&self) -> &[f64] {
-        self.acc.probs()
-    }
-
-    /// Current transmission probability of link `j`.
-    #[inline]
-    pub fn prob(&self, j: usize) -> f64 {
-        self.acc.prob(j)
-    }
-
-    /// Resets every probability to 0 — O(n).
-    pub fn reset(&mut self) {
-        self.acc.reset();
-    }
-
-    /// Replaces the whole probability vector — O(nnz) rebuild.
-    pub fn set_probs(&mut self, probs: &[f64]) {
-        self.acc.set_probs(&self.ratios, probs);
-    }
-
-    /// Sets every probability to the same value — O(nnz).
-    pub fn set_uniform(&mut self, q: f64) {
-        self.acc.set_uniform(&self.ratios, q);
-    }
-
-    /// Changes one probability — O(deg j).
-    pub fn set_prob(&mut self, j: usize, q: f64) {
-        self.acc.set_prob(&self.ratios, j, q);
-    }
-
-    /// Sets `q_j = 1` (link joins the transmit set).
-    pub fn insert(&mut self, j: usize) {
-        self.acc.insert(&self.ratios, j);
-    }
-
-    /// Sets `q_j = 0` (link leaves the transmit set).
-    pub fn remove(&mut self, j: usize) {
-        self.acc.remove(&self.ratios, j);
-    }
-
-    /// Sparse success probability of link `i` — the upper end of the
-    /// certified interval.
-    #[inline]
-    pub fn success_probability(&self, i: usize) -> f64 {
-        self.acc.success_probability(&self.ratios, i)
-    }
-
-    /// Success probability of link `i` conditioned on transmitting.
-    #[inline]
-    pub fn conditional_success_probability(&self, i: usize) -> f64 {
-        self.acc.conditional_success_probability(&self.ratios, i)
-    }
-
-    /// Certified interval `[p·e^{−τᵢ}, p]` containing the dense Theorem 1
-    /// probability of link `i`.
-    #[inline]
-    pub fn success_interval(&self, i: usize) -> (f64, f64) {
-        self.acc.success_interval(&self.ratios, i)
-    }
-
-    /// All sparse success probabilities — O(n).
-    pub fn success_probabilities(&self) -> Vec<f64> {
-        self.acc.success_probabilities(&self.ratios)
-    }
-
-    /// Expected number of successes (upper end of the certified
-    /// interval) — O(n).
-    pub fn expected_successes(&self) -> f64 {
-        self.acc.expected_successes(&self.ratios)
-    }
-
-    /// Certified interval containing the dense expected number of
-    /// successes.
-    pub fn expected_successes_interval(&self) -> (f64, f64) {
-        self.acc.expected_successes_interval(&self.ratios)
-    }
-
-    /// Change in weighted expected successes if the silent link `j` were
-    /// activated — O(deg j).
-    ///
-    /// # Panics
-    /// If link `j` is not currently silent.
-    pub fn activation_gain(&self, weights: Option<&[f64]>, j: usize) -> f64 {
-        self.acc.activation_gain(&self.ratios, weights, j)
+        self.ratios().delta()
     }
 }
 
@@ -528,10 +413,7 @@ impl NetworkEvaluator {
     /// up to accumulator rounding).
     pub fn expected_successes_interval(&self) -> (f64, f64) {
         match self {
-            NetworkEvaluator::Dense(ev) => {
-                let v = ev.expected_successes();
-                (v, v)
-            }
+            NetworkEvaluator::Dense(ev) => ev.expected_successes_interval(),
             NetworkEvaluator::Sparse(ev) => ev.expected_successes_interval(),
             NetworkEvaluator::Amortized(ev) => {
                 let v = ev.expected_successes();
@@ -567,9 +449,8 @@ mod tests {
             sparse.set_uniform(ev);
             for i in 0..3 {
                 let d = dense.success_probability(i);
-                let s = sparse.success_probability(i);
-                assert!((d - s).abs() < 1e-14, "q={ev} link {i}");
                 let (lo, hi) = sparse.success_interval(i);
+                assert_eq!(d.to_bits(), hi.to_bits(), "q={ev} link {i}");
                 assert_eq!(lo, hi, "delta = 0 collapses the interval");
             }
         }
@@ -579,8 +460,14 @@ mod tests {
         sparse.set_prob(1, 0.3);
         dense.remove(2);
         sparse.remove(2);
-        assert!((dense.expected_successes() - sparse.expected_successes()).abs() < 1e-14);
-        assert!((dense.activation_gain(None, 2) - sparse.activation_gain(None, 2)).abs() < 1e-14);
+        assert_eq!(
+            dense.expected_successes().to_bits(),
+            sparse.expected_successes().to_bits()
+        );
+        assert_eq!(
+            dense.activation_gain(None, 2).to_bits(),
+            sparse.activation_gain(None, 2).to_bits()
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Equivalence proptests: the incremental [`SuccessEvaluator`] must agree
 //! with the from-scratch Theorem 1 evaluation (`success_probabilities`)
-//! within 1e-12 after *any* sequence of add/remove/update operations, in
-//! both accumulation modes, on random gain matrices including zero-gain
-//! rows and `q_j = 0` entries.
+//! within 1e-12 after *any* sequence of add/remove/update operations, on
+//! random gain matrices including zero-gain rows and `q_j = 0` entries.
 
 use proptest::prelude::*;
 use rayfade_core::{success_probabilities, SuccessEvaluator};
-use rayfade_sinr::{AccumMode, GainMatrix, SinrParams};
+use rayfade_sinr::{GainMatrix, SinrParams};
 
 /// Random gain matrix: own signals in [0, 50] (zero possible), cross
 /// gains in [0, 5] with many exact zeros, derived deterministically from
@@ -72,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Incremental add/remove/update sequences agree with the scratch
-    /// closed form within 1e-12 in both accumulation modes.
+    /// closed form within 1e-12.
     #[test]
     fn incremental_matches_scratch(
         seed in any::<u64>(),
@@ -81,20 +80,18 @@ proptest! {
         let n = 12;
         let gm = random_gain(seed, n);
         let params = SinrParams::new(2.0, 1.5, 0.3);
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut ev = SuccessEvaluator::with_mode(&gm, &params, mode);
-            let mut probs = vec![0.0f64; n];
-            for &(op, link, q) in &ops {
-                apply_op(&mut ev, &mut probs, op, link as usize, q);
-                let want = success_probabilities(&gm, &params, &probs);
-                for (i, &w) in want.iter().enumerate() {
-                    let got = ev.success_probability(i);
-                    prop_assert!(
-                        (got - w).abs() < 1e-12,
-                        "{mode:?} link {i} after {} ops: {got} vs {w}",
-                        ops.len()
-                    );
-                }
+        let mut ev = SuccessEvaluator::new(&gm, &params);
+        let mut probs = vec![0.0f64; n];
+        for &(op, link, q) in &ops {
+            apply_op(&mut ev, &mut probs, op, link as usize, q);
+            let want = success_probabilities(&gm, &params, &probs);
+            for (i, &w) in want.iter().enumerate() {
+                let got = ev.success_probability(i);
+                prop_assert!(
+                    (got - w).abs() < 1e-12,
+                    "link {i} after {} ops: {got} vs {w}",
+                    ops.len()
+                );
             }
         }
     }
@@ -116,18 +113,16 @@ proptest! {
             .enumerate()
             .map(|(j, &p)| if zero_mask >> j & 1 == 1 { 0.0 } else { p })
             .collect();
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut bulk = SuccessEvaluator::with_mode(&gm, &params, mode);
-            bulk.set_probs(&probs);
-            let mut steps = SuccessEvaluator::with_mode(&gm, &params, mode);
-            for (j, &p) in probs.iter().enumerate() {
-                steps.set_prob(j, p);
-            }
-            let want = success_probabilities(&gm, &params, &probs);
-            for (i, &w) in want.iter().enumerate() {
-                prop_assert!((bulk.success_probability(i) - w).abs() < 1e-12);
-                prop_assert!((steps.success_probability(i) - w).abs() < 1e-12);
-            }
+        let mut bulk = SuccessEvaluator::new(&gm, &params);
+        bulk.set_probs(&probs);
+        let mut steps = SuccessEvaluator::new(&gm, &params);
+        for (j, &p) in probs.iter().enumerate() {
+            steps.set_prob(j, p);
+        }
+        let want = success_probabilities(&gm, &params, &probs);
+        for (i, &w) in want.iter().enumerate() {
+            prop_assert!((bulk.success_probability(i) - w).abs() < 1e-12);
+            prop_assert!((steps.success_probability(i) - w).abs() < 1e-12);
         }
     }
 

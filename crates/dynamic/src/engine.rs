@@ -715,8 +715,6 @@ impl DynamicEngine {
                     .add(stats.accepted);
                 reg.counter("rayfade_sched_rejected_total")
                     .add(stats.rejected);
-                reg.counter("rayfade_sched_rederivations_total")
-                    .add(stats.rederivations);
             }
         }
 

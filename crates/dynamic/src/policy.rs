@@ -249,10 +249,9 @@ impl OnlinePolicy for QueueMaxWeight {
 /// Instances at or above [`rayfade_core::SPARSE_CROSSOVER`] links build
 /// the ε-truncated [`SparseInterferenceRatios`] cache (with
 /// [`rayfade_core::DEFAULT_SPARSE_DELTA`]) instead of the dense O(n²)
-/// one, and every slot runs [`RayleighGreedy::select_sparse_stats`] —
-/// same greedy rule, certified objective, O(deg) candidate scoring.
-/// Below the crossover the dense path is bit-identical to the historical
-/// behaviour.
+/// one; the same selector then runs the same greedy rule on the certified
+/// objective, with O(deg) candidate scoring. Below the crossover the
+/// dense path is bit-identical to the historical behaviour.
 ///
 /// Unlike [`QueueMaxWeight`] the chosen set need not be feasible in the
 /// non-fading model: the fading engine resolves each slot
@@ -260,8 +259,6 @@ impl OnlinePolicy for QueueMaxWeight {
 /// still drain queues faster than a small "safe" set.
 #[derive(Debug, Clone)]
 pub struct RayleighMaxWeight {
-    gain: GainMatrix,
-    params: SinrParams,
     ratios: RatioCache,
     selector: RayleighGreedy,
     stats: SelectionStats,
@@ -293,8 +290,6 @@ impl RayleighMaxWeight {
         };
         RayleighMaxWeight {
             weights: vec![0.0; gain.len()],
-            gain,
-            params,
             ratios,
             selector: RayleighGreedy::new(),
             stats: SelectionStats::default(),
@@ -322,16 +317,10 @@ impl OnlinePolicy for RayleighMaxWeight {
         fill_weights(&mut self.weights, backlogs);
         // RayleighGreedy requires strictly positive weight to activate a
         // link, so empty queues are never selected.
+        let (selector, weights) = (&self.selector, Some(self.weights.as_slice()));
         let (set, stats) = match &self.ratios {
-            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats(
-                ratios,
-                &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
-                tracer,
-            ),
-            RatioCache::Sparse(ratios) => {
-                self.selector
-                    .select_sparse_stats(ratios, Some(&self.weights), tracer)
-            }
+            RatioCache::Dense(r) => selector.select_with_ratios_stats(r, weights, tracer),
+            RatioCache::Sparse(r) => selector.select_with_ratios_stats(r, weights, tracer),
         };
         self.stats.merge(&stats);
         write_sorted(chosen, set);

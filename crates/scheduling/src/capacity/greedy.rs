@@ -15,10 +15,7 @@
 //! degrades gracefully into a feasibility-preserving heuristic.
 
 use super::{CapacityAlgorithm, CapacityInstance, SelectionStats};
-use rayfade_sinr::{
-    AccumMode, Affectance, InterferenceRatios, SparseInterferenceRatios, SparseSuccessAccumulator,
-    SuccessAccumulator,
-};
+use rayfade_sinr::{Affectance, InterferenceRatios, RatioTable, SuccessAccumulator};
 use rayfade_telemetry::trace::{self, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -163,101 +160,48 @@ impl RayleighGreedy {
     /// activation order. NaN or non-positive weights exclude a link.
     pub fn select(&self, inst: &CapacityInstance<'_>) -> Vec<usize> {
         let ratios = InterferenceRatios::new(inst.gain, inst.params);
-        self.select_with_ratios(&ratios, inst)
+        self.select_with_ratios(&ratios, inst.weights)
     }
 
-    /// [`select`](Self::select) against a prebuilt ratio cache — the
-    /// entry point for callers re-solving many weight vectors on one
-    /// gain matrix (e.g. queue-weighted scheduling slot loops).
+    /// [`select`](Self::select) against a prebuilt ratio table with
+    /// optional per-link weights — the entry point for callers re-solving
+    /// many weight vectors on one instance (e.g. queue-weighted
+    /// scheduling slot loops).
+    ///
+    /// The table is the dense [`InterferenceRatios`] or the ε-truncated
+    /// `SparseInterferenceRatios`. On a sparse table with truncation bound
+    /// `δ = 0` the selection is bit-equal to the dense one; for `δ > 0`
+    /// the selector greedily maximizes the certified sparse objective,
+    /// whose per-link values sit within `[Q·e^{−τᵢ}, Q]` of the exact
+    /// dense ones. A candidate is scored in O(deg) instead of O(n), so a
+    /// full run costs O(rounds · n + Σ deg) — this is what makes
+    /// queue-weighted scheduling feasible at n ≈ 10⁵.
     ///
     /// # Panics
-    /// If the cache size does not match the instance.
-    pub fn select_with_ratios(
+    /// If a weight vector is given and its length does not match the
+    /// table.
+    pub fn select_with_ratios<R: RatioTable>(
         &self,
-        ratios: &InterferenceRatios,
-        inst: &CapacityInstance<'_>,
+        ratios: &R,
+        weights: Option<&[f64]>,
     ) -> Vec<usize> {
-        self.select_with_ratios_stats(ratios, inst, None).0
+        self.select_with_ratios_stats(ratios, weights, None).0
     }
 
     /// [`select_with_ratios`](Self::select_with_ratios) that also returns
-    /// the work tally: candidates scored per round, accepted vs. rejected,
-    /// and accumulator guard trips (always 0 here — the selector runs in
-    /// log-domain mode — but reported uniformly for telemetry). With a
-    /// `tracer`, the whole candidate-scoring loop runs under a
-    /// `selector/rayleigh_greedy` span. Callers that invoke the selector
-    /// every slot should gate the tracer on their sampling policy — a span
-    /// per selection is cheap, but only when it is not one per
-    /// microsecond.
+    /// the work tally: candidates scored per round, accepted vs.
+    /// rejected. With a `tracer`, the whole candidate-scoring loop runs
+    /// under a `selector/rayleigh_greedy` span. Callers that invoke the
+    /// selector every slot should gate the tracer on their sampling
+    /// policy — a span per selection is cheap, but only when it is not
+    /// one per microsecond.
     ///
     /// # Panics
-    /// If the cache size does not match the instance.
-    pub fn select_with_ratios_stats(
+    /// If a weight vector is given and its length does not match the
+    /// table.
+    pub fn select_with_ratios_stats<R: RatioTable>(
         &self,
-        ratios: &InterferenceRatios,
-        inst: &CapacityInstance<'_>,
-        tracer: Option<&Tracer>,
-    ) -> (Vec<usize>, SelectionStats) {
-        assert_eq!(ratios.len(), inst.len(), "ratio cache size mismatch");
-        let _g = trace::guard(
-            tracer,
-            tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
-        );
-        let n = inst.len();
-        let mut acc = SuccessAccumulator::new(n, AccumMode::LogDomain);
-        let mut selected: Vec<usize> = Vec::new();
-        let mut stats = SelectionStats::default();
-        let cap = self.max_links.unwrap_or(n);
-        while selected.len() < cap {
-            let mut best: Option<(usize, f64)> = None;
-            for j in 0..n {
-                // `strictly_positive` also rejects NaN weights.
-                if acc.prob(j) != 0.0 || !crate::capacity::strictly_positive(inst.weight(j)) {
-                    continue;
-                }
-                stats.candidates_scored += 1;
-                let gain = acc.activation_gain(ratios, inst.weights, j);
-                if best.is_none_or(|(_, g)| gain.total_cmp(&g).is_gt()) {
-                    best = Some((j, gain));
-                }
-            }
-            match best {
-                Some((j, gain)) if gain > self.min_gain => {
-                    acc.insert(ratios, j);
-                    selected.push(j);
-                }
-                _ => break,
-            }
-        }
-        stats.accepted = selected.len() as u64;
-        stats.rejected = stats.candidates_scored.saturating_sub(stats.accepted);
-        stats.rederivations = acc.rederivations();
-        (selected, stats)
-    }
-
-    /// [`select`](Self::select) against an ε-truncated sparse ratio
-    /// cache — the large-instance path. With truncation bound `δ = 0`
-    /// the cache is bit-equal to the dense one and so is the selection;
-    /// for `δ > 0` the selector greedily maximizes the certified sparse
-    /// objective, whose per-link values sit within `[Q·e^{−τᵢ}, Q]` of
-    /// the exact dense ones. A candidate is scored in O(deg) instead of
-    /// O(n), so a full run costs O(rounds · n + Σ deg) — this is what
-    /// makes queue-weighted scheduling feasible at n ≈ 10⁵.
-    pub fn select_sparse(&self, ratios: &SparseInterferenceRatios) -> Vec<usize> {
-        self.select_sparse_stats(ratios, None, None).0
-    }
-
-    /// [`select_sparse`](Self::select_sparse) with optional per-link
-    /// weights and the same work tally and optional
-    /// `selector/rayleigh_greedy` span as
-    /// [`select_with_ratios_stats`](Self::select_with_ratios_stats). NaN
-    /// or non-positive weights exclude a link.
-    ///
-    /// # Panics
-    /// If a weight vector is given and its length does not match the cache.
-    pub fn select_sparse_stats(
-        &self,
-        ratios: &SparseInterferenceRatios,
+        ratios: &R,
         weights: Option<&[f64]>,
         tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
@@ -270,7 +214,7 @@ impl RayleighGreedy {
             tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
         );
         let weight = |j: usize| weights.map_or(1.0, |w| w[j]);
-        let mut acc = SparseSuccessAccumulator::new(n);
+        let mut acc = SuccessAccumulator::new(n);
         let mut selected: Vec<usize> = Vec::new();
         let mut stats = SelectionStats::default();
         let cap = self.max_links.unwrap_or(n);
@@ -304,8 +248,7 @@ impl RayleighGreedy {
 impl GreedyCapacity {
     /// [`CapacityAlgorithm::select`] that also returns the work tally:
     /// every link whose affectance guards were evaluated counts as
-    /// scored, and scored − accepted as rejected (`rederivations` is
-    /// always 0 — this selector keeps no incremental evaluator). With a
+    /// scored, and scored − accepted as rejected. With a
     /// `tracer`, the affectance build and the guarded scan run under a
     /// `selector/greedy` span (same sampling caveat as
     /// [`RayleighGreedy::select_with_ratios_stats`]).
@@ -391,7 +334,9 @@ impl CapacityAlgorithm for GreedyCapacity {
 mod tests {
     use super::*;
     use rayfade_geometry::PaperTopology;
-    use rayfade_sinr::{is_feasible, GainMatrix, PowerAssignment, SinrParams};
+    use rayfade_sinr::{
+        is_feasible, GainMatrix, PowerAssignment, SinrParams, SparseInterferenceRatios,
+    };
 
     fn paper_instance(seed: u64, n: usize) -> (GainMatrix, SinrParams) {
         let net = PaperTopology {
@@ -530,8 +475,8 @@ mod tests {
         let ratios = InterferenceRatios::new(&gm, &params);
         let rayleigh = RayleighGreedy::new();
         assert_eq!(
-            rayleigh.select_with_ratios_stats(&ratios, &inst, Some(&tracer)),
-            rayleigh.select_with_ratios_stats(&ratios, &inst, None)
+            rayleigh.select_with_ratios_stats(&ratios, None, Some(&tracer)),
+            rayleigh.select_with_ratios_stats(&ratios, None, None)
         );
         let trace = tracer.snapshot();
         assert_eq!(trace.dropped, 0);
@@ -706,32 +651,27 @@ mod tests {
         let inst = CapacityInstance::unweighted(&gm, &params);
         let ratios = InterferenceRatios::new(&gm, &params);
         let direct = RayleighGreedy::new().select(&inst);
-        let cached = RayleighGreedy::new().select_with_ratios(&ratios, &inst);
+        let cached = RayleighGreedy::new().select_with_ratios(&ratios, None);
         assert_eq!(direct, cached);
     }
 
     #[test]
     fn sparse_selection_matches_dense_at_delta_zero() {
         let (gm, params) = paper_instance(9, 30);
-        let inst = CapacityInstance::unweighted(&gm, &params);
         let dense = InterferenceRatios::new(&gm, &params);
         let sparse = SparseInterferenceRatios::from_gain(&gm, &params, 0.0);
         let alg = RayleighGreedy::new();
-        let (dense_set, dense_stats) = alg.select_with_ratios_stats(&dense, &inst, None);
-        let (sparse_set, sparse_stats) = alg.select_sparse_stats(&sparse, None, None);
-        assert_eq!(dense_set, sparse_set, "delta = 0 must reproduce dense");
         assert_eq!(
-            dense_stats.candidates_scored,
-            sparse_stats.candidates_scored
+            alg.select_with_ratios_stats(&dense, None, None),
+            alg.select_with_ratios_stats(&sparse, None, None),
+            "delta = 0 must reproduce the dense selection and its stats"
         );
-        assert_eq!(dense_stats.accepted, sparse_stats.accepted);
 
         // Weighted variant too.
         let w: Vec<f64> = (0..30).map(|i| 1.0 + (i % 5) as f64).collect();
-        let winst = CapacityInstance::weighted(&gm, &params, &w);
         assert_eq!(
-            alg.select_with_ratios(&dense, &winst),
-            alg.select_sparse_stats(&sparse, Some(&w), None).0
+            alg.select_with_ratios_stats(&dense, Some(&w), None),
+            alg.select_with_ratios_stats(&sparse, Some(&w), None)
         );
     }
 
@@ -748,9 +688,7 @@ mod tests {
         let params = SinrParams::new(2.0, 2.0, 0.0);
         let sparse = SparseInterferenceRatios::from_gain(&gm, &params, 0.0);
         let w = vec![f64::NAN, 0.0, 1.0];
-        let set = RayleighGreedy::new()
-            .select_sparse_stats(&sparse, Some(&w), None)
-            .0;
+        let set = RayleighGreedy::new().select_with_ratios(&sparse, Some(&w));
         assert_eq!(set, vec![2]);
     }
 
@@ -761,8 +699,8 @@ mod tests {
         let alg = RayleighGreedy::new();
         let tracer = Tracer::new();
         assert_eq!(
-            alg.select_sparse_stats(&sparse, None, Some(&tracer)),
-            alg.select_sparse_stats(&sparse, None, None),
+            alg.select_with_ratios_stats(&sparse, None, Some(&tracer)),
+            alg.select_with_ratios_stats(&sparse, None, None),
             "tracing must not change the selection"
         );
         let trace = tracer.snapshot();
@@ -785,11 +723,10 @@ mod tests {
         assert_eq!(set, GreedyCapacity::new().select(&inst), "same selection");
         assert_eq!(stats.accepted, set.len() as u64);
         assert_eq!(stats.candidates_scored, stats.accepted + stats.rejected);
-        assert_eq!(stats.rederivations, 0, "no incremental evaluator here");
         assert!(stats.candidates_scored >= set.len() as u64);
 
         let ratios = InterferenceRatios::new(&gm, &params);
-        let (rset, rstats) = RayleighGreedy::new().select_with_ratios_stats(&ratios, &inst, None);
+        let (rset, rstats) = RayleighGreedy::new().select_with_ratios_stats(&ratios, None, None);
         assert_eq!(rset, RayleighGreedy::new().select(&inst), "same selection");
         assert_eq!(rstats.accepted, rset.len() as u64);
         assert_eq!(rstats.candidates_scored, rstats.accepted + rstats.rejected);

@@ -35,13 +35,11 @@ pub(crate) fn strictly_positive(x: f64) -> bool {
 }
 
 /// Work tally of one capacity-selection invocation, for observability:
-/// how many candidate links were scored, how many were accepted into the
-/// transmit set vs. rejected, and how many times an incremental
-/// evaluator's underflow guard forced an O(n) product re-derivation
-/// (always 0 for selectors that keep no accumulator). Metrics stay the
-/// caller's job — the dynamic engine and bench binaries fold these
-/// tallies into their own counters — but the `select_*_stats` selectors
-/// emit a wall-time span when given a tracer (e.g.
+/// how many candidate links were scored and how many were accepted into
+/// the transmit set vs. rejected. Metrics stay the caller's job — the
+/// dynamic engine and bench binaries fold these tallies into their own
+/// counters — but the `select_*_stats` selectors emit a wall-time span
+/// when given a tracer (e.g.
 /// [`greedy::GreedyCapacity::select_with_stats`]) so profiles can
 /// attribute slot time to candidate scoring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,8 +51,6 @@ pub struct SelectionStats {
     /// Scored candidates not part of the returned set (guard failures,
     /// insufficient marginal gain, or losing the per-round argmax).
     pub rejected: u64,
-    /// Underflow/precision-guard trips in the incremental evaluator.
-    pub rederivations: u64,
 }
 
 impl SelectionStats {
@@ -63,7 +59,6 @@ impl SelectionStats {
         self.candidates_scored += other.candidates_scored;
         self.accepted += other.accepted;
         self.rejected += other.rejected;
-        self.rederivations += other.rederivations;
     }
 }
 

@@ -12,7 +12,7 @@ use crate::capacity::greedy::RayleighGreedy;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayfade_sinr::{AccumMode, Affectance, InterferenceRatios, SuccessAccumulator};
+use rayfade_sinr::{Affectance, InterferenceRatios, SuccessAccumulator};
 use serde::{Deserialize, Serialize};
 
 /// Exact maximum-weight feasible set via depth-first branch-and-bound.
@@ -435,8 +435,8 @@ impl RayleighLocalSearch {
     pub fn select(&self, inst: &CapacityInstance<'_>) -> Vec<usize> {
         let ratios = InterferenceRatios::new(inst.gain, inst.params);
         let n = inst.len();
-        let mut acc = SuccessAccumulator::new(n, AccumMode::LogDomain);
-        for &i in &RayleighGreedy::new().select_with_ratios(&ratios, inst) {
+        let mut acc = SuccessAccumulator::new(n);
+        for &i in &RayleighGreedy::new().select_with_ratios(&ratios, inst.weights) {
             acc.insert(&ratios, i);
         }
         for _sweep in 0..self.max_sweeps {

@@ -29,10 +29,11 @@
 //! row-blocks the same way instead of striding the receiver-major matrix.
 //!
 //! Capacity: nonzero factors are at least `2⁻⁵³` (the smallest gap below
-//! 1.0), so one quantized log is at most `37 · 2³⁸ ≈ 10¹³` in magnitude
-//! and per-receiver sums stay far from `i64` overflow for every dense
-//! instance below the sparse crossover (the only sizes this type is
-//! routed at; overflow would need n ≈ 10⁶ all-worst-case factors).
+//! 1.0), so one quantized log is at most `53·ln 2·2³⁸ ≈ 1.0·10¹³` in
+//! magnitude. A receiver's sum therefore cannot overflow `i64` unless
+//! more than `i64::MAX / (53·ln 2·2³⁸) ≈ 9.1·10⁵` senders all contribute
+//! that worst case at it, and at that n the n² `i64` table alone would
+//! need ≈ 6.7 TB. This type is routed only below the sparse crossover.
 
 use crate::gain::GainMatrix;
 use crate::params::SinrParams;
@@ -263,7 +264,7 @@ impl AmortizedAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ratio::{AccumMode, SuccessAccumulator};
+    use crate::ratio::SuccessAccumulator;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -284,7 +285,7 @@ mod tests {
     fn matches_float_accumulator_within_quantization() {
         let ratios = ratios4();
         let mut amortized = AmortizedAccumulator::new(&ratios);
-        let mut float = SuccessAccumulator::new(4, AccumMode::LogDomain);
+        let mut float = SuccessAccumulator::new(4);
         let probs = [0.7, 0.0, 1.0, 0.3];
         amortized.set_probs(&ratios, &probs);
         float.set_probs(&ratios, &probs);

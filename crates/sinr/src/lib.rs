@@ -16,12 +16,13 @@
 //!   machinery,
 //! * [`ratio`] — cached Theorem-1 interference ratios and the incremental
 //!   success-probability accumulator shared by the Rayleigh hot paths,
+//!   generic over the dense and the sparse ratio table,
 //! * [`amortized`] — churn-amortized quantized-log mirror of the ratio
 //!   accumulator whose incremental state is bit-equal to a from-scratch
 //!   rebuild (the analytic slot resolver's persistent cache),
-//! * [`sparse`] — ε-truncated sparse mirror of the ratio cache with a
-//!   certified per-receiver error interval, for instances far beyond the
-//!   dense O(n²) limit,
+//! * [`sparse`] — ε-truncated sparse ratio table with a certified
+//!   per-receiver error interval, for instances far beyond the dense
+//!   O(n²) limit,
 //! * [`utility`] — valid utility functions (Definition 1): binary,
 //!   weighted, Shannon.
 //!
@@ -55,10 +56,8 @@ pub use nonfading::{
 pub use params::SinrParams;
 pub use power::PowerAssignment;
 pub use power_iteration::{solve_min_powers, PowerIterationConfig, PowerSolve};
-pub use ratio::{kahan_sum, AccumMode, InterferenceRatios, SuccessAccumulator};
-pub use sparse::{
-    sparse_spectral_report, truncation_budget, SparseInterferenceRatios, SparseSuccessAccumulator,
-};
+pub use ratio::{kahan_sum, InterferenceRatios, RatioTable, SuccessAccumulator};
+pub use sparse::{truncation_budget, SparseInterferenceRatios, SparseSuccessAccumulator};
 pub use spectral::{max_feasible_threshold, spectral_report, SpectralReport};
 pub use utility::{
     is_valid_utility, BinaryUtility, LogisticUtility, ShannonUtility, UtilityFunction,

@@ -17,32 +17,28 @@
 //! incrementally: toggling one sender updates every affected product in
 //! O(n) instead of recomputing all of them in O(n²).
 //!
-//! # Log-domain vs. product accumulation
+//! # One accumulator, two tables
 //!
-//! Two accumulation strategies are provided ([`AccumMode`]):
-//!
-//! * **Log-domain** (default): each receiver keeps `Σ ln(1 − ρ·q_j)`;
-//!   adding or removing a sender adds or subtracts one logarithm. Sums are
-//!   immune to underflow (a product of 10⁵ factors of `0.99` underflows no
-//!   accumulator), but every query pays one `exp` and long add/remove
-//!   sequences accumulate rounding at ~1 ulp of the *sum* per operation —
-//!   still far inside 1e-12 for realistic magnitudes.
-//! * **Product**: each receiver keeps the raw product and multiplies or
-//!   divides by single factors. Queries are a multiplication (no `exp`),
-//!   and short sequences are bit-faithful to the scratch evaluation; the
-//!   trade-off is that dividing by tiny factors amplifies error and long
-//!   products can underflow, so the accumulator re-derives a receiver's
-//!   product from scratch (exact, O(n)) whenever a guard detects either
-//!   hazard.
+//! [`SuccessAccumulator`] reads its ratios through the [`RatioTable`]
+//! trait, which this dense cache and the ε-truncated CSR
+//! [`SparseInterferenceRatios`](crate::sparse::SparseInterferenceRatios)
+//! both implement. Each receiver keeps `Σ ln(1 − ρ·q_j)`; adding or
+//! removing a sender adds or subtracts one logarithm. Sums are immune to
+//! underflow (a product of 10⁵ factors of `0.99` underflows no
+//! accumulator), but every query pays one `exp` and long add/remove
+//! sequences accumulate rounding at ~1 ulp of the *sum* per operation —
+//! still far inside 1e-12 for realistic magnitudes. Both tables hand over
+//! a sender's ratios in ascending receiver order, so a sparse table that
+//! dropped nothing (`δ = 0`) gives the dense table's bits.
 //!
 //! Factors that are exactly zero (possible when `ρ·q` rounds to 1) are
-//! excluded from both accumulators and tracked by count, so removing the
-//! offending sender restores the exact nonzero product instead of
-//! dividing by zero.
+//! excluded from the sums and tracked by count, so removing the offending
+//! sender restores the exact nonzero product instead of taking the
+//! logarithm of zero.
 //!
 //! This module is deliberately model-agnostic plumbing: the Rayleigh
 //! semantics (Theorem 1 itself) live in `rayfade-core`, whose
-//! `SuccessEvaluator` wraps these types; they are exposed here so the
+//! evaluators wrap these types; they are exposed here so the
 //! non-fading algorithm layer (`rayfade-sched`) can reuse the same cache
 //! without a dependency cycle.
 
@@ -174,98 +170,90 @@ impl InterferenceRatios {
     }
 }
 
-/// Accumulation strategy of a [`SuccessAccumulator`] (see the module docs
-/// for the trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AccumMode {
-    /// Per-receiver `Σ ln(factor)` sums; underflow-proof, one `exp` per
-    /// query.
-    #[default]
-    LogDomain,
-    /// Per-receiver raw products with exact multiply/divide updates,
-    /// guarded against underflow by O(n) from-scratch re-derivation.
-    Product,
+/// A Theorem 1 ratio table that [`SuccessAccumulator`] evaluates over:
+/// the dense [`InterferenceRatios`] or the ε-truncated CSR
+/// [`SparseInterferenceRatios`](crate::sparse::SparseInterferenceRatios).
+pub trait RatioTable {
+    /// Number of links.
+    fn len(&self) -> usize;
+
+    /// Whether the table has no links.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Noise factor `exp(−β·ν/S̄_{i,i})` of link `i` (0 for a dead link).
+    fn noise_factor(&self, i: usize) -> f64;
+
+    /// Certified truncated log-mass `τᵢ` at receiver `i`: the exact
+    /// Theorem 1 probability lies in `[p·e^{−τᵢ}, p]` around the value `p`
+    /// evaluated on this table. 0 on a table that drops nothing.
+    fn tau(&self, i: usize) -> f64;
+
+    /// Sender `j`'s ratios as `(i, ρ(j → i))` pairs, in ascending receiver
+    /// order. A table may hand over zero ratios, which consumers skip; the
+    /// ratios come by reference so that a consumer skipping receiver `i`
+    /// for another reason never reads one.
+    fn sender_ratios(&self, j: usize) -> impl Iterator<Item = (usize, &f64)> + '_;
 }
 
-/// Product accumulator: falls back to an exact re-derivation when a
-/// division would amplify error or the running product nears underflow.
-const PRODUCT_UNDERFLOW_GUARD: f64 = 1e-280;
-/// Dividing by factors below this loses too many bits; re-derive instead.
-const DIVISOR_GUARD: f64 = 1e-140;
+impl RatioTable for InterferenceRatios {
+    #[inline]
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn noise_factor(&self, i: usize) -> f64 {
+        self.noise[i]
+    }
+
+    /// Always 0: the dense table keeps every ratio.
+    #[inline]
+    fn tau(&self, _i: usize) -> f64 {
+        0.0
+    }
+
+    /// Column `j` of the receiver-major matrix, zeros (the diagonal among
+    /// them) included: a strided walk whose loads a consumer only pays
+    /// for the receivers it reads.
+    #[inline]
+    fn sender_ratios(&self, j: usize) -> impl Iterator<Item = (usize, &f64)> + '_ {
+        assert!(j < self.n, "sender {j} out of range");
+        self.rho[j..].iter().step_by(self.n).enumerate()
+    }
+}
 
 /// Incrementally maintained per-receiver interference products for a
 /// changing transmission-probability vector.
 ///
 /// The accumulator stores the current probabilities `q` and, per receiver
-/// `i`, the product `Π_{j≠i, q_j>0} (1 − ρ(j→i)·q_j)` in the chosen
-/// [`AccumMode`]. Changing one `q_j` ([`set_prob`](Self::set_prob),
-/// [`insert`](Self::insert), [`remove`](Self::remove)) updates every
-/// receiver's product in O(n) total. All methods take the
-/// [`InterferenceRatios`] the accumulator was sized for; callers keep the
-/// two together (the `rayfade-core` `SuccessEvaluator` bundles them).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `i`, the log-domain sum `Σ_{j≠i, q_j>0} ln(1 − ρ(j→i)·q_j)` over the
+/// nonzero factors. Changing one `q_j` ([`set_prob`](Self::set_prob),
+/// [`insert`](Self::insert), [`remove`](Self::remove)) updates the
+/// receivers of sender `j` only: O(n) on the dense table, O(deg j) on the
+/// sparse one. All methods take the [`RatioTable`] the accumulator was
+/// sized for; callers keep the two together (the `rayfade-core`
+/// evaluators bundle them).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuccessAccumulator {
-    mode: AccumMode,
     /// Current transmission probabilities.
     q: Vec<f64>,
-    /// Log-domain: `Σ ln(factor)` over nonzero factors; product mode: the
-    /// running product over nonzero factors.
+    /// Per-receiver `Σ ln(factor)` over nonzero factors.
     acc: Vec<f64>,
     /// Number of exactly-zero factors at each receiver (the product is 0
     /// while any exist, but they never enter `acc`).
     zeros: Vec<u32>,
-    /// Lifetime count of underflow/precision-guard trips (each one an O(n)
-    /// [`Self::rederive_product`]); diagnostics only, excluded from
-    /// equality.
-    rederivations: u64,
-}
-
-/// Equality compares the semantic state (mode, probabilities, products,
-/// zero counts) and deliberately ignores the [`Self::rederivations`]
-/// diagnostic counter: two accumulators that answer every query
-/// identically are equal regardless of how often their guards tripped.
-impl PartialEq for SuccessAccumulator {
-    fn eq(&self, other: &Self) -> bool {
-        self.mode == other.mode
-            && self.q == other.q
-            && self.acc == other.acc
-            && self.zeros == other.zeros
-    }
 }
 
 impl SuccessAccumulator {
     /// Empty accumulator (all probabilities 0) for `n` links.
-    pub fn new(n: usize, mode: AccumMode) -> Self {
+    pub fn new(n: usize) -> Self {
         SuccessAccumulator {
-            mode,
             q: vec![0.0; n],
-            acc: vec![Self::identity(mode); n],
+            acc: vec![0.0; n],
             zeros: vec![0; n],
-            rederivations: 0,
         }
-    }
-
-    /// Lifetime number of underflow/precision-guard trips — from-scratch
-    /// O(n) [`AccumMode::Product`] re-derivations this accumulator has
-    /// performed (always 0 in log-domain mode). Cumulative: not cleared by
-    /// [`reset`](Self::reset), so telemetry can report a run's total.
-    #[inline]
-    pub fn rederivations(&self) -> u64 {
-        self.rederivations
-    }
-
-    #[inline]
-    fn identity(mode: AccumMode) -> f64 {
-        match mode {
-            AccumMode::LogDomain => 0.0,
-            AccumMode::Product => 1.0,
-        }
-    }
-
-    /// The accumulation mode.
-    #[inline]
-    pub fn mode(&self) -> AccumMode {
-        self.mode
     }
 
     /// Number of links.
@@ -294,19 +282,19 @@ impl SuccessAccumulator {
 
     /// Resets every probability to 0 — O(n), no reallocation.
     pub fn reset(&mut self) {
-        let id = Self::identity(self.mode);
         for ((q, acc), z) in self.q.iter_mut().zip(&mut self.acc).zip(&mut self.zeros) {
             *q = 0.0;
-            *acc = id;
+            *acc = 0.0;
             *z = 0;
         }
     }
 
-    /// Sets the whole probability vector — O(n²) rebuild.
+    /// Sets the whole probability vector — one [`set_prob`](Self::set_prob)
+    /// per nonzero entry: O(n²) dense, O(nnz) sparse.
     ///
     /// # Panics
     /// If lengths mismatch or any probability is outside `[0, 1]`.
-    pub fn set_probs(&mut self, ratios: &InterferenceRatios, probs: &[f64]) {
+    pub fn set_probs<R: RatioTable>(&mut self, ratios: &R, probs: &[f64]) {
         assert_eq!(probs.len(), self.q.len(), "one probability per link");
         self.reset();
         for (j, &p) in probs.iter().enumerate() {
@@ -316,8 +304,9 @@ impl SuccessAccumulator {
         }
     }
 
-    /// Sets every probability to the same value `q` — O(n²).
-    pub fn set_uniform(&mut self, ratios: &InterferenceRatios, q: f64) {
+    /// Sets every probability to the same value `q`: O(n²) dense, O(nnz)
+    /// sparse.
+    pub fn set_uniform<R: RatioTable>(&mut self, ratios: &R, q: f64) {
         self.reset();
         if q != 0.0 {
             for j in 0..self.q.len() {
@@ -326,13 +315,12 @@ impl SuccessAccumulator {
         }
     }
 
-    /// Changes `q_j`, updating all affected receiver products in O(n)
-    /// (amortized; the product mode may re-derive a guarded receiver in
-    /// O(n)).
+    /// Changes `q_j`, updating the sums of the receivers sender `j` has a
+    /// ratio at.
     ///
     /// # Panics
     /// If `q` is outside `[0, 1]` or `j` is out of range.
-    pub fn set_prob(&mut self, ratios: &InterferenceRatios, j: usize, q_new: f64) {
+    pub fn set_prob<R: RatioTable>(&mut self, ratios: &R, j: usize, q_new: f64) {
         assert!(
             (0.0..=1.0).contains(&q_new),
             "probabilities must lie in [0, 1]"
@@ -343,15 +331,8 @@ impl SuccessAccumulator {
             return;
         }
         self.q[j] = q_new;
-        let n = self.q.len();
-        for i in 0..n {
-            if i == j {
-                continue;
-            }
-            let rho = ratios.rho(j, i);
-            if rho == 0.0 {
-                continue;
-            }
+        for (i, &rho) in ratios.sender_ratios(j) {
+            // A zero ratio gives old = new = 1 and is skipped below.
             let old = if q_old == 0.0 { 1.0 } else { 1.0 - rho * q_old };
             let new = if q_new == 0.0 { 1.0 } else { 1.0 - rho * q_new };
             if old == new {
@@ -361,86 +342,44 @@ impl SuccessAccumulator {
             if old == 0.0 {
                 self.zeros[i] -= 1;
             } else if old != 1.0 {
-                match self.mode {
-                    AccumMode::LogDomain => self.acc[i] -= old.ln(),
-                    AccumMode::Product => {
-                        if old < DIVISOR_GUARD || self.acc[i] < PRODUCT_UNDERFLOW_GUARD {
-                            self.rederive_product(ratios, i);
-                            continue; // rederivation already used q_new
-                        }
-                        self.acc[i] /= old;
-                    }
-                }
+                self.acc[i] -= old.ln();
             }
             // Apply the new factor.
             if new == 0.0 {
                 self.zeros[i] += 1;
             } else if new != 1.0 {
-                match self.mode {
-                    AccumMode::LogDomain => self.acc[i] += new.ln(),
-                    AccumMode::Product => {
-                        self.acc[i] *= new;
-                        if self.acc[i] < PRODUCT_UNDERFLOW_GUARD {
-                            self.rederive_product(ratios, i);
-                        }
-                    }
-                }
+                self.acc[i] += new.ln();
             }
         }
     }
 
     /// Sets `q_j = 1` (link joins the transmit set).
     #[inline]
-    pub fn insert(&mut self, ratios: &InterferenceRatios, j: usize) {
+    pub fn insert<R: RatioTable>(&mut self, ratios: &R, j: usize) {
         self.set_prob(ratios, j, 1.0);
     }
 
     /// Sets `q_j = 0` (link leaves the transmit set).
     #[inline]
-    pub fn remove(&mut self, ratios: &InterferenceRatios, j: usize) {
+    pub fn remove<R: RatioTable>(&mut self, ratios: &R, j: usize) {
         self.set_prob(ratios, j, 0.0);
     }
 
-    /// Exact O(n) from-scratch re-derivation of one receiver's product —
-    /// the underflow/precision fallback of the product mode.
-    fn rederive_product(&mut self, ratios: &InterferenceRatios, i: usize) {
-        debug_assert_eq!(self.mode, AccumMode::Product);
-        self.rederivations += 1;
-        let mut prod = 1.0f64;
-        let mut zeros = 0u32;
-        let row = ratios.at_receiver(i);
-        for (j, (&rho, &q)) in row.iter().zip(&self.q).enumerate() {
-            if j == i || rho == 0.0 || q == 0.0 {
-                continue;
-            }
-            let f = 1.0 - rho * q;
-            if f == 0.0 {
-                zeros += 1;
-            } else {
-                prod *= f;
-            }
-        }
-        self.acc[i] = prod;
-        self.zeros[i] = zeros;
-    }
-
     /// The interference product `Π_{j≠i, q_j>0} (1 − ρ(j→i)·q_j)` at
-    /// receiver `i` — O(1) (one `exp` in log-domain mode).
+    /// receiver `i` — O(1), one `exp`.
     #[inline]
     pub fn interference_product(&self, i: usize) -> f64 {
         if self.zeros[i] > 0 {
             return 0.0;
         }
-        match self.mode {
-            AccumMode::LogDomain => self.acc[i].exp(),
-            AccumMode::Product => self.acc[i],
-        }
+        self.acc[i].exp()
     }
 
     /// Success probability of link `i` under the current probabilities
-    /// (Theorem 1): `q_i · noise_i · Π factors` — O(1).
+    /// (Theorem 1): `q_i · noise_i · Π factors` — O(1). On a truncated
+    /// table this is the upper end of the certified interval.
     #[inline]
-    pub fn success_probability(&self, ratios: &InterferenceRatios, i: usize) -> f64 {
+    pub fn success_probability<R: RatioTable>(&self, ratios: &R, i: usize) -> f64 {
         let q_i = self.q[i];
         if q_i == 0.0 {
             return 0.0;
@@ -452,12 +391,22 @@ impl SuccessAccumulator {
     /// (`q_i` overridden to 1; interference unchanged) — O(1). This is the
     /// quantity behind the Section 6 expected reward `2·Q_i − 1`.
     #[inline]
-    pub fn conditional_success_probability(&self, ratios: &InterferenceRatios, i: usize) -> f64 {
+    pub fn conditional_success_probability<R: RatioTable>(&self, ratios: &R, i: usize) -> f64 {
         ratios.noise_factor(i) * self.interference_product(i)
     }
 
+    /// Certified interval `[p·e^{−τᵢ}, p]` containing the exact Theorem 1
+    /// probability of link `i`, where `p` is
+    /// [`success_probability`](Self::success_probability); collapsed to
+    /// `[p, p]` where `τᵢ = 0`.
+    #[inline]
+    pub fn success_interval<R: RatioTable>(&self, ratios: &R, i: usize) -> (f64, f64) {
+        let hi = self.success_probability(ratios, i);
+        (hi * (-ratios.tau(i)).exp(), hi)
+    }
+
     /// All success probabilities — O(n).
-    pub fn success_probabilities(&self, ratios: &InterferenceRatios) -> Vec<f64> {
+    pub fn success_probabilities<R: RatioTable>(&self, ratios: &R) -> Vec<f64> {
         (0..self.q.len())
             .map(|i| self.success_probability(ratios, i))
             .collect()
@@ -465,26 +414,35 @@ impl SuccessAccumulator {
 
     /// Expected number of successes `Σ_i Q_i` under the current
     /// probabilities — O(n), compensated summation.
-    pub fn expected_successes(&self, ratios: &InterferenceRatios) -> f64 {
+    pub fn expected_successes<R: RatioTable>(&self, ratios: &R) -> f64 {
         kahan_sum((0..self.q.len()).map(|i| self.success_probability(ratios, i)))
     }
 
+    /// Certified interval containing the exact expected number of
+    /// successes: lower and upper compensated sums of the per-link
+    /// intervals.
+    pub fn expected_successes_interval<R: RatioTable>(&self, ratios: &R) -> (f64, f64) {
+        let lo = kahan_sum((0..self.q.len()).map(|i| self.success_interval(ratios, i).0));
+        (lo, self.expected_successes(ratios))
+    }
+
     /// Change in *weighted* expected successes `Σ_i w_i·Q_i` if the
-    /// currently-silent link `j` were activated (`q_j: 0 → 1`) — O(n),
-    /// without mutating the accumulator:
+    /// currently-silent link `j` were activated (`q_j: 0 → 1`), without
+    /// mutating the accumulator:
     ///
     /// `Δ = w_j·Q_j|_{q_j=1} − Σ_{i≠j} w_i·Q_i·ρ(j→i)`
     ///
-    /// (activating `j` multiplies every other `Q_i` by `1 − ρ(j→i)`).
-    /// `weights = None` means unit weights. This is the greedy re-scoring
-    /// primitive: one candidate scan costs O(n) instead of the O(n²)
+    /// (activating `j` multiplies every other `Q_i` by `1 − ρ(j→i)`), the
+    /// loss summed in ascending receiver order. `weights = None` means unit
+    /// weights. This is the greedy re-scoring primitive: one candidate
+    /// costs O(n) dense, O(deg j) sparse, instead of the O(n²)
     /// from-scratch evaluation.
     ///
     /// # Panics
     /// If link `j` is not currently silent (`q_j ≠ 0`).
-    pub fn activation_gain(
+    pub fn activation_gain<R: RatioTable>(
         &self,
-        ratios: &InterferenceRatios,
+        ratios: &R,
         weights: Option<&[f64]>,
         j: usize,
     ) -> f64 {
@@ -492,12 +450,10 @@ impl SuccessAccumulator {
         let w = |i: usize| weights.map_or(1.0, |w| w[i]);
         let own = w(j) * self.conditional_success_probability(ratios, j);
         let mut lost = 0.0;
-        for i in 0..self.q.len() {
-            if i == j || self.q[i] == 0.0 {
-                continue;
-            }
-            let rho = ratios.rho(j, i);
-            if rho != 0.0 {
+        for (i, rho) in ratios.sender_ratios(j) {
+            // Silent receivers lose nothing; test q first so that their
+            // ratios are never read.
+            if self.q[i] != 0.0 && *rho != 0.0 {
                 lost += w(i) * self.success_probability(ratios, i) * rho;
             }
         }
@@ -559,46 +515,39 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_scratch_in_both_modes() {
+    fn accumulator_matches_scratch() {
         let (gm, params, r) = ratios2();
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut acc = SuccessAccumulator::new(2, mode);
-            acc.set_probs(&r, &[0.8, 0.6]);
-            for i in 0..2 {
-                let got = acc.success_probability(&r, i);
-                let want = scratch(&gm, &params, &[0.8, 0.6], i);
-                assert!(
-                    (got - want).abs() < 1e-14,
-                    "{mode:?} link {i}: {got} vs {want}"
-                );
-            }
+        let mut acc = SuccessAccumulator::new(2);
+        acc.set_probs(&r, &[0.8, 0.6]);
+        for i in 0..2 {
+            let got = acc.success_probability(&r, i);
+            let want = scratch(&gm, &params, &[0.8, 0.6], i);
+            assert!((got - want).abs() < 1e-14, "link {i}: {got} vs {want}");
         }
     }
 
     #[test]
     fn incremental_updates_track_scratch() {
         let (gm, params, r) = ratios2();
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut acc = SuccessAccumulator::new(2, mode);
-            acc.insert(&r, 0);
-            acc.insert(&r, 1);
-            acc.set_prob(&r, 1, 0.25);
-            acc.remove(&r, 0);
-            acc.set_prob(&r, 0, 0.5);
-            let probs = [0.5, 0.25];
-            for i in 0..2 {
-                let got = acc.success_probability(&r, i);
-                let want = scratch(&gm, &params, &probs, i);
-                assert!((got - want).abs() < 1e-13, "{mode:?} link {i}");
-            }
-            assert_eq!(acc.probs(), &probs);
+        let mut acc = SuccessAccumulator::new(2);
+        acc.insert(&r, 0);
+        acc.insert(&r, 1);
+        acc.set_prob(&r, 1, 0.25);
+        acc.remove(&r, 0);
+        acc.set_prob(&r, 0, 0.5);
+        let probs = [0.5, 0.25];
+        for i in 0..2 {
+            let got = acc.success_probability(&r, i);
+            let want = scratch(&gm, &params, &probs, i);
+            assert!((got - want).abs() < 1e-13, "link {i}");
         }
+        assert_eq!(acc.probs(), &probs);
     }
 
     #[test]
     fn conditional_probability_ignores_own_q() {
         let (gm, params, r) = ratios2();
-        let mut acc = SuccessAccumulator::new(2, AccumMode::LogDomain);
+        let mut acc = SuccessAccumulator::new(2);
         acc.set_probs(&r, &[0.0, 0.7]);
         let cond = acc.conditional_success_probability(&r, 0);
         let want = scratch(&gm, &params, &[1.0, 0.7], 0);
@@ -618,7 +567,7 @@ mod tests {
         );
         let params = SinrParams::new(2.0, 1.5, 0.2);
         let r = InterferenceRatios::new(&gm, &params);
-        let mut acc = SuccessAccumulator::new(3, AccumMode::LogDomain);
+        let mut acc = SuccessAccumulator::new(3);
         acc.insert(&r, 0);
         let before: f64 = (0..3)
             .map(|i| scratch(&gm, &params, &[1.0, 0.0, 0.0], i))
@@ -649,120 +598,23 @@ mod tests {
         let params = SinrParams::new(2.0, 2.0, 0.0);
         let r = InterferenceRatios::new(&gm, &params);
         assert_eq!(r.factor(1, 0, 1.0), 0.0, "factor must round to zero");
-        for mode in [AccumMode::LogDomain, AccumMode::Product] {
-            let mut acc = SuccessAccumulator::new(2, mode);
-            acc.insert(&r, 0);
-            acc.insert(&r, 1);
-            assert_eq!(acc.success_probability(&r, 0), 0.0, "{mode:?}");
-            acc.remove(&r, 1);
-            let got = acc.success_probability(&r, 0);
-            let want = scratch(&gm, &params, &[1.0, 0.0], 0);
-            assert!((got - want).abs() < 1e-13, "{mode:?}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn product_mode_survives_underflow() {
-        // 40 interferers each contributing a 1e-8 factor drive the product
-        // to ~1e-320 — past the underflow guard. The rederivation keeps
-        // the accumulator exact once enough of them leave.
-        let n = 41;
-        let mut g = vec![0.0; n * n];
-        for j in 1..n {
-            g[j] = 1e9; // strong interferer at receiver 0
-            g[j * n + j] = 1.0;
-        }
-        g[0] = 1.0;
-        let gm = GainMatrix::from_raw(n, g);
-        let params = SinrParams::new(2.0, 1.0, 0.0);
-        let r = InterferenceRatios::new(&gm, &params);
-        let mut acc = SuccessAccumulator::new(n, AccumMode::Product);
-        for j in 0..n {
-            acc.insert(&r, j);
-        }
-        for j in 2..n {
-            acc.remove(&r, j);
-        }
-        let got = acc.success_probability(&r, 0);
-        let probs: Vec<f64> = (0..n).map(|j| if j < 2 { 1.0 } else { 0.0 }).collect();
-        let want = scratch(&gm, &params, &probs, 0);
-        assert!(want > 0.0);
-        let rel = (got - want).abs() / want;
-        assert!(rel < 1e-12, "relative error {rel}: {got} vs {want}");
-        assert!(
-            acc.rederivations() > 0,
-            "driving the product past the guard must be counted as a trip"
-        );
-    }
-
-    #[test]
-    fn rederivation_counter_counts_guard_trips() {
-        // 35 strong interferers at receiver 0 each contribute a ~5e-10
-        // factor, so the running product crosses PRODUCT_UNDERFLOW_GUARD
-        // (1e-280) during the inserts; once there, both the multiply-side
-        // and the retire-side guards re-derive on every further update.
-        let n = 36;
-        let mut g = vec![0.0; n * n];
-        g[0] = 1.0; // receiver 0 own signal
-        for j in 1..n {
-            g[j] = 1e9; // strong interferer at receiver 0
-            g[j * n + j] = 1.0;
-        }
-        let gm = GainMatrix::from_raw(n, g);
-        let params = SinrParams::new(2.0, 1.0, 0.0);
-        let r = InterferenceRatios::new(&gm, &params);
-
-        let mut acc = SuccessAccumulator::new(n, AccumMode::Product);
-        assert_eq!(acc.rederivations(), 0);
-        for j in 1..n {
-            acc.insert(&r, j);
-        }
-        let after_inserts = acc.rederivations();
-        assert!(
-            after_inserts > 0,
-            "underflow guard must trip during inserts"
-        );
-        acc.remove(&r, n - 1); // acc is below the guard: retire re-derives
-        assert!(
-            acc.rederivations() > after_inserts,
-            "retire-side guard must trip on remove"
-        );
-        // The trips kept the state exact.
+        let mut acc = SuccessAccumulator::new(2);
         acc.insert(&r, 0);
+        acc.insert(&r, 1);
+        assert_eq!(acc.success_probability(&r, 0), 0.0);
+        acc.remove(&r, 1);
         let got = acc.success_probability(&r, 0);
-        let probs: Vec<f64> = (0..n).map(|j| if j < n - 1 { 1.0 } else { 0.0 }).collect();
-        let want = scratch(&gm, &params, &probs, 0);
-        assert!(want > 0.0);
-        assert!(((got - want) / want).abs() < 1e-12, "{got} vs {want}");
-
-        // Log-domain mode never rederives.
-        let mut log_acc = SuccessAccumulator::new(n, AccumMode::LogDomain);
-        for j in 1..n {
-            log_acc.insert(&r, j);
-        }
-        log_acc.remove(&r, n - 1);
-        assert_eq!(log_acc.rederivations(), 0);
-    }
-
-    #[test]
-    fn equality_ignores_the_rederivation_counter() {
-        let (_, _, r) = ratios2();
-        let mut tripped = SuccessAccumulator::new(2, AccumMode::Product);
-        tripped.insert(&r, 0);
-        tripped.rederivations = 17; // simulate a guard-heavy history
-        let mut fresh = SuccessAccumulator::new(2, AccumMode::Product);
-        fresh.insert(&r, 0);
-        assert_eq!(tripped, fresh);
-        assert_ne!(tripped.rederivations(), fresh.rederivations());
+        let want = scratch(&gm, &params, &[1.0, 0.0], 0);
+        assert!((got - want).abs() < 1e-13, "{got} vs {want}");
     }
 
     #[test]
     fn reset_restores_empty_state() {
         let (_, _, r) = ratios2();
-        let mut acc = SuccessAccumulator::new(2, AccumMode::LogDomain);
+        let mut acc = SuccessAccumulator::new(2);
         acc.set_probs(&r, &[1.0, 1.0]);
         acc.reset();
-        assert_eq!(acc, SuccessAccumulator::new(2, AccumMode::LogDomain));
+        assert_eq!(acc, SuccessAccumulator::new(2));
         assert_eq!(acc.expected_successes(&r), 0.0);
     }
 
@@ -781,7 +633,7 @@ mod tests {
     #[should_panic(expected = "probabilities must lie in [0, 1]")]
     fn out_of_range_probability_rejected() {
         let (_, _, r) = ratios2();
-        let mut acc = SuccessAccumulator::new(2, AccumMode::LogDomain);
+        let mut acc = SuccessAccumulator::new(2);
         acc.set_prob(&r, 0, 1.5);
     }
 
@@ -789,7 +641,7 @@ mod tests {
     #[should_panic(expected = "activation_gain requires a silent link")]
     fn activation_gain_rejects_active_link() {
         let (_, _, r) = ratios2();
-        let mut acc = SuccessAccumulator::new(2, AccumMode::LogDomain);
+        let mut acc = SuccessAccumulator::new(2);
         acc.insert(&r, 0);
         let _ = acc.activation_gain(&r, None, 0);
     }

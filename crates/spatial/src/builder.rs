@@ -175,7 +175,6 @@ pub fn build_sparse_ratios_stats(
     let mut col = vec![0u32; nnz];
     let mut rho = vec![0.0f64; nnz];
     let mut noise = vec![0.0f64; n];
-    let mut signal = vec![0.0f64; n];
     let mut tau = vec![0.0f64; n];
     let mut stats = SparseBuildStats::default();
     let mut receivers = order.iter();
@@ -187,7 +186,6 @@ pub fn build_sparse_ratios_stats(
             col[at..at + row.len].copy_from_slice(&frag.col[start..end]);
             rho[at..at + row.len].copy_from_slice(&frag.rho[start..end]);
             noise[i] = row.noise;
-            signal[i] = row.signal;
             tau[i] = row.tau;
             start = end;
         }
@@ -203,16 +201,8 @@ pub fn build_sparse_ratios_stats(
             hist.observe(ti);
         }
     }
-    let ratios = SparseInterferenceRatios::from_raw_parts(
-        params.beta,
-        delta,
-        row_ptr,
-        col,
-        rho,
-        noise,
-        signal,
-        tau,
-    );
+    let ratios =
+        SparseInterferenceRatios::from_raw_parts(params.beta, delta, row_ptr, col, rho, noise, tau);
     if let Some(t) = tele {
         let reg = t.registry();
         reg.counter("rayfade_spatial_pairs_examined_total")
@@ -265,7 +255,6 @@ struct Row {
     /// Retained pairs.
     len: usize,
     noise: f64,
-    signal: f64,
     tau: f64,
 }
 
@@ -328,7 +317,6 @@ impl RingWalk<'_> {
             frag.rows.push(Row {
                 len: 0,
                 noise: 0.0,
-                signal: 0.0,
                 tau: 0.0,
             });
             return;
@@ -389,7 +377,6 @@ impl RingWalk<'_> {
         frag.rows.push(Row {
             len: entries.len(),
             noise,
-            signal: s_ii,
             tau: dropped + exterior,
         });
     }
@@ -479,7 +466,7 @@ mod tests {
     use super::*;
     use rayfade_geometry::generator::PaperTopology;
     use rayfade_geometry::LinkGeometry;
-    use rayfade_sinr::{kahan_sum, GainMatrix, InterferenceRatios, SparseSuccessAccumulator};
+    use rayfade_sinr::{kahan_sum, GainMatrix, InterferenceRatios, SuccessAccumulator};
 
     fn uniform(links: usize, side: f64, seed: u64) -> Network {
         PaperTopology {
@@ -535,10 +522,9 @@ mod tests {
             }
             assert!(sparse.tau(i) <= budget + 1e-15, "tau({i})");
         }
-        let mut acc = SparseSuccessAccumulator::new(net.len());
+        let mut acc = SuccessAccumulator::new(net.len());
         acc.set_uniform(&sparse, 0.7);
-        let mut dense_acc =
-            rayfade_sinr::SuccessAccumulator::new(net.len(), rayfade_sinr::AccumMode::LogDomain);
+        let mut dense_acc = SuccessAccumulator::new(net.len());
         dense_acc.set_uniform(&dense_r, 0.7);
         for i in 0..net.len() {
             let d = dense_acc.success_probability(&dense_r, i);

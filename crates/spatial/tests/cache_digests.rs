@@ -4,7 +4,7 @@
 //! from an earlier revision of the builder.
 //!
 //! Per row the digest covers the retained columns and the bits of each
-//! ρ, the noise factor, the own signal and the certificate τᵢ. The
+//! ρ, the noise factor and the certificate τᵢ. The
 //! configurations cover the 10⁴-link dynamic benchmark's density at two
 //! sizes and two truncation bounds, square-root power at α = 3, a
 //! clustered deployment (crowded and empty grid cells), a full scan
@@ -17,7 +17,9 @@
 //! δ > 0 builder constants were re-recorded when the lumped exterior
 //! bound gave way to the annulus-by-annulus tail bound, which moves the
 //! stop ring, τᵢ and the truncation of every such row; the full scan and
-//! the `from_gain` constant are the link-indexed builder's.
+//! the `from_gain` constant are the link-indexed builder's. All eight
+//! were recomputed, on the builder that produced them, when the table
+//! stopped carrying the own signal and the digest dropped that word.
 
 use rayfade_geometry::{ClusteredTopology, Network, PaperTopology};
 use rayfade_sinr::{GainMatrix, PowerAssignment, SinrParams, SparseInterferenceRatios};
@@ -51,7 +53,6 @@ fn digest(ratios: &SparseInterferenceRatios, stats: Option<&SparseBuildStats>) -
             d.word(r.to_bits());
         }
         d.word(ratios.noise_factor(i).to_bits());
-        d.word(ratios.signal(i).to_bits());
         d.word(ratios.tau(i).to_bits());
     }
     match stats {
@@ -136,20 +137,20 @@ fn cases() -> Vec<Case> {
             "aloha/n2048/delta1e-3",
             dense_2k.clone(),
             1e-3,
-            0x03f0acd24a7a0e75,
+            0xd45e0a2fdecea8b9,
         ),
-        case("aloha/n2048/delta5e-2", dense_2k, 5e-2, 0x0814f922c6b54018),
+        case("aloha/n2048/delta5e-2", dense_2k, 5e-2, 0xb0ab2e6a5415947c),
         case(
             "aloha/n10000/delta1e-3",
             dense_10k.clone(),
             1e-3,
-            0x69c0638c64dcb609,
+            0xa0fbe7531c186b51,
         ),
         case(
             "aloha/n10000/delta5e-2",
             dense_10k,
             5e-2,
-            0x9647da7331b0d269,
+            0xad208f8dbba9d591,
         ),
         Case {
             power: PowerAssignment::SquareRoot { scale: 2.0 },
@@ -158,20 +159,20 @@ fn cases() -> Vec<Case> {
                 "sqrt_power/alpha3/n1500/delta1e-2",
                 aloha_density(1500, 0xa3),
                 1e-2,
-                0xfef5201c584c0440,
+                0xa606fb1072ea4449,
             )
         },
         case(
             "clustered/n1500/delta1e-3",
             clustered(0xc1),
             1e-3,
-            0x8f7d4bb0771f36d5,
+            0x050766c4e7a6e262,
         ),
         case(
             "full_scan/n300/delta0",
             smoke_density(300, 0xf5),
             0.0,
-            0x478636a18354b1c0,
+            0xe9e444bd495c75e8,
         ),
     ]
 }
@@ -204,7 +205,7 @@ fn dense_input_cache_matches_recorded_digest() {
     assert!(ratios.tau_max() > 0.0, "δ = 5e-2 must drop pairs");
     let got = digest(&ratios, None);
     assert_eq!(
-        got, 0x9d2f5cd4cdd045a6,
+        got, 0xd3c80204b1432a2b,
         "from_gain digest moved: computed {got:#018x}"
     );
 }
