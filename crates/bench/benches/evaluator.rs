@@ -9,7 +9,8 @@
 //! resolver's per-slot primitives: the contiguous-row mask flip
 //! (`amortized_flip`, the blocked i64 accumulation rustc autovectorizes)
 //! and the from-scratch `set_probs` rebuild the conformance check holds
-//! it bit-equal to.
+//! it bit-equal to. `f64_set_probs` times the same rebuild on the f64
+//! `SuccessEvaluator` (one row gather per receiver), beside it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rayfade_bench::figure1_instance;
@@ -83,6 +84,13 @@ fn bench_evaluator(c: &mut Criterion) {
             b.iter(|| {
                 acc.set_probs(black_box(&ratios), black_box(&probs));
                 black_box(acc.conditional_success_probability(&ratios, n / 2))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("f64_set_probs", n), &n, |b, _| {
+            let mut ev = SuccessEvaluator::new(&gm, &params);
+            b.iter(|| {
+                ev.set_probs(black_box(&probs));
+                black_box(ev.conditional_success_probability(n / 2))
             })
         });
     }

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_conformance::fuzz::Regime;
 use rayfade_core::SuccessEvaluator;
-use rayfade_sinr::{InterferenceRatios, SparseInterferenceRatios, SuccessAccumulator};
+use rayfade_sinr::{kahan_sum, InterferenceRatios, SparseInterferenceRatios, SuccessAccumulator};
 
 /// Truncation bounds under test: exact, tiny, moderate, and extreme.
 const DELTAS: [f64; 5] = [0.0, 1e-9, 1e-3, 0.5, 0.99];
@@ -37,7 +37,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The dense Theorem 1 value always lies inside the sparse certified
-    /// interval, for every regime × seed × δ.
+    /// interval, for every regime × seed × δ. On the sparse table the
+    /// batch `set_probs` equals per-link `set_prob` calls and the one-pass
+    /// `expected_successes_interval` equals the compensated sums of the
+    /// per-link interval ends, all bit for bit.
     #[test]
     fn dense_value_lies_in_certified_interval(
         regime_idx in 0usize..Regime::ALL.len(),
@@ -73,6 +76,27 @@ proptest! {
         prop_assert!(lo - slack <= total && total <= hi + slack,
             "regime {} seed {seed} delta {delta}: dense E[successes] = {total:e} \
              outside [{lo:e}, {hi:e}]", regime.name());
+
+        // The one-pass interval is the compensated sums of the per-link
+        // interval ends, bit for bit.
+        let ends: Vec<(f64, f64)> = (0..n).map(|i| acc.success_interval(&sparse, i)).collect();
+        let lo_sum = kahan_sum(ends.iter().map(|e| e.0));
+        let hi_sum = kahan_sum(ends.iter().map(|e| e.1));
+        prop_assert_eq!((lo.to_bits(), hi.to_bits()), (lo_sum.to_bits(), hi_sum.to_bits()),
+            "regime {} seed {seed} delta {delta}: interval [{:e}, {:e}] vs per-link sums \
+             [{:e}, {:e}]", regime.name(), lo, hi, lo_sum, hi_sum);
+
+        // The batch gather over the sparse rows lands on the bits of one
+        // `set_prob` per link over the sparse columns.
+        let mut steps = SuccessAccumulator::new(n);
+        for (j, &p) in probs.iter().enumerate() {
+            steps.set_prob(&sparse, j, p);
+        }
+        prop_assert_eq!(&acc, &steps,
+            "regime {} seed {seed} delta {delta}: set_probs vs set_prob steps", regime.name());
+        let bits = |a: &SuccessAccumulator| a.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&acc), bits(&steps),
+            "regime {} seed {seed} delta {delta}: probs() differ", regime.name());
     }
 
     /// At δ = 0 nothing is truncated: one accumulator on the dense table

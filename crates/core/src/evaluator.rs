@@ -98,14 +98,14 @@ impl<R: RatioTable> RatioEvaluator<R> {
         self.acc.reset();
     }
 
-    /// Replaces the whole probability vector — O(n²) dense, O(nnz)
-    /// sparse.
+    /// Replaces the whole probability vector, one pass over each
+    /// receiver's row — O(n²) dense, O(n + nnz) sparse.
     pub fn set_probs(&mut self, probs: &[f64]) {
         self.acc.set_probs(&self.ratios, probs);
     }
 
-    /// Sets every probability to the same `q` — O(n²) dense, O(nnz)
-    /// sparse.
+    /// Sets every probability to the same `q`, one pass over each
+    /// receiver's row — O(n²) dense, O(n + nnz) sparse.
     pub fn set_uniform(&mut self, q: f64) {
         self.acc.set_uniform(&self.ratios, q);
     }

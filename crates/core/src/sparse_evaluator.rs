@@ -49,7 +49,7 @@ pub type SparseSuccessEvaluator = RatioEvaluator<SparseInterferenceRatios>;
 
 impl SparseSuccessEvaluator {
     /// Builds the evaluator from a dense gain matrix with truncation
-    /// bound `delta` (O(n²) build, O(nnz) evaluation). `delta = 0`
+    /// bound `delta` (O(n²) build, O(n + nnz) evaluation). `delta = 0`
     /// reproduces the dense ratios exactly.
     pub fn new(gain: &GainMatrix, params: &SinrParams, delta: f64) -> Self {
         Self::from_ratios(SparseInterferenceRatios::from_gain(gain, params, delta))
@@ -178,15 +178,18 @@ impl AmortizedEvaluator {
         self.acc.success_probabilities(&self.ratios)
     }
 
-    /// Sets every probability to the same value — blocked O(n²) rebuild.
+    /// Sets every probability to the same value — a reset plus one
+    /// [`set_prob`](Self::set_prob) per link, O(n²) without allocating.
     pub fn set_uniform(&mut self, q: f64) {
-        let probs = vec![q; self.len()];
-        self.set_probs(&probs);
+        self.reset();
+        for j in 0..self.len() {
+            self.set_prob(j, q);
+        }
     }
 
     /// Expected number of successes — O(n), compensated summation.
     pub fn expected_successes(&self) -> f64 {
-        rayfade_sinr::kahan_sum(self.success_probabilities())
+        rayfade_sinr::kahan_sum((0..self.len()).map(|i| self.success_probability(i)))
     }
 }
 

@@ -1,16 +1,24 @@
-//! Allocation-freedom regression for the Theorem 1 set evaluations.
+//! Allocation-freedom regression for the Theorem 1 set evaluations and
+//! the evaluators' batch calls.
 //!
 //! `success_probability_of_set` used to build a fresh `vec![0.0; n]`
 //! probability vector on every call — inside greedy's inner loop that is
 //! one heap allocation per candidate per round. The rewrite computes
 //! directly over the set; this test pins that with a counting global
-//! allocator. It lives alone in its own integration-test binary so no
-//! concurrently running test can pollute the allocation counter.
+//! allocator, and pins the same for every `NetworkEvaluator` variant's
+//! `set_uniform`, `set_probs`, `expected_successes` and
+//! `expected_successes_interval`. The tests live in their own
+//! integration-test binary and take one lock, so no concurrently running
+//! test can pollute the allocation counter.
 
-use rayfade_core::{expected_successes, expected_successes_of_set, success_probability_of_set};
+use rayfade_core::{
+    expected_successes, expected_successes_of_set, success_probability_of_set, NetworkEvaluator,
+    SparseSuccessEvaluator,
+};
 use rayfade_sinr::{GainMatrix, SinrParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -31,14 +39,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole body: the counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
 }
 
-#[test]
-fn set_evaluations_do_not_allocate() {
+/// A 64-link instance whose cross gains decay with index distance.
+fn instance() -> (GainMatrix, SinrParams) {
     let n = 64;
     let mut g = vec![0.0f64; n * n];
     for i in 0..n {
@@ -50,8 +61,14 @@ fn set_evaluations_do_not_allocate() {
             };
         }
     }
-    let gm = GainMatrix::from_raw(n, g);
-    let params = SinrParams::new(2.0, 1.5, 0.1);
+    (GainMatrix::from_raw(n, g), SinrParams::new(2.0, 1.5, 0.1))
+}
+
+#[test]
+fn set_evaluations_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (gm, params) = instance();
+    let n = gm.len();
     let set: Vec<usize> = (0..n).step_by(3).collect();
     let probs = vec![0.5; n];
 
@@ -73,4 +90,46 @@ fn set_evaluations_do_not_allocate() {
     let (count, total) = allocations_during(|| expected_successes(&gm, &params, &probs));
     assert!(total > 0.0);
     assert_eq!(count, 0, "expected_successes allocated {count}x");
+}
+
+#[test]
+fn batch_calls_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (gm, params) = instance();
+    let probs: Vec<f64> = (0..gm.len()).map(|j| (j % 5) as f64 / 4.0).collect();
+    let mut evaluators = [
+        ("Dense", NetworkEvaluator::from_gain(&gm, &params)),
+        (
+            "Sparse",
+            NetworkEvaluator::Sparse(SparseSuccessEvaluator::new(&gm, &params, 1e-3)),
+        ),
+        (
+            "Amortized",
+            NetworkEvaluator::amortized_from_gain(&gm, &params),
+        ),
+    ];
+    // Every allocating call, so that one failure names all of them.
+    let mut allocating = Vec::new();
+    for (name, ev) in &mut evaluators {
+        // Warm up (first-use allocations).
+        ev.set_uniform(0.5);
+        ev.set_probs(&probs);
+        let _ = (ev.expected_successes(), ev.expected_successes_interval());
+
+        let (count, ()) = allocations_during(|| ev.set_uniform(0.3));
+        allocating.push((*name, "set_uniform", count));
+        let (count, total) = allocations_during(|| ev.expected_successes());
+        assert!(total > 0.0, "{name}: E[successes] = {total}");
+        allocating.push((*name, "expected_successes", count));
+        let (count, ()) = allocations_during(|| ev.set_probs(&probs));
+        allocating.push((*name, "set_probs", count));
+        let (count, (lo, hi)) = allocations_during(|| ev.expected_successes_interval());
+        assert!(0.0 < lo && lo <= hi, "{name}: interval [{lo}, {hi}]");
+        allocating.push((*name, "expected_successes_interval", count));
+    }
+    allocating.retain(|&(_, _, count)| count > 0);
+    assert!(
+        allocating.is_empty(),
+        "(variant, call, allocations): {allocating:?}"
+    );
 }

@@ -41,6 +41,23 @@ fn random_gain(seed: u64, n: usize) -> GainMatrix {
     GainMatrix::from_raw(n, g)
 }
 
+/// A probability that is one of the edge values −0.0, 0, 1e-12,
+/// 1 − 1e-12 and 1 half of the time, uniform on `[0, 1]` otherwise.
+fn edge_prob() -> impl Strategy<Value = f64> {
+    (0usize..10, 0.0f64..=1.0).prop_map(|(k, u)| match k {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 1e-12,
+        3 => 1.0 - 1e-12,
+        4 => 1.0,
+        _ => u,
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// One evaluator operation, decoded from raw proptest integers.
 fn apply_op(ev: &mut SuccessEvaluator, probs: &mut [f64], op: u64, link: usize, q: f64) {
     let n = probs.len();
@@ -97,33 +114,40 @@ proptest! {
     }
 
     /// `set_probs` (bulk) and a sequence of `set_prob` calls land on the
-    /// same state, and both match scratch — including q_j = 0 entries.
+    /// same state, bit for bit, and both match scratch — including
+    /// q_j = ±0, 1e-12, 1 − 1e-12 and 1 entries. `set_uniform(q)` likewise
+    /// lands on the state of n `set_prob(j, q)` calls.
     #[test]
     fn bulk_and_incremental_agree(
         seed in any::<u64>(),
-        raw in proptest::collection::vec(0.0f64..=1.0, 10),
-        zero_mask in any::<u64>(),
+        probs in proptest::collection::vec(edge_prob(), 10),
+        q in edge_prob(),
     ) {
         let n = 10;
         let gm = random_gain(seed, n);
         let params = SinrParams::new(2.0, 2.5, 0.0);
-        // Force exact zeros into the probability vector.
-        let probs: Vec<f64> = raw
-            .iter()
-            .enumerate()
-            .map(|(j, &p)| if zero_mask >> j & 1 == 1 { 0.0 } else { p })
-            .collect();
         let mut bulk = SuccessEvaluator::new(&gm, &params);
         bulk.set_probs(&probs);
         let mut steps = SuccessEvaluator::new(&gm, &params);
         for (j, &p) in probs.iter().enumerate() {
             steps.set_prob(j, p);
         }
+        prop_assert_eq!(&bulk, &steps, "set_probs({:?})", probs);
+        prop_assert_eq!(bits(bulk.probs()), bits(steps.probs()), "probs() of {:?}", probs);
         let want = success_probabilities(&gm, &params, &probs);
         for (i, &w) in want.iter().enumerate() {
             prop_assert!((bulk.success_probability(i) - w).abs() < 1e-12);
             prop_assert!((steps.success_probability(i) - w).abs() < 1e-12);
         }
+
+        let mut uniform = SuccessEvaluator::new(&gm, &params);
+        uniform.set_uniform(q);
+        let mut steps = SuccessEvaluator::new(&gm, &params);
+        for j in 0..n {
+            steps.set_prob(j, q);
+        }
+        prop_assert_eq!(&uniform, &steps, "set_uniform({:e})", q);
+        prop_assert_eq!(bits(uniform.probs()), bits(steps.probs()), "probs() at q = {:e}", q);
     }
 
     /// The O(n) activation gain equals the actual objective difference.

@@ -25,11 +25,32 @@
 //! both implement. Each receiver keeps `Σ ln(1 − ρ·q_j)`; adding or
 //! removing a sender adds or subtracts one logarithm. Sums are immune to
 //! underflow (a product of 10⁵ factors of `0.99` underflows no
-//! accumulator), but every query pays one `exp` and long add/remove
-//! sequences accumulate rounding at ~1 ulp of the *sum* per operation —
-//! still far inside 1e-12 for realistic magnitudes. Both tables hand over
-//! a sender's ratios in ascending receiver order, so a sparse table that
-//! dropped nothing (`δ = 0`) gives the dense table's bits.
+//! accumulator), but a query with interference pays one `exp` and long
+//! add/remove sequences accumulate rounding at ~1 ulp of the *sum* per
+//! operation — still far inside 1e-12 for realistic magnitudes.
+//!
+//! # Batch calls gather, churn scatters
+//!
+//! Churn ([`set_prob`](SuccessAccumulator::set_prob),
+//! [`insert`](SuccessAccumulator::insert),
+//! [`remove`](SuccessAccumulator::remove),
+//! [`activation_gain`](SuccessAccumulator::activation_gain)) changes one
+//! sender, so it walks that sender's ratios
+//! ([`RatioTable::sender_ratios`]) and scatters one factor into each of
+//! its receivers. The batch calls
+//! ([`set_probs`](SuccessAccumulator::set_probs),
+//! [`set_uniform`](SuccessAccumulator::set_uniform)) replace every
+//! probability, so they walk each receiver's row instead
+//! ([`RatioTable::receiver_ratios`]): one pass writes the receiver's log
+//! sum and zero count, reading contiguous memory on both tables and
+//! leaving a receiver without retained interferers at an exact 0. Both
+//! walks give the same bits. A batch call equals a reset followed by one
+//! `set_prob` per sender in ascending order, and that scatter adds each
+//! receiver's factors in ascending sender order — the order its row
+//! lists them in — starting from the same 0. Both tables hand over a
+//! sender's ratios in ascending receiver order and a receiver's in
+//! ascending sender order, so a sparse table that dropped nothing
+//! (`δ = 0`) gives the dense table's bits on either walk.
 //!
 //! Factors that are exactly zero (possible when `ρ·q` rounds to 1) are
 //! excluded from the sums and tracked by count, so removing the offending
@@ -53,18 +74,37 @@ use serde::{Deserialize, Serialize};
 /// compensated sum is exact to the final rounding. Used by
 /// `rayfade-core`'s `expected_successes` and the batch evaluators.
 pub fn kahan_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
-    let mut sum = 0.0f64;
-    let mut comp = 0.0f64;
+    let mut sum = CompensatedSum::default();
     for x in values {
-        let t = sum + x;
-        comp += if sum.abs() >= x.abs() {
-            (sum - t) + x
-        } else {
-            (x - t) + sum
-        };
-        sum = t;
+        sum.add(x);
     }
-    sum + comp
+    sum.total()
+}
+
+/// The running state of [`kahan_sum`], for passes that feed several sums
+/// at once.
+#[derive(Default, Clone, Copy)]
+struct CompensatedSum {
+    sum: f64,
+    comp: f64,
+}
+
+impl CompensatedSum {
+    #[inline]
+    fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        self.comp += if self.sum.abs() >= x.abs() {
+            (self.sum - t) + x
+        } else {
+            (x - t) + self.sum
+        };
+        self.sum = t;
+    }
+
+    #[inline]
+    fn total(self) -> f64 {
+        self.sum + self.comp
+    }
 }
 
 /// Precomputed interference ratios `ρ(j → i)` and noise factors for one
@@ -185,16 +225,22 @@ pub trait RatioTable {
     /// Noise factor `exp(−β·ν/S̄_{i,i})` of link `i` (0 for a dead link).
     fn noise_factor(&self, i: usize) -> f64;
 
-    /// Certified truncated log-mass `τᵢ` at receiver `i`: the exact
-    /// Theorem 1 probability lies in `[p·e^{−τᵢ}, p]` around the value `p`
-    /// evaluated on this table. 0 on a table that drops nothing.
-    fn tau(&self, i: usize) -> f64;
+    /// Certificate factor `e^{−τᵢ}` at receiver `i`, where `τᵢ` is the
+    /// truncated log-mass: the exact Theorem 1 probability lies in
+    /// `[p·e^{−τᵢ}, p]` around the value `p` evaluated on this table.
+    /// 1 on a table that drops nothing.
+    fn tau_factor(&self, i: usize) -> f64;
 
     /// Sender `j`'s ratios as `(i, ρ(j → i))` pairs, in ascending receiver
-    /// order. A table may hand over zero ratios, which consumers skip; the
-    /// ratios come by reference so that a consumer skipping receiver `i`
-    /// for another reason never reads one.
+    /// order: the churn walk. A table may hand over zero ratios, which
+    /// consumers skip; the ratios come by reference so that a consumer
+    /// skipping receiver `i` for another reason never reads one.
     fn sender_ratios(&self, j: usize) -> impl Iterator<Item = (usize, &f64)> + '_;
+
+    /// Receiver `i`'s ratios as `(j, ρ(j → i))` pairs, in ascending sender
+    /// order: the batch walk. A table may hand over zero ratios, which
+    /// consumers skip.
+    fn receiver_ratios(&self, i: usize) -> impl Iterator<Item = (usize, &f64)> + '_;
 }
 
 impl RatioTable for InterferenceRatios {
@@ -208,10 +254,10 @@ impl RatioTable for InterferenceRatios {
         self.noise[i]
     }
 
-    /// Always 0: the dense table keeps every ratio.
+    /// Always 1: the dense table keeps every ratio.
     #[inline]
-    fn tau(&self, _i: usize) -> f64 {
-        0.0
+    fn tau_factor(&self, _i: usize) -> f64 {
+        1.0
     }
 
     /// Column `j` of the receiver-major matrix, zeros (the diagonal among
@@ -221,6 +267,13 @@ impl RatioTable for InterferenceRatios {
     fn sender_ratios(&self, j: usize) -> impl Iterator<Item = (usize, &f64)> + '_ {
         assert!(j < self.n, "sender {j} out of range");
         self.rho[j..].iter().step_by(self.n).enumerate()
+    }
+
+    /// Row `i` of the receiver-major matrix, zeros (the diagonal among
+    /// them) included: a contiguous walk.
+    #[inline]
+    fn receiver_ratios(&self, i: usize) -> impl Iterator<Item = (usize, &f64)> + '_ {
+        self.at_receiver(i).iter().enumerate()
     }
 }
 
@@ -232,7 +285,10 @@ impl RatioTable for InterferenceRatios {
 /// nonzero factors. Changing one `q_j` ([`set_prob`](Self::set_prob),
 /// [`insert`](Self::insert), [`remove`](Self::remove)) updates the
 /// receivers of sender `j` only: O(n) on the dense table, O(deg j) on the
-/// sparse one. All methods take the [`RatioTable`] the accumulator was
+/// sparse one. Replacing every `q_j` ([`set_probs`](Self::set_probs),
+/// [`set_uniform`](Self::set_uniform)) rebuilds each receiver's sum from
+/// its row (see the [module docs](self)). All methods take the
+/// [`RatioTable`] the accumulator was
 /// sized for; callers keep the two together (the `rayfade-core`
 /// evaluators bundle them).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -289,29 +345,61 @@ impl SuccessAccumulator {
         }
     }
 
-    /// Sets the whole probability vector — one [`set_prob`](Self::set_prob)
-    /// per nonzero entry: O(n²) dense, O(nnz) sparse.
+    /// Sets the whole probability vector, one pass over each receiver's
+    /// row: O(n²) dense, O(n + nnz) sparse. The state has the bits of a
+    /// [`reset`](Self::reset) followed by one [`set_prob`](Self::set_prob)
+    /// per link in ascending order (a `−0.0` entry is stored as `+0.0`).
     ///
     /// # Panics
     /// If lengths mismatch or any probability is outside `[0, 1]`.
     pub fn set_probs<R: RatioTable>(&mut self, ratios: &R, probs: &[f64]) {
         assert_eq!(probs.len(), self.q.len(), "one probability per link");
-        self.reset();
-        for (j, &p) in probs.iter().enumerate() {
-            if p != 0.0 {
-                self.set_prob(ratios, j, p);
-            }
-        }
+        assert!(
+            probs.iter().all(|p| (0.0..=1.0).contains(p)),
+            "probabilities must lie in [0, 1]"
+        );
+        self.gather(ratios, |j| probs[j]);
     }
 
-    /// Sets every probability to the same value `q`: O(n²) dense, O(nnz)
-    /// sparse.
+    /// Sets every probability to the same value `q`, one pass over each
+    /// receiver's row: O(n²) dense, O(n + nnz) sparse, with the bits of
+    /// `n` calls of [`set_prob`](Self::set_prob) after a reset.
+    ///
+    /// # Panics
+    /// If `q` is outside `[0, 1]`.
     pub fn set_uniform<R: RatioTable>(&mut self, ratios: &R, q: f64) {
-        self.reset();
-        if q != 0.0 {
-            for j in 0..self.q.len() {
-                self.set_prob(ratios, j, q);
+        assert!((0.0..=1.0).contains(&q), "probabilities must lie in [0, 1]");
+        self.gather(ratios, |_| q);
+    }
+
+    /// Rewrites the whole state with `q(j)` the probability of link `j`,
+    /// receiver by receiver: its probability, then its log sum and zero
+    /// count from its row, whose factors enter in ascending sender order,
+    /// the order the `set_prob` scatter adds them.
+    fn gather<R: RatioTable>(&mut self, ratios: &R, q: impl Fn(usize) -> f64) {
+        assert_eq!(ratios.len(), self.q.len(), "ratio cache size mismatch");
+        let state = self.q.iter_mut().zip(&mut self.acc).zip(&mut self.zeros);
+        for (i, ((q_i, acc), zeros)) in state.enumerate() {
+            // `set_prob` leaves a −0.0 request at the reset's +0.0.
+            let own = q(i);
+            *q_i = if own == 0.0 { 0.0 } else { own };
+            let (mut sum, mut count) = (0.0, 0);
+            for (j, &rho) in ratios.receiver_ratios(i) {
+                let q_j = q(j);
+                if q_j == 0.0 {
+                    continue;
+                }
+                // The scatter's rule: a factor of 1 (zero ratio) is
+                // skipped, a factor of 0 is counted, not logged.
+                let factor = 1.0 - rho * q_j;
+                if factor == 0.0 {
+                    count += 1;
+                } else if factor != 1.0 {
+                    sum += factor.ln();
+                }
             }
+            *acc = sum;
+            *zeros = count;
         }
     }
 
@@ -366,13 +454,19 @@ impl SuccessAccumulator {
     }
 
     /// The interference product `Π_{j≠i, q_j>0} (1 − ρ(j→i)·q_j)` at
-    /// receiver `i` — O(1), one `exp`.
+    /// receiver `i` — O(1), one `exp` unless the log sum is exactly 0
+    /// (`e^0 = 1`, so skipping it changes no bit).
     #[inline]
     pub fn interference_product(&self, i: usize) -> f64 {
         if self.zeros[i] > 0 {
             return 0.0;
         }
-        self.acc[i].exp()
+        let sum = self.acc[i];
+        if sum == 0.0 {
+            1.0
+        } else {
+            sum.exp()
+        }
     }
 
     /// Success probability of link `i` under the current probabilities
@@ -402,7 +496,7 @@ impl SuccessAccumulator {
     #[inline]
     pub fn success_interval<R: RatioTable>(&self, ratios: &R, i: usize) -> (f64, f64) {
         let hi = self.success_probability(ratios, i);
-        (hi * (-ratios.tau(i)).exp(), hi)
+        (hi * ratios.tau_factor(i), hi)
     }
 
     /// All success probabilities — O(n).
@@ -420,10 +514,15 @@ impl SuccessAccumulator {
 
     /// Certified interval containing the exact expected number of
     /// successes: lower and upper compensated sums of the per-link
-    /// intervals.
+    /// intervals, both fed in one pass — O(n).
     pub fn expected_successes_interval<R: RatioTable>(&self, ratios: &R) -> (f64, f64) {
-        let lo = kahan_sum((0..self.q.len()).map(|i| self.success_interval(ratios, i).0));
-        (lo, self.expected_successes(ratios))
+        let (mut lo, mut hi) = (CompensatedSum::default(), CompensatedSum::default());
+        for i in 0..self.q.len() {
+            let (l, h) = self.success_interval(ratios, i);
+            lo.add(l);
+            hi.add(h);
+        }
+        (lo.total(), hi.total())
     }
 
     /// Change in *weighted* expected successes `Σ_i w_i·Q_i` if the
@@ -602,10 +701,16 @@ mod tests {
         acc.insert(&r, 0);
         acc.insert(&r, 1);
         assert_eq!(acc.success_probability(&r, 0), 0.0);
+        // The batch gather reaches the same counted zero.
+        let mut bulk = SuccessAccumulator::new(2);
+        bulk.set_probs(&r, &[1.0, 1.0]);
+        assert_eq!(bulk, acc, "set_probs vs inserts");
         acc.remove(&r, 1);
         let got = acc.success_probability(&r, 0);
         let want = scratch(&gm, &params, &[1.0, 0.0], 0);
         assert!((got - want).abs() < 1e-13, "{got} vs {want}");
+        bulk.set_probs(&r, &[1.0, 0.0]);
+        assert_eq!(bulk, acc, "set_probs vs inserts and removal");
     }
 
     #[test]

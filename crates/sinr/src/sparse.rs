@@ -30,13 +30,22 @@
 //! # Layout
 //!
 //! CSR by receiver (row `i` holds the retained senders of receiver `i`,
-//! column-sorted), plus a transpose (CSC) with duplicated values. The
-//! transpose is what the [`RatioTable`] walk hands to
-//! [`SuccessAccumulator`], so changing
+//! column-sorted), plus a transpose (CSC) with duplicated values. The two
+//! halves serve the two [`RatioTable`] walks of [`SuccessAccumulator`]:
+//! the CSR rows serve the batch calls (`set_probs`, `set_uniform`), which
+//! rebuild each receiver's sum from its row, and the CSC columns serve
+//! churn (`set_prob`, `insert`, `remove`, `activation_gain`), so changing
 //! one sender's probability touches only its O(deg) receivers. Each
 //! retained pair is thus stored twice at 12 B (a `u32` index and an `f64`
 //! ratio), 3× the dense table's 8 B per pair: the sparse table is the
 //! smaller one only while it keeps fewer than a third of the pairs.
+//!
+//! Per link the table stores 32 B: the noise factor, `τᵢ` and the
+//! certificate factor `e^{−τᵢ}` (computed once, so a certified interval
+//! costs no `exp`) at 8 B each, and the CSR and CSC offsets at 4 B each.
+//! The offsets are `u32`, so a table holds at most `u32::MAX` retained
+//! pairs; the builders panic beyond that, which takes a `δ = 0` table of
+//! 65 536 or more links (~100 GB).
 //!
 //! The geometric builder that avoids materializing any dense structure
 //! lives in the `rayfade-spatial` crate; [`SparseInterferenceRatios::from_gain`]
@@ -106,7 +115,7 @@ pub struct SparseInterferenceRatios {
     beta: f64,
     delta: f64,
     /// CSR row offsets: row `i` is `col[row_ptr[i]..row_ptr[i+1]]`.
-    row_ptr: Vec<usize>,
+    row_ptr: Vec<u32>,
     /// Retained sender indices per receiver, strictly ascending per row.
     col: Vec<u32>,
     /// `rho[k] = ρ(col[k] → i)` for `k` in row `i`; bit-equal to the dense
@@ -117,9 +126,12 @@ pub struct SparseInterferenceRatios {
     /// Certified per-receiver truncated log-mass `τᵢ` (0 when nothing was
     /// dropped).
     tau: Vec<f64>,
+    /// `tau_factor[i] = e^{−τᵢ}`, the lower end's factor of the certified
+    /// interval (1 when nothing was dropped).
+    tau_factor: Vec<f64>,
     /// CSC transpose offsets: column `j` (sender `j`'s receivers) is
     /// `t_receiver[t_row_ptr[j]..t_row_ptr[j+1]]`.
-    t_row_ptr: Vec<usize>,
+    t_row_ptr: Vec<u32>,
     /// Receivers affected by each sender, ascending per column.
     t_receiver: Vec<u32>,
     /// Ratio values duplicated in transpose order.
@@ -128,12 +140,13 @@ pub struct SparseInterferenceRatios {
 
 impl SparseInterferenceRatios {
     /// Assembles a sparse ratio cache from raw CSR parts, validating the
-    /// layout and building the transpose.
+    /// layout and building the transpose and the `e^{−τᵢ}` column.
     ///
     /// Intended for builders that compute rows without a dense gain matrix
     /// (the `rayfade-spatial` geometric builder). Rows must be
     /// column-sorted with no diagonal entries, every `ρ` in `(0, 1]`, and
-    /// every `τᵢ ≥ 0`.
+    /// every `τᵢ ≥ 0`. The offsets are `u32` (see the
+    /// [module docs](self)).
     ///
     /// # Panics
     /// If any of the layout invariants above is violated, or the vector
@@ -141,7 +154,7 @@ impl SparseInterferenceRatios {
     pub fn from_raw_parts(
         beta: f64,
         delta: f64,
-        row_ptr: Vec<usize>,
+        row_ptr: Vec<u32>,
         col: Vec<u32>,
         #[allow(unused_mut)] mut rho: Vec<f64>,
         noise: Vec<f64>,
@@ -156,7 +169,11 @@ impl SparseInterferenceRatios {
         assert_eq!(tau.len(), n, "one tau per link");
         assert_eq!(row_ptr.len(), n + 1, "row_ptr must have n + 1 offsets");
         assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
-        assert_eq!(*row_ptr.last().unwrap(), col.len(), "row_ptr end mismatch");
+        assert_eq!(
+            *row_ptr.last().unwrap() as usize,
+            col.len(),
+            "row_ptr end mismatch"
+        );
         assert_eq!(col.len(), rho.len(), "one rho per stored pair");
         for i in 0..n {
             assert!(row_ptr[i] <= row_ptr[i + 1], "row_ptr must be monotone");
@@ -164,7 +181,7 @@ impl SparseInterferenceRatios {
                 tau[i].is_finite() && tau[i] >= 0.0,
                 "tau must be finite and >= 0"
             );
-            let row = &col[row_ptr[i]..row_ptr[i + 1]];
+            let row = &col[row_ptr[i] as usize..row_ptr[i + 1] as usize];
             for (k, &j) in row.iter().enumerate() {
                 assert!((j as usize) < n, "sender {j} out of range");
                 assert!(j as usize != i, "diagonal entries must not be stored");
@@ -189,9 +206,10 @@ impl SparseInterferenceRatios {
         }
         // Transpose via counting sort over sender index: deterministic,
         // receivers ascending per column because rows are visited in
-        // ascending receiver order.
+        // ascending receiver order. The offsets fit u32: they count at
+        // most nnz = row_ptr[n] pairs.
         let nnz = col.len();
-        let mut t_row_ptr = vec![0usize; n + 1];
+        let mut t_row_ptr = vec![0u32; n + 1];
         for &j in &col {
             t_row_ptr[j as usize + 1] += 1;
         }
@@ -202,14 +220,15 @@ impl SparseInterferenceRatios {
         let mut t_receiver = vec![0u32; nnz];
         let mut t_rho = vec![0.0f64; nnz];
         for i in 0..n {
-            for k in row_ptr[i]..row_ptr[i + 1] {
+            for k in row_ptr[i] as usize..row_ptr[i + 1] as usize {
                 let j = col[k] as usize;
-                let slot = cursor[j];
+                let slot = cursor[j] as usize;
                 t_receiver[slot] = i as u32;
                 t_rho[slot] = rho[k];
                 cursor[j] += 1;
             }
         }
+        let tau_factor = tau.iter().map(|&t| (-t).exp()).collect();
         SparseInterferenceRatios {
             n,
             beta,
@@ -219,6 +238,7 @@ impl SparseInterferenceRatios {
             rho,
             noise,
             tau,
+            tau_factor,
             t_row_ptr,
             t_receiver,
             t_rho,
@@ -233,17 +253,22 @@ impl SparseInterferenceRatios {
     ///
     /// `delta = 0` retains every nonzero ratio (bit-equal to the dense
     /// cache). O(n²) like the dense constructor — the point of this entry
-    /// is the downstream O(nnz) evaluation, plus validation against the
+    /// is the downstream O(n + nnz) evaluation, plus validation against the
     /// dense path; truly large instances should use the geometric builder
     /// in `rayfade-spatial`, which never materializes a dense row.
     ///
     /// # Panics
-    /// If `delta` is outside `[0, 1)`.
+    /// If `delta` is outside `[0, 1)`, or more than `u32::MAX` pairs are
+    /// retained (see the [module docs](self)).
     pub fn from_gain(gain: &GainMatrix, params: &SinrParams, delta: f64) -> Self {
         let budget = truncation_budget(delta);
         let n = gain.len();
         let beta = params.beta;
-        let mut row_ptr = vec![0usize; n + 1];
+        let offset = |nnz: usize| {
+            u32::try_from(nnz)
+                .expect("more than u32::MAX retained pairs: the sparse table's offsets are u32")
+        };
+        let mut row_ptr = vec![0u32; n + 1];
         let mut col = Vec::new();
         let mut rho = Vec::new();
         let mut noise = vec![0.0; n];
@@ -254,7 +279,7 @@ impl SparseInterferenceRatios {
             if s_ii == 0.0 {
                 // Dead receiver: empty row, zero noise factor — mirrors
                 // the dense cache's all-zero row.
-                row_ptr[i + 1] = col.len();
+                row_ptr[i + 1] = offset(col.len());
                 continue;
             }
             noise[i] = (-beta * params.noise / s_ii).exp();
@@ -275,7 +300,7 @@ impl SparseInterferenceRatios {
                 col.push(j);
                 rho.push(r);
             }
-            row_ptr[i + 1] = col.len();
+            row_ptr[i + 1] = offset(col.len());
         }
         Self::from_raw_parts(beta, delta, row_ptr, col, rho, noise, tau)
     }
@@ -314,7 +339,7 @@ impl SparseInterferenceRatios {
     /// slices, column-sorted.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let r = self.row_ptr[i]..self.row_ptr[i + 1];
+        let r = self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize;
         (&self.col[r.clone()], &self.rho[r])
     }
 
@@ -322,7 +347,7 @@ impl SparseInterferenceRatios {
     /// slices, receiver-sorted.
     #[inline]
     pub fn column(&self, j: usize) -> (&[u32], &[f64]) {
-        let r = self.t_row_ptr[j]..self.t_row_ptr[j + 1];
+        let r = self.t_row_ptr[j] as usize..self.t_row_ptr[j + 1] as usize;
         (&self.t_receiver[r.clone()], &self.t_rho[r])
     }
 
@@ -369,8 +394,8 @@ impl RatioTable for SparseInterferenceRatios {
     }
 
     #[inline]
-    fn tau(&self, i: usize) -> f64 {
-        self.tau[i]
+    fn tau_factor(&self, i: usize) -> f64 {
+        self.tau_factor[i]
     }
 
     /// Column `j` of the transpose: retained, hence nonzero, ratios only.
@@ -378,6 +403,13 @@ impl RatioTable for SparseInterferenceRatios {
     fn sender_ratios(&self, j: usize) -> impl Iterator<Item = (usize, &f64)> + '_ {
         let (receivers, rhos) = self.column(j);
         receivers.iter().map(|&i| i as usize).zip(rhos)
+    }
+
+    /// CSR row `i`: retained, hence nonzero, ratios only.
+    #[inline]
+    fn receiver_ratios(&self, i: usize) -> impl Iterator<Item = (usize, &f64)> + '_ {
+        let (senders, rhos) = self.row(i);
+        senders.iter().map(|&j| j as usize).zip(rhos)
     }
 }
 

@@ -163,15 +163,20 @@ pub fn build_sparse_ratios_stats(
 
     // The rows come in cell order: size each link's row, then copy every
     // row into its place in link order, freeing each fragment once copied.
-    let mut row_ptr = vec![0usize; n + 1];
+    // The table's offsets are u32.
+    let nnz: usize = fragments.iter().map(|f| f.col.len()).sum();
+    assert!(
+        u32::try_from(nnz).is_ok(),
+        "more than u32::MAX retained pairs: the sparse table's offsets are u32"
+    );
+    let mut row_ptr = vec![0u32; n + 1];
     let rows = fragments.iter().flat_map(|f| &f.rows);
     for (&i, row) in order.iter().zip(rows) {
-        row_ptr[i as usize + 1] = row.len;
+        row_ptr[i as usize + 1] = row.len as u32;
     }
     for i in 0..n {
         row_ptr[i + 1] += row_ptr[i];
     }
-    let nnz = row_ptr[n];
     let mut col = vec![0u32; nnz];
     let mut rho = vec![0.0f64; nnz];
     let mut noise = vec![0.0f64; n];
@@ -182,7 +187,7 @@ pub fn build_sparse_ratios_stats(
         let mut start = 0;
         for (row, &i) in frag.rows.iter().zip(receivers.by_ref()) {
             let (i, end) = (i as usize, start + row.len);
-            let at = row_ptr[i];
+            let at = row_ptr[i] as usize;
             col[at..at + row.len].copy_from_slice(&frag.col[start..end]);
             rho[at..at + row.len].copy_from_slice(&frag.rho[start..end]);
             noise[i] = row.noise;
