@@ -7,16 +7,29 @@
 //! `expected_successes_of_set(S ∪ {j})` re-score (O(|S|²)). The
 //! quantized-log `AmortizedAccumulator` rows measure the analytic slot
 //! resolver's per-slot primitives: the contiguous-row mask flip
-//! (`amortized_flip`, the blocked i64 accumulation rustc autovectorizes)
-//! and the from-scratch `set_probs` rebuild the conformance check holds
-//! it bit-equal to. `f64_set_probs` times the same rebuild on the f64
+//! (`amortized_flip`, one row add or subtract, neither of which
+//! multiplies), the slot-like `amortized_switch` between two ~8%-dense
+//! transmit sets (`NetworkEvaluator::switch_transmit_set`, which rebuilds
+//! from the new set when that takes fewer row passes than the flips) and
+//! the from-scratch `set_probs` rebuild the conformance check holds them
+//! bit-equal to. `f64_set_probs` times the same rebuild on the f64
 //! `SuccessEvaluator` (one row gather per receiver), beside it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayfade_bench::figure1_instance;
-use rayfade_core::{expected_successes_of_set, success_probabilities, SuccessEvaluator};
+use rayfade_core::{
+    expected_successes_of_set, success_probabilities, NetworkEvaluator, SuccessEvaluator,
+};
 use rayfade_sinr::AmortizedAccumulator;
 use std::hint::black_box;
+
+/// A random transmit set of about 8% of `n` links, ascending.
+fn sparse_set(n: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n).filter(|_| rng.gen_bool(0.08)).collect()
+}
 
 fn bench_evaluator(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluator");
@@ -77,6 +90,16 @@ fn bench_evaluator(c: &mut Criterion) {
                     acc.remove(black_box(&ratios), black_box(n / 2));
                 }
                 black_box(acc.conditional_success_probability(&ratios, n / 2))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("amortized_switch", n), &n, |b, _| {
+            let mut ev = NetworkEvaluator::amortized_from_gain(&gm, &params);
+            let (mut from, mut to) = (sparse_set(n, 1), sparse_set(n, 2));
+            ev.switch_transmit_set(&[], &from);
+            b.iter(|| {
+                ev.switch_transmit_set(black_box(&from), black_box(&to));
+                std::mem::swap(&mut from, &mut to);
+                black_box(ev.conditional_success_probability(n / 2))
             })
         });
         group.bench_with_input(BenchmarkId::new("amortized_rebuild", n), &n, |b, _| {

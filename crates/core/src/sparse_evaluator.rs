@@ -372,6 +372,46 @@ impl NetworkEvaluator {
         }
     }
 
+    /// Moves the evaluator from transmit set `from` to transmit set `to`
+    /// (both ascending; the evaluator must hold `q = 1` on `from` and 0
+    /// everywhere else) — the analytic slot resolver's per-slot update.
+    ///
+    /// `Dense` and `Sparse` apply one [`remove`](Self::remove) or
+    /// [`insert`](Self::insert) per link that flipped, in ascending link
+    /// order: their f64 log sums depend on the order, and the committed
+    /// bits were produced flip by flip in that order. `Amortized` sums
+    /// integers, whose result does not depend on the order, so it takes
+    /// the cheaper route to the same bits: when `to` has fewer links than
+    /// there are flips it resets and inserts `to`, otherwise it applies
+    /// the flips. Either way a slot costs O(min(flips, |to|)·n) there.
+    pub fn switch_transmit_set(&mut self, from: &[usize], to: &[usize]) {
+        debug_assert!(from.windows(2).all(|w| w[0] < w[1]), "`from` not ascending");
+        debug_assert!(to.windows(2).all(|w| w[0] < w[1]), "`to` not ascending");
+        if let NetworkEvaluator::Amortized(ev) = self {
+            debug_assert!(
+                from.iter().all(|&j| ev.prob(j) == 1.0)
+                    && ev.probs().iter().filter(|&&q| q != 0.0).count() == from.len(),
+                "the evaluator must hold exactly the transmit set `from`"
+            );
+            let mut flips = 0;
+            for_each_flip(from, to, |_, _| flips += 1);
+            if to.len() < flips {
+                ev.reset();
+                for &k in to {
+                    ev.insert(k);
+                }
+                return;
+            }
+        }
+        for_each_flip(from, to, |j, joins| {
+            if joins {
+                self.insert(j);
+            } else {
+                self.remove(j);
+            }
+        });
+    }
+
     /// Success probability of link `i` (dense: exact; sparse: certified
     /// upper end).
     pub fn success_probability(&self, i: usize) -> f64 {
@@ -422,6 +462,34 @@ impl NetworkEvaluator {
                 let v = ev.expected_successes();
                 (v, v)
             }
+        }
+    }
+}
+
+/// Calls `flip(j, joins)` for every link `j` in exactly one of the
+/// ascending lists `from` and `to`, in ascending link order; `joins` is
+/// whether `j` is in `to`.
+fn for_each_flip(from: &[usize], to: &[usize], mut flip: impl FnMut(usize, bool)) {
+    let (mut old, mut new) = (from.iter().peekable(), to.iter().peekable());
+    loop {
+        match (old.peek(), new.peek()) {
+            (Some(&&j), Some(&&k)) if j == k => {
+                old.next();
+                new.next();
+            }
+            (Some(&&j), Some(&&k)) if j < k => {
+                flip(j, false);
+                old.next();
+            }
+            (Some(&&j), None) => {
+                flip(j, false);
+                old.next();
+            }
+            (_, Some(&&k)) => {
+                flip(k, true);
+                new.next();
+            }
+            (None, None) => break,
         }
     }
 }

@@ -6,8 +6,9 @@
 //! one heap allocation per candidate per round. The rewrite computes
 //! directly over the set; this test pins that with a counting global
 //! allocator, and pins the same for every `NetworkEvaluator` variant's
-//! `set_uniform`, `set_probs`, `expected_successes` and
-//! `expected_successes_interval`. The tests live in their own
+//! `set_uniform`, `set_probs`, `expected_successes`,
+//! `expected_successes_interval` and `switch_transmit_set` (the dynamic
+//! engine's per-slot call). The tests live in their own
 //! integration-test binary and take one lock, so no concurrently running
 //! test can pollute the allocation counter.
 
@@ -96,7 +97,14 @@ fn set_evaluations_do_not_allocate() {
 fn batch_calls_do_not_allocate() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (gm, params) = instance();
-    let probs: Vec<f64> = (0..gm.len()).map(|j| (j % 5) as f64 / 4.0).collect();
+    let n = gm.len();
+    let probs: Vec<f64> = (0..n).map(|j| (j % 5) as f64 / 4.0).collect();
+    // Transmit sets: on the amortized variant a → b churns (9 flips, 9
+    // transmitters), b → c and c → ∅ rebuild (more flips than
+    // transmitters).
+    let a: Vec<usize> = (0..n).step_by(4).collect();
+    let b: Vec<usize> = [0, 1].into_iter().chain((8..n).step_by(8)).collect();
+    let c: Vec<usize> = (2..n).step_by(16).collect();
     let mut evaluators = [
         ("Dense", NetworkEvaluator::from_gain(&gm, &params)),
         (
@@ -126,6 +134,20 @@ fn batch_calls_do_not_allocate() {
         let (count, (lo, hi)) = allocations_during(|| ev.expected_successes_interval());
         assert!(0.0 < lo && lo <= hi, "{name}: interval [{lo}, {hi}]");
         allocating.push((*name, "expected_successes_interval", count));
+
+        ev.reset();
+        let (count, ()) = allocations_during(|| {
+            ev.switch_transmit_set(&[], &a);
+            ev.switch_transmit_set(&a, &b);
+            ev.switch_transmit_set(&b, &c);
+            ev.switch_transmit_set(&c, &[]);
+        });
+        assert_eq!(
+            ev.expected_successes(),
+            0.0,
+            "{name}: back to the empty set"
+        );
+        allocating.push((*name, "switch_transmit_set", count));
     }
     allocating.retain(|&(_, _, count)| count > 0);
     assert!(

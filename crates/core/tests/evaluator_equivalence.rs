@@ -2,9 +2,14 @@
 //! with the from-scratch Theorem 1 evaluation (`success_probabilities`)
 //! within 1e-12 after *any* sequence of add/remove/update operations, on
 //! random gain matrices including zero-gain rows and `q_j = 0` entries.
+//! [`NetworkEvaluator::switch_transmit_set`] must land on the bits of
+//! flip-by-flip `insert`/`remove` in ascending link order, on every
+//! variant.
 
 use proptest::prelude::*;
-use rayfade_core::{success_probabilities, SuccessEvaluator};
+use rayfade_core::{
+    success_probabilities, NetworkEvaluator, SparseSuccessEvaluator, SuccessEvaluator,
+};
 use rayfade_sinr::{GainMatrix, SinrParams};
 
 /// Random gain matrix: own signals in [0, 50] (zero possible), cross
@@ -84,8 +89,78 @@ fn apply_op(ev: &mut SuccessEvaluator, probs: &mut [f64], op: u64, link: usize, 
     }
 }
 
+/// The transmit set after `prev` for one drawn step: empty, identical,
+/// disjoint from `prev`, or a fresh random set (which overlaps `prev`
+/// unless the draw misses it).
+fn next_set(prev: &[usize], kind: u8, mask: u64, n: usize) -> Vec<usize> {
+    let drawn = (0..n).filter(|&j| mask >> j & 1 == 1);
+    match kind % 4 {
+        0 => Vec::new(),
+        1 => prev.to_vec(),
+        2 => drawn.filter(|j| !prev.contains(j)).collect(),
+        _ => drawn.collect(),
+    }
+}
+
+/// Brings `ev` from `from` to `to` one flip at a time, in ascending link
+/// order — the reference `switch_transmit_set` must equal.
+fn flip_by_flip(ev: &mut NetworkEvaluator, from: &[usize], to: &[usize]) {
+    for j in 0..ev.len() {
+        match (from.contains(&j), to.contains(&j)) {
+            (true, false) => ev.remove(j),
+            (false, true) => ev.insert(j),
+            _ => {}
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A chain of transmit-set switches — from the empty set through
+    /// empty, identical, disjoint and overlapping successors, so the
+    /// amortized variant both churns and rebuilds — equals flip-by-flip
+    /// churn: the whole state on every variant, and the probability bits
+    /// of every link.
+    #[test]
+    fn switch_transmit_set_equals_flip_by_flip(
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..8),
+    ) {
+        let n = 20;
+        let gm = random_gain(seed, n);
+        let params = SinrParams::new(2.0, 1.5, 0.2);
+        for (name, fresh) in [
+            ("Dense", NetworkEvaluator::from_gain(&gm, &params)),
+            (
+                "Sparse",
+                NetworkEvaluator::Sparse(SparseSuccessEvaluator::new(&gm, &params, 1e-2)),
+            ),
+            ("Amortized", NetworkEvaluator::amortized_from_gain(&gm, &params)),
+        ] {
+            let (mut switched, mut reference) = (fresh.clone(), fresh);
+            let mut from = Vec::new();
+            for &(kind, mask) in &steps {
+                let to = next_set(&from, kind, mask, n);
+                switched.switch_transmit_set(&from, &to);
+                flip_by_flip(&mut reference, &from, &to);
+                prop_assert_eq!(&switched, &reference, "{}: {:?} -> {:?}", name, from, to);
+                for i in 0..n {
+                    prop_assert_eq!(
+                        switched.conditional_success_probability(i).to_bits(),
+                        reference.conditional_success_probability(i).to_bits(),
+                        "{}: link {} after {:?} -> {:?}", name, i, from, to
+                    );
+                    prop_assert_eq!(
+                        switched.success_probability(i).to_bits(),
+                        reference.success_probability(i).to_bits(),
+                        "{}: link {}", name, i
+                    );
+                }
+                from = to;
+            }
+        }
+    }
 
     /// Incremental add/remove/update sequences agree with the scratch
     /// closed form within 1e-12.

@@ -23,9 +23,11 @@
 //! bit-pinned random streams: one arrival draw per link, and one ALOHA
 //! draw per backlogged link. The queues keep an index of the backlogged
 //! links, policies write their choice as an ascending list, the analytic
-//! resolver applies only the flips between consecutive lists, and
-//! departures and feedback touch only listed links; every per-slot
-//! buffer is reused, so a steady-state slot allocates nothing.
+//! resolver moves its cache from one list to the next (the flips between
+//! them, or a rebuild from the new list on the amortized cache when that
+//! is cheaper), and departures and feedback touch only listed links;
+//! every per-slot buffer is reused, so a steady-state slot allocates
+//! nothing.
 
 use crate::arrivals::{ArrivalProcess, ArrivalStreams};
 use crate::policy::{
@@ -199,9 +201,9 @@ impl SlotResolver for MonteCarloResolver {
 }
 
 /// The analytic fast-slot resolver: persists a churn-amortized Theorem-1
-/// evaluator across slots, applies incremental updates for the k links
-/// whose activity flipped since the previous slot — O(k·n) on the
-/// amortized dense cache below [`SPARSE_CROSSOVER`], O(k·deg) on the
+/// evaluator across slots and brings it from one slot's transmit set to
+/// the next — O(min(flips, k)·n) row passes on the amortized dense cache
+/// below [`SPARSE_CROSSOVER`] (k transmitters), O(flips·deg) on the
 /// certified sparse cache at or above it — instead of an O(n²) rebuild
 /// or n fading draws + n² interference terms, and draws each link's
 /// indicator as Bernoulli(p_i) with `p_i = P[SINR_i ≥ β | mask]` — the
@@ -273,39 +275,17 @@ impl AnalyticResolver {
     }
 
     /// Brings the persistent evaluator from the previous transmit set to
-    /// `transmitters`: merges the two ascending lists and applies one
-    /// incremental update per link that flipped, in ascending link order.
-    /// The order matters: the sparse cache accumulates f64 log sums, and
-    /// its committed bits were produced flip by flip in that order.
+    /// `transmitters` ([`NetworkEvaluator::switch_transmit_set`]). The
+    /// sparse cache applies one update per flipped link in ascending link
+    /// order, because its f64 log sums depend on the order and its
+    /// committed bits were produced that way. The amortized cache, whose
+    /// integer sums do not, rebuilds from `transmitters` when that takes
+    /// fewer row passes than the flips: O(min(flips, k)·n) per slot.
     fn apply_flips(&mut self, transmitters: &[usize]) {
-        debug_assert!(transmitters.windows(2).all(|w| w[0] < w[1]));
-        let AnalyticResolver {
-            evaluator, current, ..
-        } = self;
-        let (mut old, mut new) = (current.iter().peekable(), transmitters.iter().peekable());
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&&j), Some(&&k)) if j == k => {
-                    old.next();
-                    new.next();
-                }
-                (Some(&&j), Some(&&k)) if j < k => {
-                    evaluator.remove(j);
-                    old.next();
-                }
-                (Some(&&j), None) => {
-                    evaluator.remove(j);
-                    old.next();
-                }
-                (_, Some(&&k)) => {
-                    evaluator.insert(k);
-                    new.next();
-                }
-                (None, None) => break,
-            }
-        }
-        current.clear();
-        current.extend_from_slice(transmitters);
+        self.evaluator
+            .switch_transmit_set(&self.current, transmitters);
+        self.current.clear();
+        self.current.extend_from_slice(transmitters);
     }
 }
 
@@ -1206,33 +1186,22 @@ mod tests {
         }
     }
 
-    /// The listed path applies flips in ascending link order, as a scan
-    /// of the whole mask does: the sparse cache's f64 log sums depend on
-    /// the order, so every conditional probability must stay bit-equal to
-    /// a mask-scanned twin's, slot after slot.
-    #[test]
-    fn listed_flips_keep_the_sparse_cache_bit_equal_to_a_mask_scan() {
-        let n = 40;
-        let network = PaperTopology {
-            links: n,
-            side: 400.0,
-            ..PaperTopology::figure1()
-        }
-        .generate(11);
-        let params = SinrParams::figure1();
-        let gain =
-            GainMatrix::from_geometry(&network, &PowerAssignment::figure1_uniform(), params.alpha);
-        let sparse = || {
-            NetworkEvaluator::Sparse(rayfade_core::SparseSuccessEvaluator::new(
-                &gain, &params, 1e-3,
-            ))
-        };
-        let mut resolver = AnalyticResolver::with_evaluator(sparse(), 7);
-        let mut twin = sparse();
+    /// Drives a resolver over `evaluator` through 200 random transmit
+    /// masks and checks its cache against a twin that applies each mask's
+    /// flips by a scan of the whole mask, in ascending link order: the
+    /// whole evaluator state and every conditional probability's bits
+    /// must agree, slot after slot.
+    fn assert_listed_flips_match_a_mask_scan(evaluator: NetworkEvaluator) {
+        let n = evaluator.len();
+        let mut twin = evaluator.clone();
+        let mut resolver = AnalyticResolver::with_evaluator(evaluator, 7);
         let mut twin_mask = vec![false; n];
         let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..200 {
-            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+        for slot in 0..200 {
+            // Vary the density so the amortized cache both churns and
+            // rebuilds.
+            let density = [0.4, 0.05, 0.9, 0.0][slot % 4];
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(density)).collect();
             resolver.apply_flips(&listed(&mask));
             for (j, (&on, was)) in mask.iter().zip(&mut twin_mask).enumerate() {
                 if on != *was {
@@ -1244,6 +1213,7 @@ mod tests {
                     *was = on;
                 }
             }
+            assert_eq!(resolver.evaluator, twin, "slot {slot}");
             for i in 0..n {
                 assert_eq!(
                     resolver
@@ -1251,10 +1221,46 @@ mod tests {
                         .conditional_success_probability(i)
                         .to_bits(),
                     twin.conditional_success_probability(i).to_bits(),
-                    "link {i}"
+                    "slot {slot}, link {i}"
                 );
             }
         }
+    }
+
+    fn forty_link_gain() -> (GainMatrix, SinrParams) {
+        let network = PaperTopology {
+            links: 40,
+            side: 400.0,
+            ..PaperTopology::figure1()
+        }
+        .generate(11);
+        let params = SinrParams::figure1();
+        let gain =
+            GainMatrix::from_geometry(&network, &PowerAssignment::figure1_uniform(), params.alpha);
+        (gain, params)
+    }
+
+    /// The listed path applies flips in ascending link order, as a scan
+    /// of the whole mask does: the sparse cache's f64 log sums depend on
+    /// the order, so every conditional probability must stay bit-equal to
+    /// a mask-scanned twin's, slot after slot.
+    #[test]
+    fn listed_flips_keep_the_sparse_cache_bit_equal_to_a_mask_scan() {
+        let (gain, params) = forty_link_gain();
+        assert_listed_flips_match_a_mask_scan(NetworkEvaluator::Sparse(
+            rayfade_core::SparseSuccessEvaluator::new(&gain, &params, 1e-3),
+        ));
+    }
+
+    /// The amortized cache rebuilds from the new transmit set whenever
+    /// that takes fewer row passes than the flips; its integer sums must
+    /// still equal a flip-by-flip mask-scanned twin's, state and bits.
+    #[test]
+    fn listed_flips_keep_the_amortized_cache_bit_equal_to_a_mask_scan() {
+        let (gain, params) = forty_link_gain();
+        let evaluator = NetworkEvaluator::amortized_from_gain(&gain, &params);
+        assert!(evaluator.is_amortized());
+        assert_listed_flips_match_a_mask_scan(evaluator);
     }
 
     #[test]

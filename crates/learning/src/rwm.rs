@@ -11,6 +11,13 @@
 //! The learner is full-information: it receives the loss of *every*
 //! action each step (the capacity game can evaluate counterfactual
 //! outcomes, see `crate::game`).
+//!
+//! The capacity game's losses are 0, ½ and 1 only (`crate::loss`), and η
+//! changes only at powers of two, so [`Rwm::update`] skips the `powf` on
+//! that grid without moving a bit: `powf(x, 0)` is exactly 1 and
+//! `powf(x, 1)` exactly `x`, and the factor of a loss of ½ is computed by
+//! the same `(1 − η).powf(0.5)` call once per η epoch. Any other loss
+//! still calls `powf`.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -35,6 +42,9 @@ pub trait NoRegretLearner {
 pub struct Rwm {
     weights: Vec<f64>,
     eta: f64,
+    /// `(1 − η)^½`, the weight factor of a loss of ½; recomputed whenever
+    /// η drops.
+    half_loss_factor: f64,
     steps: u64,
     /// Next power of 2 at which η halves (multiplied by √0.5).
     next_eta_drop: u64,
@@ -45,9 +55,11 @@ impl Rwm {
     /// schedule (`η₀ = √0.5`).
     pub fn new(actions: usize) -> Self {
         assert!(actions >= 2, "need at least two actions");
+        let eta = 0.5f64.sqrt();
         Rwm {
             weights: vec![1.0; actions],
-            eta: 0.5f64.sqrt(),
+            eta,
+            half_loss_factor: half_loss_factor(eta),
             steps: 0,
             next_eta_drop: 2,
         }
@@ -79,6 +91,11 @@ impl Rwm {
     }
 }
 
+/// The weight factor `(1 − η)^½` of a loss of ½.
+fn half_loss_factor(eta: f64) -> f64 {
+    (1.0 - eta).powf(0.5)
+}
+
 impl NoRegretLearner for Rwm {
     fn num_actions(&self) -> usize {
         self.weights.len()
@@ -107,9 +124,20 @@ impl NoRegretLearner for Rwm {
             losses.iter().all(|l| (0.0..=1.0).contains(l)),
             "losses must lie in [0, 1]"
         );
+        // w·(1 − η)^l, bit for bit, with `powf` only off the loss grid
+        // {0, ½, 1} (module docs).
         let base = 1.0 - self.eta;
         for (w, &l) in self.weights.iter_mut().zip(losses) {
-            *w *= base.powf(l);
+            if l == 0.0 {
+                continue;
+            }
+            *w *= if l == 1.0 {
+                base
+            } else if l == 0.5 {
+                self.half_loss_factor
+            } else {
+                base.powf(l)
+            };
         }
         self.renormalize_if_tiny();
         self.steps += 1;
@@ -117,6 +145,7 @@ impl NoRegretLearner for Rwm {
         // time steps is increased above the next power of 2.
         if self.steps >= self.next_eta_drop {
             self.eta *= 0.5f64.sqrt();
+            self.half_loss_factor = half_loss_factor(self.eta);
             self.next_eta_drop *= 2;
         }
     }
@@ -233,6 +262,49 @@ mod tests {
         let s = rwm.strategy();
         assert!(s.iter().all(|p| p.is_finite()));
         assert!((s[0] - 0.5).abs() < 1e-9);
+    }
+
+    /// `update` equals the plain `w *= (1 − η).powf(l)` learner bit for
+    /// bit over 4 096 steps, which cross 12 η drops, on losses drawn from
+    /// {0, ½, 1} and, for the third action, one loss off that grid.
+    #[test]
+    fn update_equals_powf_reference_bit_for_bit() {
+        let mut rwm = Rwm::new(3);
+        let (mut weights, mut eta, mut next_drop) = (vec![1.0f64; 3], 0.5f64.sqrt(), 2u64);
+        let mut rng = StdRng::seed_from_u64(6);
+        let grid = [0.0, 0.5, 1.0];
+        let mut drops = 0;
+        for step in 1..=4096u64 {
+            let mut losses = [0.0; 3];
+            for l in &mut losses {
+                *l = grid[rng.gen_range(0..3usize)];
+            }
+            if step % 5 == 0 {
+                losses[2] = 0.3;
+            }
+            rwm.update(&losses);
+
+            let base = 1.0 - eta;
+            for (w, &l) in weights.iter_mut().zip(&losses) {
+                *w *= base.powf(l);
+            }
+            let max = weights.iter().cloned().fold(0.0f64, f64::max);
+            if max > 0.0 && max < 1e-100 {
+                for w in &mut weights {
+                    *w /= max;
+                }
+            }
+            if step >= next_drop {
+                eta *= 0.5f64.sqrt();
+                next_drop *= 2;
+                drops += 1;
+            }
+
+            let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rwm.weights), bits(&weights), "step {step}");
+            assert_eq!(rwm.eta().to_bits(), eta.to_bits(), "step {step}");
+        }
+        assert_eq!(drops, 12);
     }
 
     #[test]

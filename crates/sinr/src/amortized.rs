@@ -23,10 +23,24 @@
 //! Layout is *sender-major* (the transpose of
 //! [`InterferenceRatios`]): the full-activation log row of sender `j`
 //! against every receiver is contiguous, so the common slot operations —
-//! `insert(j)` / `remove(j)` on queue churn — are a single linear pass of
-//! i64 adds over one row, which rustc autovectorizes; the from-scratch
+//! `insert(j)` / `remove(j)` on queue churn — are a single linear pass
+//! over one row: a loop of plain i64 adds for `insert`, a loop of plain
+//! i64 subtracts for `remove`. Neither multiplies: baseline x86-64
+//! (SSE2) has packed 64-bit adds and subtracts (`paddq`, `psubq`) but no
+//! packed 64-bit multiply, so one `acc += sign · row` loop vectorizes
+//! with each multiply built from three 32-bit `pmuludq` partial products
+//! plus shifts and adds, and takes about twice as long per row (criterion
+//! `evaluator/amortized_flip`). The from-scratch
 //! [`set_probs`](AmortizedAccumulator::set_probs) rebuild accumulates
 //! row-blocks the same way instead of striding the receiver-major matrix.
+//!
+//! Because the sums are exact integers, a caller moving from one transmit
+//! set to another may either churn (one row pass per flipped link) or
+//! [`reset`](AmortizedAccumulator::reset) and insert the new set (one row
+//! pass per new transmitter, plus an O(n) clear) and land on the same
+//! bits. The analytic slot resolver does the cheaper of the two
+//! (`rayfade_core::NetworkEvaluator::switch_transmit_set`), so a slot
+//! costs O(min(flips, k)·n) for k transmitters instead of O(flips·n).
 //!
 //! Capacity: nonzero factors are at least `2⁻⁵³` (the smallest gap below
 //! 1.0), so one quantized log is at most `53·ln 2·2³⁸ ≈ 1.0·10¹³` in
@@ -158,17 +172,24 @@ impl AmortizedAccumulator {
 
     /// Adds (`sign = +1`) or retires (`sign = -1`) sender `j`'s
     /// contribution at probability `q`. The full-activation fast path is
-    /// one contiguous row add; fractional probabilities quantize the row
-    /// on the fly (same deterministic f64 → i64 map either way, so a
-    /// retire always cancels its apply exactly).
+    /// one contiguous row add or subtract (no multiply, see the
+    /// [module docs](self)); fractional probabilities quantize the row on
+    /// the fly (same deterministic f64 → i64 map either way, so a retire
+    /// always cancels its apply exactly).
     fn accumulate(&mut self, ratios: &InterferenceRatios, j: usize, q: f64, sign: i64) {
         if q == 0.0 {
             return;
         }
         if q == 1.0 {
             let row = &self.qlog[j * self.n..(j + 1) * self.n];
-            for (a, &ql) in self.acc.iter_mut().zip(row) {
-                *a += sign * ql;
+            if sign > 0 {
+                for (a, &ql) in self.acc.iter_mut().zip(row) {
+                    *a += ql;
+                }
+            } else {
+                for (a, &ql) in self.acc.iter_mut().zip(row) {
+                    *a -= ql;
+                }
             }
             for &i in &self.zero_receivers[j] {
                 let i = i as usize;
