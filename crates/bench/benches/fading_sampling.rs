@@ -27,7 +27,12 @@ fn bench_fading(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("resolve_sinrs", n), &n, |b, _| {
             let mut model = RayleighModel::new(gm.clone(), params, 42);
-            b.iter(|| black_box(model.resolve_sinrs(black_box(&mask))))
+            let transmitters: Vec<usize> = (0..n).collect();
+            let mut sinrs = vec![0.0; n];
+            b.iter(|| {
+                model.resolve_sinrs(black_box(&transmitters), &mut sinrs);
+                black_box(sinrs[0])
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("nakagami_resolve_slot_m4", n),

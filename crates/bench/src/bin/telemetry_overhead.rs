@@ -4,7 +4,7 @@
 //! Runs the identical `DynamicEngine` configuration four times — plain
 //! (`run()`, telemetry compiled in but disabled via `None`), with a live
 //! metrics registry (`run_with_telemetry(Some(_), None)`, which times
-//! every `policy.choose` call and tallies per-slot counters), with
+//! `policy.choose` on the sampled slots and tallies counters), with
 //! metrics plus span tracing (`with_tracing()`, sampled slot-phase spans
 //! and the always-on replication/selector spans), and with metrics plus
 //! the online health monitor (`run_with_telemetry(Some(_), Some(_))`,

@@ -7,7 +7,7 @@
 //! or when the trial cap is hit, in which case the (wider) interval is
 //! reported honestly.
 
-use rayfade_sinr::{SuccessModel, UtilityFunction};
+use rayfade_sinr::{set_from_mask, SuccessModel, UtilityFunction};
 use serde::{Deserialize, Serialize};
 
 /// Stopping rule for [`estimate_expected_utility`].
@@ -58,17 +58,17 @@ pub fn estimate_expected_utility<M: SuccessModel, U: UtilityFunction>(
 ) -> AdaptiveEstimate {
     assert!(config.target_ci > 0.0, "target CI must be positive");
     assert!(config.batch > 0 && config.max_trials >= config.min_trials);
+    let transmitters = set_from_mask(mask);
+    let mut sinrs = vec![0.0; model.len()];
     let mut n = 0u64;
     let mut mean = 0.0f64;
     let mut m2 = 0.0f64;
     loop {
         for _ in 0..config.batch {
-            let sinrs = model.resolve_sinrs(mask);
-            let total: f64 = sinrs
+            model.resolve_sinrs(&transmitters, &mut sinrs);
+            let total: f64 = transmitters
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask[i])
-                .map(|(i, &s)| utility.value(i, s))
+                .map(|&i| utility.value(i, sinrs[i]))
                 .sum();
             n += 1;
             let delta = total - mean;

@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayfade_sinr::model::debug_check_listed;
 use rayfade_sinr::{GainMatrix, SinrParams, SuccessModel};
 
 /// Samples one exponential variate with the given mean using inverse-CDF:
@@ -55,38 +56,41 @@ impl RayleighModel {
     pub fn params(&self) -> &SinrParams {
         &self.params
     }
+}
 
-    /// Draws the realized SINR of every link against the active set.
-    ///
-    /// Only coefficients that matter are sampled: the own-signal of every
-    /// link and the interference coefficients of *active* senders. Inactive
-    /// senders contribute nothing (their realization is irrelevant), which
-    /// keeps a slot at `O(n · |active|)` draws.
-    pub fn sample_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        let n = self.gain.len();
-        debug_assert_eq!(active.len(), n);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = self.gain.at_receiver(i);
-            let mut interference = 0.0;
-            for (j, (&mean, &on)) in row.iter().zip(active).enumerate() {
-                if on && j != i {
-                    interference += sample_exponential(&mut self.rng, mean);
-                }
+/// The fading kernel behind [`RayleighModel`] and
+/// [`NakagamiModel`](crate::NakagamiModel): for each receiver in
+/// ascending order, `draw(mean)` realizes the coefficient of every listed
+/// transmitter but its own link, in list order, then its own signal, and
+/// `sinrs[i]` receives the realized SINR. O(n·k) draws for `k`
+/// transmitters; `draw` consumes no randomness for a zero mean.
+pub(crate) fn realize_sinrs(
+    gain: &GainMatrix,
+    noise: f64,
+    transmitters: &[usize],
+    sinrs: &mut [f64],
+    mut draw: impl FnMut(f64) -> f64,
+) {
+    debug_check_listed(gain.len(), transmitters, sinrs);
+    for (i, out) in sinrs.iter_mut().enumerate() {
+        let row = gain.at_receiver(i);
+        let mut interference = 0.0;
+        for &j in transmitters {
+            if j != i {
+                interference += draw(row[j]);
             }
-            let signal = sample_exponential(&mut self.rng, row[i]);
-            let denom = interference + self.params.noise;
-            out.push(if denom == 0.0 {
-                if signal > 0.0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            } else {
-                signal / denom
-            });
         }
-        out
+        let signal = draw(row[i]);
+        let denom = interference + noise;
+        *out = if denom == 0.0 {
+            if signal > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        } else {
+            signal / denom
+        };
     }
 }
 
@@ -95,17 +99,15 @@ impl SuccessModel for RayleighModel {
         self.gain.len()
     }
 
-    fn resolve_slot(&mut self, active: &[bool]) -> Vec<usize> {
-        let sinrs = self.sample_sinrs(active);
-        sinrs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| (active[i] && s >= self.params.beta).then_some(i))
-            .collect()
+    fn beta(&self) -> f64 {
+        self.params.beta
     }
 
-    fn resolve_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        self.sample_sinrs(active)
+    fn resolve_sinrs(&mut self, transmitters: &[usize], sinrs: &mut [f64]) {
+        let rng = &mut self.rng;
+        realize_sinrs(&self.gain, self.params.noise, transmitters, sinrs, |mean| {
+            sample_exponential(rng, mean)
+        });
     }
 }
 
@@ -160,8 +162,9 @@ mod tests {
         let s1b = b.resolve_slot(&active);
         assert_eq!(s1a, s1b);
         // Different slots draw different coefficients (overwhelmingly).
-        let x = a.sample_sinrs(&active);
-        let y = a.sample_sinrs(&active);
+        let (mut x, mut y) = ([0.0; 2], [0.0; 2]);
+        a.resolve_sinrs(&[0, 1], &mut x);
+        a.resolve_sinrs(&[0, 1], &mut y);
         assert_ne!(x, y);
     }
 

@@ -11,6 +11,7 @@
 //! Nakagami unchanged, and ablations can chart how the Rayleigh results
 //! deform as `m` grows.
 
+use crate::channel::realize_sinrs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_sinr::{GainMatrix, SinrParams, SuccessModel};
@@ -99,34 +100,6 @@ impl NakagamiModel {
     pub fn params(&self) -> &SinrParams {
         &self.params
     }
-
-    /// Draws the realized SINR of every link against the active set.
-    pub fn sample_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        let n = self.gain.len();
-        debug_assert_eq!(active.len(), n);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = self.gain.at_receiver(i);
-            let mut interference = 0.0;
-            for (j, (&mean, &on)) in row.iter().zip(active).enumerate() {
-                if on && j != i {
-                    interference += sample_nakagami_power(&mut self.rng, self.m, mean);
-                }
-            }
-            let signal = sample_nakagami_power(&mut self.rng, self.m, row[i]);
-            let denom = interference + self.params.noise;
-            out.push(if denom == 0.0 {
-                if signal > 0.0 {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            } else {
-                signal / denom
-            });
-        }
-        out
-    }
 }
 
 impl SuccessModel for NakagamiModel {
@@ -134,17 +107,15 @@ impl SuccessModel for NakagamiModel {
         self.gain.len()
     }
 
-    fn resolve_slot(&mut self, active: &[bool]) -> Vec<usize> {
-        let sinrs = self.sample_sinrs(active);
-        sinrs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| (active[i] && s >= self.params.beta).then_some(i))
-            .collect()
+    fn beta(&self) -> f64 {
+        self.params.beta
     }
 
-    fn resolve_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        self.sample_sinrs(active)
+    fn resolve_sinrs(&mut self, transmitters: &[usize], sinrs: &mut [f64]) {
+        let (rng, m) = (&mut self.rng, self.m);
+        realize_sinrs(&self.gain, self.params.noise, transmitters, sinrs, |mean| {
+            sample_nakagami_power(rng, m, mean)
+        });
     }
 }
 

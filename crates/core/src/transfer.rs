@@ -15,7 +15,7 @@
 use crate::channel::RayleighModel;
 use crate::success::{expected_successes_of_set, success_probability_of_set};
 use rayfade_sinr::{
-    mask_from_set, sinr_all, GainMatrix, SinrParams, SuccessModel, UtilityFunction,
+    mask_from_set, set_from_mask, sinr_all, GainMatrix, SinrParams, SuccessModel, UtilityFunction,
 };
 use serde::{Deserialize, Serialize};
 
@@ -98,10 +98,12 @@ pub fn transfer_utility_mc<U: UtilityFunction>(
     let mask = mask_from_set(gain.len(), set);
     let nf_sinrs = sinr_all(gain, params, &mask);
     let nonfading: f64 = set.iter().map(|&i| utility.value(i, nf_sinrs[i])).sum();
+    let transmitters = set_from_mask(&mask);
     let mut model = RayleighModel::new(gain.clone(), *params, seed);
+    let mut sinrs = vec![0.0; gain.len()];
     let mut acc = 0.0;
     for _ in 0..trials {
-        let sinrs = model.resolve_sinrs(&mask);
+        model.resolve_sinrs(&transmitters, &mut sinrs);
         acc += set.iter().map(|&i| utility.value(i, sinrs[i])).sum::<f64>();
     }
     (nonfading, acc / trials as f64)

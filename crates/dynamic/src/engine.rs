@@ -165,17 +165,21 @@ fn listed(mask: &[bool]) -> Vec<usize> {
 }
 
 /// The realized-fading resolver: samples the channel through a
-/// [`SuccessModel`] and thresholds the resulting SINRs — bit-identical
-/// to the historical engine loop.
+/// [`SuccessModel`] over the slot's listed transmitters, O(n·k) for `k`
+/// of them, into one SINR buffer kept across slots, and thresholds the
+/// result — bit-identical to the historical engine loop.
 pub struct MonteCarloResolver {
     model: Box<dyn SuccessModel>,
     beta: f64,
+    /// Every link's SINR in the latest slot.
+    sinrs: Vec<f64>,
 }
 
 impl MonteCarloResolver {
     /// Wraps a success model and the threshold β it resolves against.
     pub fn new(model: Box<dyn SuccessModel>, beta: f64) -> Self {
-        MonteCarloResolver { model, beta }
+        let sinrs = vec![0.0; model.len()];
+        MonteCarloResolver { model, beta, sinrs }
     }
 }
 
@@ -188,13 +192,13 @@ impl SlotResolver for MonteCarloResolver {
     /// realized-fading stream is bit-pinned to committed artifacts.
     fn resolve_slot(
         &mut self,
-        active: &[bool],
-        _transmitters: &[usize],
+        _active: &[bool],
+        transmitters: &[usize],
         _counterfactuals: bool,
         would_succeed: &mut [bool],
     ) {
-        let sinrs = self.model.resolve_sinrs(active);
-        for (w, &s) in would_succeed.iter_mut().zip(&sinrs) {
+        self.model.resolve_sinrs(transmitters, &mut self.sinrs);
+        for (w, &s) in would_succeed.iter_mut().zip(&self.sinrs) {
             *w = s >= self.beta;
         }
     }
@@ -559,15 +563,16 @@ impl DynamicEngine {
         let mut would_succeed = vec![false; n];
         let mut successes = vec![false; n];
         // Metric handles resolved once per replication; the per-slot hot
-        // path only touches atomics (and `Instant` when instrumented).
+        // path only touches atomics (and `Instant` on sampled slots).
         let policy_seconds = tele.map(|t| t.registry().histogram("rayfade_dynamic_policy_seconds"));
         let sampled_backlog =
             tele.map(|t| t.registry().histogram("rayfade_dynamic_sampled_backlog"));
         // Span ids interned once per replication. The per-slot phase
-        // spans are *sampled* (only on `slot % sample_every == 0` slots):
-        // four always-on spans per ~µs-scale slot would blow the 5%
+        // spans and the policy latency are *sampled* (only on
+        // `slot % sample_every == 0` slots): four spans, two clock reads
+        // and a shared histogram update per sub-µs slot would blow the
         // overhead budget pinned by `telemetry_overhead`, while sampled
-        // spans amortize to nanoseconds per slot and still attribute time
+        // ones amortize to nanoseconds per slot and still attribute time
         // faithfully — every slot does the same work.
         let tracer = tele.and_then(Telemetry::tracer);
         let sp = |name: &str| tracer.map(|tr| tr.span_id(name));
@@ -601,7 +606,10 @@ impl DynamicEngine {
             }
             // 2. Policy picks transmitters (never on empty queues; the
             //    engine re-checks defensively).
-            let choose_start = policy_seconds.as_ref().map(|_| Instant::now());
+            let choose_start = policy_seconds
+                .as_ref()
+                .filter(|_| sampled)
+                .map(|_| Instant::now());
             {
                 let _g = phase(span_policy);
                 // Selector-backed policies nest their `selector/*` span
@@ -1103,8 +1111,8 @@ mod tests {
         );
         assert_eq!(
             reg.histogram("rayfade_dynamic_policy_seconds").count(),
-            800,
-            "one latency observation per slot"
+            16,
+            "one latency observation per sampled slot"
         );
     }
 

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayfade_learning::{loss, Action, NoRegretLearner, Rwm};
 use rayfade_sched::{
-    AlohaPolicy, CapacityInstance, GreedyCapacity, RayleighGreedy, SelectionStats,
+    AlohaPolicy, CapacityInstance, GreedyCapacity, GreedyScratch, RayleighGreedy, SelectionStats,
 };
 use rayfade_sinr::{
     Affectance, GainMatrix, InterferenceRatios, SinrParams, SparseInterferenceRatios,
@@ -168,6 +168,8 @@ pub struct QueueMaxWeight {
     /// Selections are bit-identical to the per-call path.
     affectance: Affectance,
     selector: GreedyCapacity,
+    /// The selector's order and affectance buffers, kept across slots.
+    scratch: GreedyScratch,
     stats: SelectionStats,
     /// Per-link weights (the backlogs), refilled every slot.
     weights: Vec<f64>,
@@ -184,6 +186,7 @@ impl QueueMaxWeight {
             params,
             affectance,
             selector: GreedyCapacity::weighted(),
+            scratch: GreedyScratch::default(),
             stats: SelectionStats::default(),
         }
     }
@@ -195,13 +198,6 @@ fn fill_weights(weights: &mut [f64], backlogs: &Backlogs) {
     for (w, &b) in weights.iter_mut().zip(backlogs.as_slice()) {
         *w = b as f64;
     }
-}
-
-/// Writes a selector's set into `chosen`, ascending.
-fn write_sorted(chosen: &mut Vec<usize>, set: Vec<usize>) {
-    chosen.clear();
-    chosen.extend(set);
-    chosen.sort_unstable();
 }
 
 impl OnlinePolicy for QueueMaxWeight {
@@ -219,13 +215,15 @@ impl OnlinePolicy for QueueMaxWeight {
         fill_weights(&mut self.weights, backlogs);
         // GreedyCapacity skips weight-0 links, so empty queues are never
         // selected.
-        let (set, stats) = self.selector.select_with_affectance_stats(
+        let stats = self.selector.select_into(
             &self.affectance,
             &CapacityInstance::weighted(&self.gain, &self.params, &self.weights),
             tracer,
+            &mut self.scratch,
+            chosen,
         );
         self.stats.merge(&stats);
-        write_sorted(chosen, set);
+        chosen.sort_unstable();
     }
 
     fn observe(&mut self, _slot: &ObservedSlot<'_>) {}
@@ -323,7 +321,9 @@ impl OnlinePolicy for RayleighMaxWeight {
             RatioCache::Sparse(r) => selector.select_with_ratios_stats(r, weights, tracer),
         };
         self.stats.merge(&stats);
-        write_sorted(chosen, set);
+        chosen.clear();
+        chosen.extend(set);
+        chosen.sort_unstable();
     }
 
     fn observe(&mut self, _slot: &ObservedSlot<'_>) {}

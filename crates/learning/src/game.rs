@@ -78,10 +78,11 @@ impl GameOutcome {
 /// threshold `beta`.
 ///
 /// Each round: every learner samples an action; one call to
-/// [`SuccessModel::resolve_sinrs`] yields, for transmitting links, their
-/// realized SINR and, for idle links, the exact counterfactual "had I
-/// transmitted" SINR (a link's own signal does not interfere with others,
-/// so the interference term is identical either way).
+/// [`SuccessModel::resolve_sinrs`] over the round's transmitters yields,
+/// for transmitting links, their realized SINR and, for idle links, the
+/// exact counterfactual "had I transmitted" SINR (a link's own signal
+/// does not interfere with others, so the interference term is identical
+/// either way).
 pub fn run_game_with_beta<M: SuccessModel>(
     model: &mut M,
     beta: f64,
@@ -132,14 +133,20 @@ pub fn run_game_instrumented<M: SuccessModel>(
     let mut successes_per_round = Vec::with_capacity(config.rounds);
     let mut transmitters_per_round = Vec::with_capacity(config.rounds);
     let mut active = vec![false; n];
+    let mut transmitters = Vec::with_capacity(n);
+    let mut sinrs = vec![0.0; n];
     let tracer = tele.and_then(Telemetry::tracer);
     let round_span = tracer.map(|tr| tr.span_id("learning/round"));
     for round in 0..config.rounds {
         let _round_span = rayfade_telemetry::trace::guard(tracer, round_span);
+        transmitters.clear();
         for (i, learner) in learners.iter_mut().enumerate() {
             active[i] = learner.choose(&mut rng) == Action::Send.index();
+            if active[i] {
+                transmitters.push(i);
+            }
         }
-        let sinrs = model.resolve_sinrs(&active);
+        model.resolve_sinrs(&transmitters, &mut sinrs);
         let mut succ_count = 0usize;
         let mut tx_count = 0usize;
         for i in 0..n {
@@ -210,12 +217,18 @@ pub fn run_game_bandit<M: SuccessModel>(
     let mut transmitters_per_round = Vec::with_capacity(config.rounds);
     let mut active = vec![false; n];
     let mut actions = vec![0usize; n];
+    let mut transmitters = Vec::with_capacity(n);
+    let mut sinrs = vec![0.0; n];
     for _round in 0..config.rounds {
+        transmitters.clear();
         for (i, learner) in learners.iter_mut().enumerate() {
             actions[i] = learner.choose(&mut rng);
             active[i] = actions[i] == Action::Send.index();
+            if active[i] {
+                transmitters.push(i);
+            }
         }
-        let sinrs = model.resolve_sinrs(&active);
+        model.resolve_sinrs(&transmitters, &mut sinrs);
         let mut succ_count = 0usize;
         let mut tx_count = 0usize;
         for i in 0..n {

@@ -75,22 +75,22 @@ pub fn run_game_multichannel<M: SuccessModel>(
     let mut successes_per_round = Vec::with_capacity(config.rounds);
     let mut imbalance_acc = 0.0f64;
     let mut actions = vec![0usize; n];
-    let mut channel_masks: Vec<Vec<bool>> = vec![vec![false; n]; channels];
+    // Each channel's transmitters, ascending, and its links' SINRs.
+    let mut channel_tx: Vec<Vec<usize>> = vec![Vec::new(); channels];
     let mut losses = vec![0.0f64; channels + 1];
-    let mut channel_sinrs: Vec<Vec<f64>> = Vec::with_capacity(channels);
+    let mut channel_sinrs: Vec<Vec<f64>> = vec![vec![0.0; n]; channels];
     for _round in 0..config.rounds {
-        for mask in &mut channel_masks {
-            mask.iter_mut().for_each(|m| *m = false);
+        for tx in &mut channel_tx {
+            tx.clear();
         }
         for (i, learner) in learners.iter_mut().enumerate() {
             actions[i] = learner.choose(&mut rng);
             if actions[i] > 0 {
-                channel_masks[actions[i] - 1][i] = true;
+                channel_tx[actions[i] - 1].push(i);
             }
         }
-        channel_sinrs.clear();
-        for (c, model) in models.iter_mut().enumerate() {
-            channel_sinrs.push(model.resolve_sinrs(&channel_masks[c]));
+        for ((model, tx), sinrs) in models.iter_mut().zip(&channel_tx).zip(&mut channel_sinrs) {
+            model.resolve_sinrs(tx, sinrs);
         }
         let mut succ = 0usize;
         let mut per_channel_tx = vec![0usize; channels];

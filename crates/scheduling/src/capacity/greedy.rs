@@ -72,25 +72,29 @@ impl GreedyCapacity {
         }
     }
 
-    fn ordering(&self, inst: &CapacityInstance<'_>) -> Vec<usize> {
+    /// Writes the processing order into `order`. Every order is a strict
+    /// total order (ties end on the link index), so the unstable sorts,
+    /// which allocate nothing, produce the one permutation a stable sort
+    /// would.
+    fn ordering_into(&self, inst: &CapacityInstance<'_>, order: &mut Vec<usize>) {
         let n = inst.len();
+        order.clear();
         match &self.order {
-            GreedyOrder::Explicit(order) => {
-                assert_eq!(order.len(), n, "explicit order must cover all links");
-                order.clone()
+            GreedyOrder::Explicit(explicit) => {
+                assert_eq!(explicit.len(), n, "explicit order must cover all links");
+                order.extend_from_slice(explicit);
             }
             GreedyOrder::SignalDescending => {
-                let mut idx: Vec<usize> = (0..n).collect();
+                order.extend(0..n);
                 // total_cmp: a NaN entry must not abort the whole
                 // schedule; it sorts deterministically (first, in
                 // descending order) and is skipped by the select() guard.
-                idx.sort_by(|&a, &b| {
+                order.sort_unstable_by(|&a, &b| {
                     inst.gain
                         .signal(b)
                         .total_cmp(&inst.gain.signal(a))
                         .then(a.cmp(&b))
                 });
-                idx
             }
             GreedyOrder::WeightDescending => {
                 // Non-positive (and NaN) weights are skipped by the
@@ -101,19 +105,27 @@ impl GreedyCapacity {
                 // difference between O(k log k) and O(n log n) per slot.
                 // The surviving order — and hence the selection and its
                 // stats — is bit-identical to sorting the full range.
-                let mut idx: Vec<usize> = (0..n)
-                    .filter(|&i| crate::capacity::strictly_positive(inst.weight(i)))
-                    .collect();
-                idx.sort_by(|&a, &b| {
+                order
+                    .extend((0..n).filter(|&i| crate::capacity::strictly_positive(inst.weight(i))));
+                order.sort_unstable_by(|&a, &b| {
                     inst.weight(b)
                         .total_cmp(&inst.weight(a))
                         .then(inst.gain.signal(b).total_cmp(&inst.gain.signal(a)))
                         .then(a.cmp(&b))
                 });
-                idx
             }
         }
     }
+}
+
+/// The buffers [`GreedyCapacity::select_into`] reuses from one call to
+/// the next: the processing order and every accepted link's incoming
+/// affectance. Once they have grown to the instance, a selection
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct GreedyScratch {
+    order: Vec<usize>,
+    cur_in: Vec<f64>,
 }
 
 /// Marginal-gain greedy on the *Rayleigh* objective `Σ_i w_i·Q_i`
@@ -269,7 +281,8 @@ impl GreedyCapacity {
     /// the selection itself. `Affectance` is a pure function of
     /// `(gain, params)`, so the selection is bit-identical to the
     /// per-call path. With a `tracer`, the scan runs under the same
-    /// `selector/greedy` span.
+    /// `selector/greedy` span. Allocates its buffers; slot loops keep
+    /// them and call [`select_into`](Self::select_into).
     ///
     /// # Panics
     /// If the cache size does not match the instance.
@@ -279,16 +292,46 @@ impl GreedyCapacity {
         inst: &CapacityInstance<'_>,
         tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
+        let mut accepted = Vec::new();
+        let stats = self.select_into(
+            aff,
+            inst,
+            tracer,
+            &mut GreedyScratch::default(),
+            &mut accepted,
+        );
+        (accepted, stats)
+    }
+
+    /// [`select_with_affectance_stats`](Self::select_with_affectance_stats)
+    /// into buffers the caller owns: clears `accepted` and writes the
+    /// selection into it, in acceptance order, and returns the work
+    /// tally. Once `scratch` and `accepted` have grown to the instance, a
+    /// call allocates nothing.
+    ///
+    /// # Panics
+    /// If the cache size does not match the instance.
+    pub fn select_into(
+        &self,
+        aff: &Affectance,
+        inst: &CapacityInstance<'_>,
+        tracer: Option<&Tracer>,
+        scratch: &mut GreedyScratch,
+        accepted: &mut Vec<usize>,
+    ) -> SelectionStats {
         assert!(self.in_budget >= 0.0 && self.acceptance_cap <= 1.0 + 1e-12);
         assert_eq!(aff.len(), inst.len(), "affectance cache size mismatch");
         let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
-        let order = self.ordering(inst);
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut stats = SelectionStats::default();
+        let GreedyScratch { order, cur_in } = scratch;
+        self.ordering_into(inst, order);
         // Incoming unclipped affectance currently suffered by each accepted
-        // link (indexed by link id for O(1) updates).
-        let mut cur_in = vec![0.0; inst.len()];
-        'cand: for &i in &order {
+        // link (indexed by link id for O(1) updates). An entry is written
+        // when its link is accepted, before any read, so what an earlier
+        // call left behind is never read.
+        cur_in.resize(inst.len(), 0.0);
+        accepted.clear();
+        let mut stats = SelectionStats::default();
+        'cand: for &i in order.iter() {
             // `strictly_positive` rather than `w <= 0`: it also skips NaN weights.
             if !aff.feasible_alone(i) || !crate::capacity::strictly_positive(inst.weight(i)) {
                 continue;
@@ -296,19 +339,19 @@ impl GreedyCapacity {
             stats.candidates_scored += 1;
             // Incoming affectance the candidate would suffer.
             let mut in_i = 0.0;
-            for &j in &accepted {
+            for &j in accepted.iter() {
                 in_i += aff.get_unclipped(j, i);
                 if in_i > self.in_budget {
                     continue 'cand;
                 }
             }
             // Headroom of every accepted link must survive the newcomer.
-            for &k in &accepted {
+            for &k in accepted.iter() {
                 if cur_in[k] + aff.get_unclipped(i, k) > self.acceptance_cap {
                     continue 'cand;
                 }
             }
-            for &k in &accepted {
+            for &k in accepted.iter() {
                 cur_in[k] += aff.get_unclipped(i, k);
             }
             cur_in[i] = in_i;
@@ -316,7 +359,7 @@ impl GreedyCapacity {
         }
         stats.accepted = accepted.len() as u64;
         stats.rejected = stats.candidates_scored - stats.accepted;
-        (accepted, stats)
+        stats
     }
 }
 

@@ -25,7 +25,7 @@ pub mod multihop;
 pub mod schedule;
 
 pub use capacity::flexible::{FlexibleCapacity, FlexibleSolution};
-pub use capacity::greedy::{GreedyCapacity, GreedyOrder, RayleighGreedy};
+pub use capacity::greedy::{GreedyCapacity, GreedyOrder, GreedyScratch, RayleighGreedy};
 pub use capacity::optimal::{ExactCapacity, LocalSearchCapacity, RayleighLocalSearch};
 pub use capacity::power_control::{PowerControlCapacity, PowerControlSolution};
 pub use capacity::{CapacityAlgorithm, CapacityInstance, SelectionStats};

@@ -46,16 +46,21 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use crate::json::Json;
 use crate::metrics::Histogram;
 
-/// Default per-thread ring capacity, in spans. At ~24 bytes per slot this
-/// is ~1.5 MiB per thread — big enough that sampled instrumentation of a
-/// full experiment never wraps, small enough to never matter.
+/// Default per-thread ring capacity, in spans. At 24 bytes per slot a
+/// full ring is 1.5 MiB per thread — big enough that sampled
+/// instrumentation of a full experiment never wraps. A ring allocates its
+/// slots in chunks of 1 024 as its thread first reaches them, so a
+/// short-lived pool worker that records a few spans pays 24 KiB.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+
+/// Slots per lazily allocated chunk of a thread's ring.
+const CHUNK_SLOTS: usize = 1_024;
 
 /// Schema version stamped into exported trace files (in `otherData`).
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
@@ -80,6 +85,7 @@ thread_local! {
 /// One recorded-span slot: name id, start, end (nanoseconds since the
 /// tracer's epoch). Written with relaxed stores by exactly one thread;
 /// read only after writers quiesce (see [`Tracer::snapshot`]).
+#[derive(Default)]
 struct Slot {
     name: AtomicU64,
     start: AtomicU64,
@@ -87,12 +93,15 @@ struct Slot {
 }
 
 /// A single thread's span ring. Single-writer: only the owning thread
-/// stores; snapshotting threads only load.
+/// allocates chunks and stores; snapshotting threads only load.
 struct ThreadBuffer {
     tid: u64,
     /// Total spans ever pushed; `head % capacity` is the next write slot.
     head: AtomicU64,
-    slots: Vec<Slot>,
+    capacity: usize,
+    /// The ring's `capacity` slots, [`CHUNK_SLOTS`] to a chunk, each
+    /// allocated by the owning thread when it first writes there.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
 }
 
 impl ThreadBuffer {
@@ -100,12 +109,9 @@ impl ThreadBuffer {
         ThreadBuffer {
             tid,
             head: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    name: AtomicU64::new(0),
-                    start: AtomicU64::new(0),
-                    end: AtomicU64::new(0),
-                })
+            capacity,
+            chunks: (0..capacity.div_ceil(CHUNK_SLOTS))
+                .map(|_| OnceLock::new())
                 .collect(),
         }
     }
@@ -113,11 +119,25 @@ impl ThreadBuffer {
     #[inline]
     fn push(&self, name: u64, start_ns: u64, end_ns: u64) {
         let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(head % self.slots.len() as u64) as usize];
+        let k = (head % self.capacity as u64) as usize;
+        let c = k / CHUNK_SLOTS;
+        let chunk = self.chunks[c].get_or_init(|| {
+            let len = CHUNK_SLOTS.min(self.capacity - c * CHUNK_SLOTS);
+            (0..len).map(|_| Slot::default()).collect()
+        });
+        let slot = &chunk[k % CHUNK_SLOTS];
         slot.name.store(name, Ordering::Relaxed);
         slot.start.store(start_ns, Ordering::Relaxed);
         slot.end.store(end_ns, Ordering::Relaxed);
         self.head.store(head + 1, Ordering::Release);
+    }
+
+    /// Ring slot `k`, which a push has written: its chunk exists.
+    fn slot(&self, k: usize) -> &Slot {
+        let chunk = self.chunks[k / CHUNK_SLOTS]
+            .get()
+            .expect("a written slot's chunk is allocated");
+        &chunk[k % CHUNK_SLOTS]
     }
 }
 
@@ -245,12 +265,12 @@ impl Tracer {
         let mut dropped = 0u64;
         for buf in &buffers {
             let head = buf.head.load(Ordering::Acquire);
-            let cap = buf.slots.len() as u64;
+            let cap = buf.capacity as u64;
             let kept = head.min(cap);
             dropped += head - kept;
             // Oldest retained span first (record order == end order).
             for k in 0..kept {
-                let slot = &buf.slots[((head - kept + k) % cap) as usize];
+                let slot = buf.slot(((head - kept + k) % cap) as usize);
                 let name_id = slot.name.load(Ordering::Relaxed) as usize;
                 records.push(SpanRecord {
                     name: names
@@ -736,6 +756,26 @@ mod tests {
         let trace = tracer.snapshot();
         assert_eq!(trace.records.len(), 4);
         assert_eq!(trace.dropped, 6);
+    }
+
+    /// A ring bigger than one chunk wraps across chunk boundaries, and
+    /// keeps the newest `capacity` spans, oldest first.
+    #[test]
+    fn chunked_ring_wraps_across_chunks_in_order() {
+        let capacity = 2 * CHUNK_SLOTS + 100;
+        let tracer = Tracer::with_capacity(capacity);
+        let ids: Vec<SpanId> = (0..7).map(|k| tracer.span_id(&format!("s{k}"))).collect();
+        let total = 2 * capacity + 37;
+        for k in 0..total {
+            let _g = tracer.span(ids[k % ids.len()]);
+        }
+        let trace = tracer.snapshot();
+        assert_eq!(trace.records.len(), capacity);
+        assert_eq!(trace.dropped as usize, total - capacity);
+        for (r, k) in trace.records.iter().zip(total - capacity..) {
+            assert_eq!(r.name, format!("s{}", k % ids.len()));
+        }
+        assert!(trace.records.windows(2).all(|w| w[0].end_ns <= w[1].end_ns));
     }
 
     #[test]
