@@ -42,12 +42,19 @@
 //! [`set_uniform`](SuccessAccumulator::set_uniform)) replace every
 //! probability, so they walk each receiver's row instead
 //! ([`RatioTable::receiver_ratios`]): one pass writes the receiver's log
-//! sum and zero count, reading contiguous memory on both tables and
-//! leaving a receiver without retained interferers at an exact 0. Both
-//! walks give the same bits. A batch call equals a reset followed by one
-//! `set_prob` per sender in ascending order, and that scatter adds each
-//! receiver's factors in ascending sender order — the order its row
-//! lists them in — starting from the same 0. Both tables hand over a
+//! sum and zero count, reading contiguous memory on both tables. Only the
+//! receivers the table lists ([`RatioTable::interfered_receivers`]:
+//! every receiver of the dense table, those with a non-empty row on the
+//! sparse one) are walked. The others keep the exact 0 of an empty sum,
+//! and the batch reads
+//! ([`expected_successes`](SuccessAccumulator::expected_successes),
+//! [`expected_successes_interval`](SuccessAccumulator::expected_successes_interval),
+//! [`success_probabilities`](SuccessAccumulator::success_probabilities))
+//! skip their product, which is exactly 1. Both walks give the same
+//! bits. A batch call equals a reset followed by one `set_prob` per
+//! sender in ascending order, and that scatter adds each receiver's
+//! factors in ascending sender order — the order its row lists them in
+//! — starting from the same 0. Both tables hand over a
 //! sender's ratios in ascending receiver order and a receiver's in
 //! ascending sender order, so a sparse table that dropped nothing
 //! (`δ = 0`) gives the dense table's bits on either walk.
@@ -241,6 +248,16 @@ pub trait RatioTable {
     /// order: the batch walk. A table may hand over zero ratios, which
     /// consumers skip.
     fn receiver_ratios(&self, i: usize) -> impl Iterator<Item = (usize, &f64)> + '_;
+
+    /// The receivers whose row can hold a ratio, in ascending order: the
+    /// only ones whose interference the batch calls rebuild and read. A
+    /// receiver left out must have an empty row and appear in no
+    /// sender's ratios, so its interference product is the empty
+    /// product, exactly 1. Listing a receiver whose row is empty is
+    /// allowed. The default lists every receiver.
+    fn interfered_receivers(&self) -> impl Iterator<Item = usize> + '_ {
+        0..self.len()
+    }
 }
 
 impl RatioTable for InterferenceRatios {
@@ -286,11 +303,10 @@ impl RatioTable for InterferenceRatios {
 /// [`insert`](Self::insert), [`remove`](Self::remove)) updates the
 /// receivers of sender `j` only: O(n) on the dense table, O(deg j) on the
 /// sparse one. Replacing every `q_j` ([`set_probs`](Self::set_probs),
-/// [`set_uniform`](Self::set_uniform)) rebuilds each receiver's sum from
-/// its row (see the [module docs](self)). All methods take the
-/// [`RatioTable`] the accumulator was
-/// sized for; callers keep the two together (the `rayfade-core`
-/// evaluators bundle them).
+/// [`set_uniform`](Self::set_uniform)) rebuilds each interfered
+/// receiver's sum from its row (see the [module docs](self)). All methods
+/// take the [`RatioTable`] the accumulator was sized for; callers keep
+/// the two together (the `rayfade-core` evaluators bundle them).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuccessAccumulator {
     /// Current transmission probabilities.
@@ -372,17 +388,23 @@ impl SuccessAccumulator {
         self.gather(ratios, |_| q);
     }
 
-    /// Rewrites the whole state with `q(j)` the probability of link `j`,
-    /// receiver by receiver: its probability, then its log sum and zero
-    /// count from its row, whose factors enter in ascending sender order,
-    /// the order the `set_prob` scatter adds them.
+    /// Rewrites the whole state with `q(j)` the probability of link `j`:
+    /// one pass writes every probability and an empty log sum and zero
+    /// count, then each [interfered receiver](RatioTable::interfered_receivers)
+    /// rebuilds its log sum and zero count from its row, whose factors
+    /// enter in ascending sender order, the order the `set_prob` scatter
+    /// adds them.
     fn gather<R: RatioTable>(&mut self, ratios: &R, q: impl Fn(usize) -> f64) {
         assert_eq!(ratios.len(), self.q.len(), "ratio cache size mismatch");
         let state = self.q.iter_mut().zip(&mut self.acc).zip(&mut self.zeros);
-        for (i, ((q_i, acc), zeros)) in state.enumerate() {
+        for (j, ((q_j, acc), zeros)) in state.enumerate() {
             // `set_prob` leaves a −0.0 request at the reset's +0.0.
-            let own = q(i);
-            *q_i = if own == 0.0 { 0.0 } else { own };
+            let own = q(j);
+            *q_j = if own == 0.0 { 0.0 } else { own };
+            *acc = 0.0;
+            *zeros = 0;
+        }
+        for i in ratios.interfered_receivers() {
             let (mut sum, mut count) = (0.0, 0);
             for (j, &rho) in ratios.receiver_ratios(i) {
                 let q_j = q(j);
@@ -398,8 +420,8 @@ impl SuccessAccumulator {
                     sum += factor.ln();
                 }
             }
-            *acc = sum;
-            *zeros = count;
+            self.acc[i] = sum;
+            self.zeros[i] = count;
         }
     }
 
@@ -499,28 +521,49 @@ impl SuccessAccumulator {
         (hi * ratios.tau_factor(i), hi)
     }
 
+    /// Every link's [`success_probability`](Self::success_probability),
+    /// bit for bit, in ascending link order. The walk reads interference
+    /// only at the [interfered receivers](RatioTable::interfered_receivers),
+    /// listed beside the link index; every other link's product is
+    /// exactly 1, so its value is `q_i·noise_i`.
+    fn successes<'a, R: RatioTable>(&'a self, ratios: &'a R) -> impl Iterator<Item = f64> + 'a {
+        assert_eq!(ratios.len(), self.q.len(), "ratio cache size mismatch");
+        let mut interfered = ratios.interfered_receivers().peekable();
+        self.q.iter().enumerate().map(move |(i, &q_i)| {
+            // `q_i·noise_i·Π` associates as `success_probability` does;
+            // adding +0.0 turns the −0.0 of a silent link (`set_prob`
+            // stores a −0.0 request) into the +0.0 it returns, and leaves
+            // every other value as it is.
+            let own = q_i * ratios.noise_factor(i) + 0.0;
+            if interfered.next_if_eq(&i).is_some() {
+                own * self.interference_product(i)
+            } else {
+                own
+            }
+        })
+    }
+
     /// All success probabilities — O(n).
     pub fn success_probabilities<R: RatioTable>(&self, ratios: &R) -> Vec<f64> {
-        (0..self.q.len())
-            .map(|i| self.success_probability(ratios, i))
-            .collect()
+        self.successes(ratios).collect()
     }
 
     /// Expected number of successes `Σ_i Q_i` under the current
-    /// probabilities — O(n), compensated summation.
+    /// probabilities — O(n), compensated summation in ascending link
+    /// order.
     pub fn expected_successes<R: RatioTable>(&self, ratios: &R) -> f64 {
-        kahan_sum((0..self.q.len()).map(|i| self.success_probability(ratios, i)))
+        kahan_sum(self.successes(ratios))
     }
 
     /// Certified interval containing the exact expected number of
     /// successes: lower and upper compensated sums of the per-link
-    /// intervals, both fed in one pass — O(n).
+    /// [intervals](Self::success_interval), both fed in one pass in
+    /// ascending link order — O(n).
     pub fn expected_successes_interval<R: RatioTable>(&self, ratios: &R) -> (f64, f64) {
         let (mut lo, mut hi) = (CompensatedSum::default(), CompensatedSum::default());
-        for i in 0..self.q.len() {
-            let (l, h) = self.success_interval(ratios, i);
-            lo.add(l);
-            hi.add(h);
+        for (i, p) in self.successes(ratios).enumerate() {
+            lo.add(p * ratios.tau_factor(i));
+            hi.add(p);
         }
         (lo.total(), hi.total())
     }
