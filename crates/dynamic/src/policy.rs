@@ -33,6 +33,7 @@ use rayfade_sched::{
 };
 use rayfade_sinr::{
     Affectance, GainMatrix, InterferenceRatios, SinrParams, SparseInterferenceRatios,
+    SuccessAccumulator,
 };
 use rayfade_telemetry::trace::Tracer;
 use serde::{Deserialize, Serialize};
@@ -259,6 +260,8 @@ impl OnlinePolicy for QueueMaxWeight {
 pub struct RayleighMaxWeight {
     ratios: RatioCache,
     selector: RayleighGreedy,
+    /// The selector's accumulator, reset every slot.
+    acc: SuccessAccumulator,
     stats: SelectionStats,
     /// Per-link weights (the backlogs), refilled every slot.
     weights: Vec<f64>,
@@ -288,6 +291,7 @@ impl RayleighMaxWeight {
         };
         RayleighMaxWeight {
             weights: vec![0.0; gain.len()],
+            acc: SuccessAccumulator::new(gain.len()),
             ratios,
             selector: RayleighGreedy::new(),
             stats: SelectionStats::default(),
@@ -315,14 +319,13 @@ impl OnlinePolicy for RayleighMaxWeight {
         fill_weights(&mut self.weights, backlogs);
         // RayleighGreedy requires strictly positive weight to activate a
         // link, so empty queues are never selected.
-        let (selector, weights) = (&self.selector, Some(self.weights.as_slice()));
-        let (set, stats) = match &self.ratios {
-            RatioCache::Dense(r) => selector.select_with_ratios_stats(r, weights, tracer),
-            RatioCache::Sparse(r) => selector.select_with_ratios_stats(r, weights, tracer),
+        let (selector, weights, acc) =
+            (&self.selector, Some(self.weights.as_slice()), &mut self.acc);
+        let stats = match &self.ratios {
+            RatioCache::Dense(r) => selector.select_into(r, weights, tracer, acc, chosen),
+            RatioCache::Sparse(r) => selector.select_into(r, weights, tracer, acc, chosen),
         };
         self.stats.merge(&stats);
-        chosen.clear();
-        chosen.extend(set);
         chosen.sort_unstable();
     }
 

@@ -3,7 +3,8 @@
 //! The slot loop reuses every per-slot buffer: the arrival list, the
 //! transmit list, the transmit/indicator/delivery masks, the backlog
 //! index, the policies' own lists, the max-weight selector's order and
-//! affectance buffers, and the Monte Carlo resolver's SINR buffer. So
+//! affectance buffers, the Rayleigh max-weight selector's accumulator,
+//! and the Monte Carlo resolver's SINR buffer. So
 //! with no traffic (λ = 0, where no queue ever grows) a replication twice
 //! as long must make no more heap allocations than a short one:
 //! everything it allocates, it allocates during setup. A counting global
@@ -143,8 +144,13 @@ fn assert_slots_allocate_nothing(label: &str, sparse: bool, config: impl Fn(u64)
 #[test]
 fn idle_slots_allocate_nothing() {
     // Regret learning reads every link's counterfactual, so its slots
-    // also run the full-network resolve; gated ALOHA runs the listed one.
-    for policy in [PolicyKind::Aloha, PolicyKind::Regret] {
+    // also run the full-network resolve; gated ALOHA runs the listed one;
+    // Rayleigh max-weight runs its greedy on the sparse cache every slot.
+    for policy in [
+        PolicyKind::Aloha,
+        PolicyKind::Regret,
+        PolicyKind::RayleighMaxWeight,
+    ] {
         assert_slots_allocate_nothing(policy.label(), true, |slots| idle(policy, slots));
     }
 }
@@ -152,10 +158,13 @@ fn idle_slots_allocate_nothing() {
 #[test]
 fn idle_monte_carlo_slots_allocate_nothing() {
     // Every Monte Carlo slot realizes the whole channel into the
-    // resolver's SINR buffer, and max-weight runs its greedy every slot,
-    // even with no queue to serve.
+    // resolver's SINR buffer, and both max-weight policies run their
+    // greedy every slot, even with no queue to serve.
     for model in SuccessModelKind::all() {
-        for policy in PolicyKind::all() {
+        for policy in PolicyKind::all()
+            .into_iter()
+            .chain([PolicyKind::RayleighMaxWeight])
+        {
             assert_slots_allocate_nothing(
                 &format!("{}/{}", policy.label(), model.label()),
                 false,

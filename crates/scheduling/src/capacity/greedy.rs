@@ -206,7 +206,8 @@ impl RayleighGreedy {
     /// under a `selector/rayleigh_greedy` span. Callers that invoke the
     /// selector every slot should gate the tracer on their sampling
     /// policy — a span per selection is cheap, but only when it is not
-    /// one per microsecond.
+    /// one per microsecond. Allocates its accumulator and selection;
+    /// slot loops keep both and call [`select_into`](Self::select_into).
     ///
     /// # Panics
     /// If a weight vector is given and its length does not match the
@@ -217,6 +218,35 @@ impl RayleighGreedy {
         weights: Option<&[f64]>,
         tracer: Option<&Tracer>,
     ) -> (Vec<usize>, SelectionStats) {
+        let mut selected = Vec::new();
+        let stats = self.select_into(
+            ratios,
+            weights,
+            tracer,
+            &mut SuccessAccumulator::new(ratios.len()),
+            &mut selected,
+        );
+        (selected, stats)
+    }
+
+    /// [`select_with_ratios_stats`](Self::select_with_ratios_stats) into
+    /// buffers the caller owns: resets `acc` (replacing it when it was
+    /// sized for another table), clears `selected` and writes the
+    /// selection into it, in activation order, and returns the work
+    /// tally. Once `acc` and `selected` have grown to the table, a call
+    /// allocates nothing.
+    ///
+    /// # Panics
+    /// If a weight vector is given and its length does not match the
+    /// table.
+    pub fn select_into<R: RatioTable>(
+        &self,
+        ratios: &R,
+        weights: Option<&[f64]>,
+        tracer: Option<&Tracer>,
+        acc: &mut SuccessAccumulator,
+        selected: &mut Vec<usize>,
+    ) -> SelectionStats {
         let n = ratios.len();
         if let Some(w) = weights {
             assert_eq!(w.len(), n, "weight vector size mismatch");
@@ -226,8 +256,12 @@ impl RayleighGreedy {
             tracer.map(|tr| tr.span_id("selector/rayleigh_greedy")),
         );
         let weight = |j: usize| weights.map_or(1.0, |w| w[j]);
-        let mut acc = SuccessAccumulator::new(n);
-        let mut selected: Vec<usize> = Vec::new();
+        if acc.len() == n {
+            acc.reset();
+        } else {
+            *acc = SuccessAccumulator::new(n);
+        }
+        selected.clear();
         let mut stats = SelectionStats::default();
         let cap = self.max_links.unwrap_or(n);
         while selected.len() < cap {
@@ -253,7 +287,7 @@ impl RayleighGreedy {
         }
         stats.accepted = selected.len() as u64;
         stats.rejected = stats.candidates_scored.saturating_sub(stats.accepted);
-        (selected, stats)
+        stats
     }
 }
 
