@@ -123,6 +123,26 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
+/// Renders a number as [`Json::Num`] does, for writers that stream a
+/// document without building its tree.
+pub(crate) struct JsonNum(pub(crate) f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_num(f, self.0)
+    }
+}
+
+/// Renders a string as [`Json::Str`] does (quoted and escaped), for
+/// writers that stream a document without building its tree.
+pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_str(f, self.0)
+    }
+}
+
 fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {

@@ -43,13 +43,13 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use crate::json::Json;
+use crate::json::{Json, JsonNum, JsonStr};
 use crate::metrics::Histogram;
 
 /// Default per-thread ring capacity, in spans. At 24 bytes per slot a
@@ -355,32 +355,18 @@ pub struct Trace {
 impl Trace {
     /// Renders the trace as Chrome Trace Event Format JSON: one `"B"` /
     /// `"E"` event pair per span, microsecond timestamps, grouped by
-    /// `tid`. Loadable in `chrome://tracing` and Perfetto.
+    /// `tid`. Loadable in `chrome://tracing` and Perfetto. The same
+    /// renderer as [`write_chrome_json`](Self::write_chrome_json).
     pub fn to_chrome_json(&self) -> String {
-        let mut events = Vec::new();
-        for tid_records in group_by_tid(&self.records) {
-            let tid = tid_records[0].tid;
-            emit_thread_events(tid, tid_records, &mut events);
-        }
-        Json::Obj(vec![
-            ("traceEvents".to_string(), Json::Arr(events)),
-            ("displayTimeUnit".to_string(), Json::Str("ms".to_string())),
-            (
-                "otherData".to_string(),
-                Json::Obj(vec![
-                    (
-                        "schema_version".to_string(),
-                        Json::Num(TRACE_SCHEMA_VERSION as f64),
-                    ),
-                    ("dropped_spans".to_string(), Json::Num(self.dropped as f64)),
-                ]),
-            ),
-        ])
-        .to_string()
+        let mut out = Vec::new();
+        self.write_chrome(&mut out)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(out).expect("the renderer writes UTF-8")
     }
 
     /// Writes [`Trace::to_chrome_json`] to `path` (creating parent
-    /// directories).
+    /// directories), streaming one event at a time through a buffered
+    /// writer: the export holds no rendering of the whole trace.
     pub fn write_chrome_json<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
@@ -388,7 +374,38 @@ impl Trace {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, self.to_chrome_json())
+        let mut out = io::BufWriter::new(std::fs::File::create(path)?);
+        self.write_chrome(&mut out)?;
+        out.flush()
+    }
+
+    /// Renders the Chrome trace into `out` event by event, with the bytes
+    /// of the `Json` tree of the same document (keys in insertion order,
+    /// numbers and strings as [`Json`] prints them).
+    fn write_chrome(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"{\"traceEvents\":[")?;
+        let mut first = true;
+        for tid_records in group_by_tid(&self.records) {
+            let tid = JsonNum(tid_records[0].tid as f64);
+            for_each_thread_event(tid_records, |name, ph, ts_ns| {
+                if !first {
+                    out.write_all(b",")?;
+                }
+                first = false;
+                write!(
+                    out,
+                    "{{\"name\":{},\"ph\":\"{ph}\",\"ts\":{},\"pid\":1,\"tid\":{tid}}}",
+                    JsonStr(name),
+                    JsonNum(ts_ns as f64 / 1e3),
+                )
+            })?;
+        }
+        write!(
+            out,
+            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"schema_version\":{},\"dropped_spans\":{}}}}}",
+            JsonNum(TRACE_SCHEMA_VERSION as f64),
+            JsonNum(self.dropped as f64),
+        )
     }
 
     /// Aggregates the trace into a per-span-name [`SelfProfile`].
@@ -460,33 +477,29 @@ fn tree_order<'a>(records: &[&'a SpanRecord]) -> Vec<&'a SpanRecord> {
     sorted
 }
 
-/// Emits balanced `B`/`E` Chrome trace events for one thread.
-fn emit_thread_events(tid: u64, records: Vec<&SpanRecord>, events: &mut Vec<Json>) {
-    let event = |name: &str, ph: &str, ts_ns: u64| {
-        Json::Obj(vec![
-            ("name".to_string(), Json::Str(name.to_string())),
-            ("ph".to_string(), Json::Str(ph.to_string())),
-            ("ts".to_string(), Json::Num(ts_ns as f64 / 1e3)),
-            ("pid".to_string(), Json::Num(1.0)),
-            ("tid".to_string(), Json::Num(tid as f64)),
-        ])
-    };
+/// Calls `emit(name, ph, ts_ns)` for each of one thread's balanced
+/// `B`/`E` Chrome trace events, in tree order.
+fn for_each_thread_event(
+    records: Vec<&SpanRecord>,
+    mut emit: impl FnMut(&str, char, u64) -> io::Result<()>,
+) -> io::Result<()> {
     let mut stack: Vec<&SpanRecord> = Vec::new();
     for span in tree_order(&records) {
         while let Some(top) = stack.last() {
             if top.end_ns <= span.start_ns {
-                events.push(event(&top.name, "E", top.end_ns));
+                emit(&top.name, 'E', top.end_ns)?;
                 stack.pop();
             } else {
                 break;
             }
         }
-        events.push(event(&span.name, "B", span.start_ns));
+        emit(&span.name, 'B', span.start_ns)?;
         stack.push(span);
     }
     while let Some(top) = stack.pop() {
-        events.push(event(&top.name, "E", top.end_ns));
+        emit(&top.name, 'E', top.end_ns)?;
     }
+    Ok(())
 }
 
 /// Walks one thread's span forest and pairs every span with the summed
@@ -824,6 +837,83 @@ mod tests {
         let mut want = trace.records.clone();
         want.sort_by_key(|r| (r.tid, r.start_ns));
         assert_eq!(back, want);
+    }
+
+    /// The Chrome trace as a `Json` tree of owned strings, rendered
+    /// whole: the reference the streamed export must equal byte for byte.
+    fn tree_rendering(trace: &Trace) -> String {
+        let mut events = Vec::new();
+        for records in group_by_tid(&trace.records) {
+            let tid = records[0].tid;
+            let event = |name: &str, ph: &str, ts_ns: u64| {
+                Json::Obj(vec![
+                    ("name".to_string(), Json::Str(name.to_string())),
+                    ("ph".to_string(), Json::Str(ph.to_string())),
+                    ("ts".to_string(), Json::Num(ts_ns as f64 / 1e3)),
+                    ("pid".to_string(), Json::Num(1.0)),
+                    ("tid".to_string(), Json::Num(tid as f64)),
+                ])
+            };
+            let mut stack: Vec<&SpanRecord> = Vec::new();
+            for span in tree_order(&records) {
+                while let Some(top) = stack.last() {
+                    if top.end_ns <= span.start_ns {
+                        events.push(event(&top.name, "E", top.end_ns));
+                        stack.pop();
+                    } else {
+                        break;
+                    }
+                }
+                events.push(event(&span.name, "B", span.start_ns));
+                stack.push(span);
+            }
+            while let Some(top) = stack.pop() {
+                events.push(event(&top.name, "E", top.end_ns));
+            }
+        }
+        Json::Obj(vec![
+            ("traceEvents".to_string(), Json::Arr(events)),
+            ("displayTimeUnit".to_string(), Json::Str("ms".to_string())),
+            (
+                "otherData".to_string(),
+                Json::Obj(vec![
+                    (
+                        "schema_version".to_string(),
+                        Json::Num(TRACE_SCHEMA_VERSION as f64),
+                    ),
+                    ("dropped_spans".to_string(), Json::Num(trace.dropped as f64)),
+                ]),
+            ),
+        ])
+        .to_string()
+    }
+
+    #[test]
+    fn streamed_export_matches_the_tree_rendering() {
+        let trace = Trace {
+            records: vec![
+                rec("outer \"quoted\"", 3, 1_500, 90_001),
+                rec("back\\slash/tab\there", 3, 1_500, 20_000),
+                rec("line\nbreak\r\u{1}", 3, 20_000, 20_000),
+                rec("ünïcødé → µs", 0, 7, 12_345_678_901),
+                rec("a", 0, 9, 10),
+                rec("b", 0, 9, 10),
+                rec("late", 11, 9_007_199_254_740_993, 9_007_199_254_740_999),
+            ],
+            dropped: 4_242,
+        };
+        let want = tree_rendering(&trace);
+        assert_eq!(trace.to_chrome_json(), want);
+        assert!(validate_chrome_trace(&want).is_ok());
+        let empty = Trace::default();
+        assert_eq!(empty.to_chrome_json(), tree_rendering(&empty));
+
+        let dir = std::env::temp_dir().join("rayfade-telemetry-tests");
+        let path = dir.join(format!("streamed-{}.trace.json", std::process::id()));
+        trace.write_chrome_json(&path).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(written, want);
     }
 
     #[test]
