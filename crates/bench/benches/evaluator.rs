@@ -14,6 +14,9 @@
 //! the from-scratch `set_probs` rebuild the conformance check holds them
 //! bit-equal to. `f64_set_probs` times the same rebuild on the f64
 //! `SuccessEvaluator` (one row gather per receiver), beside it.
+//! `sparse_eval` is one certified evaluation of the sparse evaluator at
+//! 10⁵ links (`set_uniform` plus `expected_successes_interval`), on the
+//! geometry, δ and q-grid of perfbench's `sparse_100k` workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -22,7 +25,8 @@ use rayfade_bench::figure1_instance;
 use rayfade_core::{
     expected_successes_of_set, success_probabilities, NetworkEvaluator, SuccessEvaluator,
 };
-use rayfade_sinr::AmortizedAccumulator;
+use rayfade_geometry::PaperTopology;
+use rayfade_sinr::{AmortizedAccumulator, PowerAssignment, SinrParams};
 use std::hint::black_box;
 
 /// A random transmit set of about 8% of `n` links, ascending.
@@ -117,6 +121,27 @@ fn bench_evaluator(c: &mut Criterion) {
             })
         });
     }
+    let links = 100_000;
+    let net = PaperTopology {
+        links,
+        side: (links as f64 * 1e6).sqrt(),
+        min_length: 20.0,
+        max_length: 40.0,
+    }
+    .generate(0x51e5);
+    let params = SinrParams::new(4.0, 2.5, 4e-7);
+    let mut ev =
+        NetworkEvaluator::for_network(&net, &PowerAssignment::figure1_uniform(), &params, None);
+    assert!(ev.is_sparse(), "10^5 links take the sparse evaluator");
+    let grid = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0];
+    let mut k = 0;
+    group.bench_function("sparse_eval", |b| {
+        b.iter(|| {
+            k = (k + 1) % grid.len();
+            ev.set_uniform(black_box(grid[k]));
+            black_box(ev.expected_successes_interval())
+        })
+    });
     group.finish();
 }
 
