@@ -10,8 +10,9 @@
 //! verifies they pick the identical set.
 //!
 //! Claim checked at the largest size: incremental is ≥ 5× faster. Each
-//! side is timed as the best of `REPEATS` runs at every size, so one
-//! run slowed by other load on the host does not decide the claim.
+//! side is timed as the best of `REPEATS` runs at every size, and the
+//! runs alternate between the sides, so load that comes or goes during
+//! a size slows both sides alike rather than deciding the claim.
 //!
 //! Usage: `cargo run -p rayfade-bench --release --bin evaluator_bench [--quick] [--out dir]`
 
@@ -84,19 +85,14 @@ fn incremental_greedy(gm: &GainMatrix, params: &SinrParams, max_links: usize) ->
     (0..n).filter(|&j| active[j]).collect()
 }
 
-/// Timed runs per side and size; the fastest one counts.
+/// Timed runs per side and size, alternating naive and incremental;
+/// each side's fastest run counts.
 const REPEATS: usize = 3;
 
-fn time_ms<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(r);
-    }
-    (best, out.expect("REPEATS >= 1"))
+fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let start = Instant::now();
+    let r = f();
+    (start.elapsed().as_secs_f64() * 1e3, r)
 }
 
 fn main() {
@@ -114,8 +110,16 @@ fn main() {
     for &n in sizes {
         let (gm, params) = figure1_instance(0, n);
         let cap = n / 4;
-        let (naive_ms, naive_set) = time_ms(|| naive_greedy(&gm, &params, cap));
-        let (incr_ms, incr_set) = time_ms(|| incremental_greedy(&gm, &params, cap));
+        let (mut naive_ms, mut incr_ms) = (f64::INFINITY, f64::INFINITY);
+        let (mut naive_set, mut incr_set) = (Vec::new(), Vec::new());
+        for _ in 0..REPEATS {
+            let (ms, set) = time_ms(|| naive_greedy(&gm, &params, cap));
+            naive_ms = naive_ms.min(ms);
+            naive_set = set;
+            let (ms, set) = time_ms(|| incremental_greedy(&gm, &params, cap));
+            incr_ms = incr_ms.min(ms);
+            incr_set = set;
+        }
         assert_eq!(
             naive_set, incr_set,
             "n={n}: evaluator-driven greedy diverged from the naive greedy"

@@ -17,23 +17,22 @@
 //! least one policy — fading randomizes interference, so the strongest
 //! blocker is not *always* present.
 //!
-//! With `--monitor`, the sweep also runs the online health monitor
-//! (queue-drift, watermark, throughput-collapse, and delay-SLO
-//! detectors per network), cross-checks the live λ-stability verdicts
-//! against the post-hoc fits, and writes a `stability_health.jsonl`
-//! artifact. Monitoring never changes the schedule: the monitored
-//! report is bit-equal to the plain one.
+//! With `--telemetry dir --monitor`, the sweep also runs the online
+//! health monitor (watermark, throughput-collapse, and delay-SLO
+//! detectors per network) and journals its `health` records after each
+//! replication's `dyn_net`. Monitoring never changes the schedule: the
+//! monitored report is bit-equal to the plain one.
 //!
-//! Usage: `cargo run -p rayfade-bench --release --bin stability_exp [--quick] [--out dir] [--telemetry dir] [--monitor]`
+//! Usage: `cargo run -p rayfade-bench --release --bin stability_exp [--quick] [--out dir] [--telemetry dir [--trace] [--monitor]]`
 
 use rayfade_bench::{telemetry_ref, Cli};
 use rayfade_dynamic::{
-    ArrivalProcess, DynamicConfig, LambdaSweep, MonitorSpec, PolicyKind, SlotModelKind,
-    SuccessModelKind,
+    ArrivalProcess, DynamicConfig, LambdaSweep, PolicyKind, SlotModelKind, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sim::{fmt_f, Table};
 use rayfade_sinr::SinrParams;
+use rayfade_telemetry::MonitorConfig;
 
 fn main() {
     let cli = Cli::parse();
@@ -69,22 +68,8 @@ fn main() {
     };
     let tele = cli.experiment_telemetry("stability");
     let sweep = LambdaSweep::linear(base, max_lambda, steps);
-    let spec = cli.monitor.then(MonitorSpec::default);
-    let monitored = sweep.run_with_telemetry(telemetry_ref(&tele), spec.as_ref());
-    if cli.monitor {
-        let (agree, total) = monitored.verdict_agreement();
-        println!(
-            "claim: online drift verdict matches post-hoc fit on every cell — {} ({agree}/{total})",
-            if agree == total { "HOLDS" } else { "VIOLATED" }
-        );
-        let health_dir = cli.telemetry.clone().unwrap_or_else(|| cli.out.clone());
-        let health_path = health_dir.join("stability_health.jsonl");
-        monitored
-            .write_health_journal(&health_path)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", health_path.display()));
-        eprintln!("wrote {}", health_path.display());
-    }
-    let report = monitored.report;
+    let monitor = cli.monitor.then(MonitorConfig::default);
+    let report = sweep.run_with_telemetry(telemetry_ref(&tele), monitor.as_ref());
 
     let mut table = Table::new([
         "policy",

@@ -11,11 +11,8 @@
 //!   Journals are streamed through
 //!   [`rayfade_telemetry::JournalReader`], so linting a 100 MB journal
 //!   needs memory for one line, not the file;
-//! * `*_health.jsonl` — all of the above, plus at least one `health`
-//!   event (an empty health journal means the monitor never reported);
 //! * `*_metrics.prom` — non-empty, every non-comment line is
 //!   `name value`, and at least one `rayfade_`-prefixed sample exists;
-//! * `*_metrics.csv` — non-empty with the `kind,name,value` header;
 //! * `*_trace.json` — a Chrome-trace JSON with balanced `B`/`E` events
 //!   and per-thread monotone timestamps
 //!   (via [`rayfade_telemetry::trace::validate_chrome_trace`]); a trace
@@ -45,16 +42,13 @@ struct Warning {
 }
 
 /// Validate one JSONL journal in a single streaming pass; returns
-/// problem messages (without the path prefix). When `require_health` is
-/// set (for `*_health.jsonl` monitor artifacts), the journal must
-/// contain at least one `health` event.
-fn lint_journal(path: &Path, require_health: bool) -> Vec<String> {
+/// problem messages (without the path prefix).
+fn lint_journal(path: &Path) -> Vec<String> {
     let mut problems = Vec::new();
     let reader = match JournalReader::open(path) {
         Ok(reader) => reader,
         Err(e) => return vec![format!("unreadable journal: {e}")],
     };
-    let mut health_events = 0usize;
     let mut count = 0usize;
     for (i, event) in reader.enumerate() {
         let ev = match event {
@@ -87,7 +81,6 @@ fn lint_journal(path: &Path, require_health: bool) -> Vec<String> {
             _ => problems.push(format!("event {i} has no non-empty kind")),
         }
         if ev.get("kind").and_then(|v| v.as_str()) == Some("health") {
-            health_events += 1;
             for field in ["detector", "verdict"] {
                 match ev.get(field).and_then(|v| v.as_str()) {
                     Some(value) if !value.is_empty() => {}
@@ -98,9 +91,6 @@ fn lint_journal(path: &Path, require_health: bool) -> Vec<String> {
     }
     if count == 0 && problems.is_empty() {
         problems.push("journal is empty".to_string());
-    }
-    if require_health && health_events == 0 {
-        problems.push("health journal contains no health events".to_string());
     }
     problems
 }
@@ -144,26 +134,6 @@ fn lint_prom(path: &Path) -> Vec<String> {
         problems.push(format!("no rayfade_-prefixed samples among {samples}"));
     }
     problems
-}
-
-/// Validate one CSV metrics dump.
-fn lint_csv(path: &Path) -> Vec<String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let mut lines = text.lines();
-            match lines.next() {
-                Some("kind,name,value") => {
-                    if lines.next().is_none() {
-                        vec!["header but no metric rows".to_string()]
-                    } else {
-                        Vec::new()
-                    }
-                }
-                _ => vec!["missing `kind,name,value` header".to_string()],
-            }
-        }
-        Err(e) => vec![format!("unreadable: {e}")],
-    }
 }
 
 /// Validate one Chrome-trace JSON export; dropped spans are a warning,
@@ -252,11 +222,9 @@ fn main() {
     for path in &entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let file_problems = if name.ends_with(".jsonl") {
-            lint_journal(path, name.ends_with("_health.jsonl"))
+            lint_journal(path)
         } else if name.ends_with("_metrics.prom") {
             lint_prom(path)
-        } else if name.ends_with("_metrics.csv") {
-            lint_csv(path)
         } else if name.ends_with("_trace.json") {
             lint_trace(path, &mut warnings)
         } else {
@@ -279,8 +247,7 @@ fn main() {
     if checked == 0 {
         problems.push((
             dir.display().to_string(),
-            "no telemetry artifacts (*.jsonl, *_metrics.prom, *_metrics.csv, *_trace.json) found"
-                .to_string(),
+            "no telemetry artifacts (*.jsonl, *_metrics.prom, *_trace.json) found".to_string(),
         ));
     }
 

@@ -7,8 +7,9 @@
 //! `--telemetry <dir>` to dump a metrics registry and JSONL journal on
 //! exit, `--trace` (requires `--telemetry`) to also record spans and
 //! write a Chrome-trace JSON plus a self-profile table, and `--monitor`
-//! to run the online health detectors where supported (see README's
-//! Observability section). A bad command line exits with status 2.
+//! (also requires `--telemetry`) to journal the online health detectors
+//! where supported (see README's Observability section). A bad command
+//! line exits with status 2.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,7 +21,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// The common options, as a usage line shows them.
-pub const USAGE: &str = "[--quick] [--out <dir>] [--telemetry <dir> [--trace]] [--monitor]";
+pub const USAGE: &str = "[--quick] [--out <dir>] [--telemetry <dir> [--trace] [--monitor]]";
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +36,9 @@ pub struct Cli {
     /// experiment's [`ExperimentTelemetry::finish`] additionally writes a
     /// Chrome-trace JSON and a self-profile CSV.
     pub trace: bool,
-    /// Run with online health monitoring: streaming detectors ride
-    /// along with the experiment and, for experiments that support it,
-    /// a `<name>_health.jsonl` artifact lands next to the journal.
+    /// Run with online health monitoring (requires `--telemetry`): for
+    /// experiments that support it, streaming detectors ride along and
+    /// their `health` records land in the journal.
     pub monitor: bool,
 }
 
@@ -52,6 +53,9 @@ pub enum CliError {
     /// `--trace` without `--telemetry <dir>`: traces land next to the
     /// journal.
     TraceWithoutTelemetry,
+    /// `--monitor` without `--telemetry <dir>`: health records land in
+    /// the journal.
+    MonitorWithoutTelemetry,
 }
 
 impl fmt::Display for CliError {
@@ -62,6 +66,10 @@ impl fmt::Display for CliError {
             CliError::TraceWithoutTelemetry => write!(
                 f,
                 "--trace requires --telemetry <dir> (traces land next to the journal)"
+            ),
+            CliError::MonitorWithoutTelemetry => write!(
+                f,
+                "--monitor requires --telemetry <dir> (health records land in the journal)"
             ),
         }
     }
@@ -116,6 +124,9 @@ impl Cli {
         if trace && telemetry.is_none() {
             return Err(CliError::TraceWithoutTelemetry);
         }
+        if monitor && telemetry.is_none() {
+            return Err(CliError::MonitorWithoutTelemetry);
+        }
         Ok(Cli {
             quick,
             out,
@@ -133,7 +144,7 @@ impl Cli {
     /// Experiment-scoped telemetry when `--telemetry <dir>` was given:
     /// journal events stream to `<dir>/<name>_journal.jsonl` and
     /// [`ExperimentTelemetry::finish`] dumps the metric registry to
-    /// `<dir>/<name>_metrics.prom` / `.csv`.
+    /// `<dir>/<name>_metrics.prom`.
     pub fn experiment_telemetry(&self, name: &str) -> Option<ExperimentTelemetry> {
         let dir = self.telemetry.as_ref()?;
         let journal_path = dir.join(format!("{name}_journal.jsonl"));
@@ -150,7 +161,6 @@ impl Cli {
             tele,
             journal_path,
             prom_path: dir.join(format!("{name}_metrics.prom")),
-            csv_path: dir.join(format!("{name}_metrics.csv")),
             trace_path: self.trace.then(|| dir.join(format!("{name}_trace.json"))),
             profile_path: self.trace.then(|| dir.join(format!("{name}_profile.csv"))),
         })
@@ -171,7 +181,6 @@ pub struct ExperimentTelemetry {
     tele: Telemetry,
     journal_path: PathBuf,
     prom_path: PathBuf,
-    csv_path: PathBuf,
     trace_path: Option<PathBuf>,
     profile_path: Option<PathBuf>,
 }
@@ -183,13 +192,13 @@ impl ExperimentTelemetry {
     }
 
     /// Flushes the journal and writes the metric registry to the
-    /// `.prom`/`.csv` paths; call once at the end of the experiment.
+    /// `.prom` path; call once at the end of the experiment.
     /// Panics on IO failure (an experiment run that silently loses its
     /// telemetry is worse than one that fails loudly) and reports any
     /// journal write errors tallied during the run.
     pub fn finish(&self) {
         self.tele
-            .write_metrics(&self.prom_path, &self.csv_path)
+            .write_metrics(&self.prom_path)
             .unwrap_or_else(|e| panic!("cannot write telemetry metrics: {e}"));
         if let Some(j) = self.tele.journal() {
             let errs = j.write_errors();
@@ -227,10 +236,9 @@ impl ExperimentTelemetry {
             );
         }
         eprintln!(
-            "telemetry: wrote {}, {}, {}",
+            "telemetry: wrote {}, {}",
             self.journal_path.display(),
-            self.prom_path.display(),
-            self.csv_path.display()
+            self.prom_path.display()
         );
     }
 }
@@ -316,9 +324,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_rejects_trace_without_telemetry() {
+    fn parse_from_rejects_trace_or_monitor_without_telemetry() {
         assert_eq!(parse(&["--trace"]), Err(CliError::TraceWithoutTelemetry));
         assert!(parse(&["--trace", "--telemetry", "t"]).is_ok());
+        assert_eq!(
+            parse(&["--monitor"]),
+            Err(CliError::MonitorWithoutTelemetry)
+        );
+        assert!(parse(&["--monitor", "--telemetry", "t"]).is_ok());
     }
 
     #[test]
@@ -335,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn experiment_telemetry_writes_all_three_artifacts() {
+    fn experiment_telemetry_writes_journal_and_metrics() {
         let dir = std::env::temp_dir().join(format!("rayfade-bench-tele-{}", std::process::id()));
         let cli = Cli {
             quick: true,
@@ -361,11 +374,7 @@ mod tests {
             ev.int("x", 1).write();
         }
         tele.finish();
-        for name in [
-            "smoke_journal.jsonl",
-            "smoke_metrics.prom",
-            "smoke_metrics.csv",
-        ] {
+        for name in ["smoke_journal.jsonl", "smoke_metrics.prom"] {
             let p = dir.join(name);
             assert!(p.exists(), "{} missing", p.display());
         }

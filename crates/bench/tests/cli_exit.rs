@@ -5,8 +5,9 @@ use std::process::Command;
 
 #[test]
 fn bad_command_lines_exit_2_with_a_usage_line() {
-    let cases: [(&str, &[&str]); 3] = [
+    let cases: [(&str, &[&str]); 4] = [
         (env!("CARGO_BIN_EXE_stability_exp"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_stability_exp"), &["--monitor"]),
         (env!("CARGO_BIN_EXE_sparse_smoke"), &["--links", "0"]),
         (env!("CARGO_BIN_EXE_fig1"), &["--trace"]),
     ];

@@ -11,13 +11,13 @@
 
 use rayfade_core::SPARSE_CROSSOVER;
 use rayfade_dynamic::{
-    ArrivalProcess, DynamicConfig, DynamicEngine, LambdaSweep, MonitorSpec,
-    MonitoredStabilityReport, PolicyKind, SlotModelKind, StabilityReport, SuccessModelKind,
+    ArrivalProcess, DynamicConfig, DynamicEngine, LambdaSweep, PolicyKind, SlotModelKind,
+    StabilityReport, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams};
 use rayfade_spatial::{build_sparse_ratios_stats, SparseBuildStats};
-use rayfade_telemetry::Telemetry;
+use rayfade_telemetry::{MonitorConfig, Telemetry};
 use std::path::PathBuf;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -83,9 +83,7 @@ fn stability_sweep_journal_and_csv_rows_identical_at_pool_sizes_1_2_8() {
     for &threads in &POOL_SIZES {
         let path = scratch(&format!("stability-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
-        let report = at_pool_size(threads, || {
-            sweep.run_with_telemetry(Some(&tele), None).report
-        });
+        let report = at_pool_size(threads, || sweep.run_with_telemetry(Some(&tele), None));
         tele.flush();
         journals.push((threads, std::fs::read(&path).expect("read journal")));
         reports.push((threads, report));
@@ -116,35 +114,30 @@ fn stability_sweep_journal_and_csv_rows_identical_at_pool_sizes_1_2_8() {
 }
 
 #[test]
-fn monitored_sweep_journal_and_health_identical_at_pool_sizes_1_4_8() {
+fn monitored_sweep_journal_identical_at_pool_sizes_1_4_8() {
     const MONITOR_POOL_SIZES: [usize; 3] = [1, 4, 8];
     let sweep = sweep();
-    let spec = MonitorSpec::default();
+    let monitor = MonitorConfig::default();
     let mut journals: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut health_journals: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut reports: Vec<(usize, MonitoredStabilityReport)> = Vec::new();
+    let mut reports: Vec<(usize, StabilityReport)> = Vec::new();
     for &threads in &MONITOR_POOL_SIZES {
         let path = scratch(&format!("monitored-{threads}.jsonl"));
-        let health_path = scratch(&format!("monitored-health-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
         let report = at_pool_size(threads, || {
-            sweep.run_with_telemetry(Some(&tele), Some(&spec))
+            sweep.run_with_telemetry(Some(&tele), Some(&monitor))
         });
         tele.flush();
-        report
-            .write_health_journal(&health_path)
-            .expect("write health journal");
         journals.push((threads, std::fs::read(&path).expect("read journal")));
-        health_journals.push((threads, std::fs::read(&health_path).expect("read health")));
         reports.push((threads, report));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&health_path);
     }
 
+    // The journal carries every detector report (watermarks, rates, SLO
+    // counts) as `health` records, so its bytes cover the monitor too.
     let (_, ref_journal) = &journals[0];
     assert!(
-        !ref_journal.is_empty(),
-        "monitored journal must not be empty"
+        String::from_utf8_lossy(ref_journal).contains("\"kind\":\"health\""),
+        "monitored journal must carry health records"
     );
     for (threads, bytes) in &journals[1..] {
         assert_eq!(
@@ -152,21 +145,9 @@ fn monitored_sweep_journal_and_health_identical_at_pool_sizes_1_4_8() {
             "monitored journal bytes differ between pool size 1 and {threads}"
         );
     }
-    let (_, ref_health) = &health_journals[0];
-    assert!(!ref_health.is_empty(), "health journal must not be empty");
-    for (threads, bytes) in &health_journals[1..] {
-        assert_eq!(
-            bytes, ref_health,
-            "health journal bytes differ between pool size 1 and {threads}"
-        );
-    }
 
     let (_, ref_report) = &reports[0];
-    let (agree, total) = ref_report.verdict_agreement();
-    assert_eq!(agree, total, "online verdicts disagree with post-hoc fits");
     for (threads, report) in &reports[1..] {
-        // Full bitwise equality of the post-hoc cells *and* every
-        // online detector report (drift slopes, watermarks, SLO counts).
         assert_eq!(
             report, ref_report,
             "monitored report differs between pool size 1 and {threads}"

@@ -34,6 +34,6 @@ pub use policy::{
 };
 pub use queue::{Backlogs, LinkQueue, QueueBank, QueueMut};
 pub use stability::{
-    judge_cell, least_squares_slope, CellHealth, LambdaSweep, MonitorSpec,
-    MonitoredStabilityReport, StabilityCell, StabilityReport, StabilityVerdict, DRIFT_TOLERANCE,
+    judge_cell, least_squares_slope, LambdaSweep, StabilityCell, StabilityReport, StabilityVerdict,
+    DRIFT_TOLERANCE,
 };

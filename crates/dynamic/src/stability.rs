@@ -20,11 +20,9 @@ use crate::engine::{
     DynamicConfig, DynamicEngine, DynamicOutcome, SlotModelKind, SuccessModelKind,
 };
 use crate::policy::PolicyKind;
-use rayfade_telemetry::{HealthReport, Journal, MonitorConfig, SloConfig, Telemetry};
+use rayfade_telemetry::{HealthReport, MonitorConfig, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::Path;
 
 /// Fraction of the offered load the backlog drift may reach before the
 /// cell is declared unstable.
@@ -175,7 +173,7 @@ impl LambdaSweep {
     /// report. Cell order is deterministic: policies × models × λ
     /// ascending.
     pub fn run(&self) -> StabilityReport {
-        self.run_with_telemetry(None, None).report
+        self.run_with_telemetry(None, None)
     }
 
     /// Like [`run`](Self::run), but tallies registry metrics during the
@@ -185,20 +183,17 @@ impl LambdaSweep {
     /// `dyn_net` trace, a `stability_cell` verdict per cell, and one
     /// `lambda_star` event per (policy, model) curve.
     ///
-    /// With a `monitor` spec, every replication also feeds an online
-    /// [`rayfade_telemetry::HealthMonitor`] configured from it (drift
-    /// threshold derived per cell from its λ, mirroring the post-hoc
-    /// rule), and the result carries per-cell [`CellHealth`]. The journal
-    /// then gains the inserted `health` events — per replication after
-    /// its `dyn_net`, plus one `lambda_stability` summary per cell before
-    /// its `stability_cell` — and is otherwise identical to the
+    /// With a `monitor` config, every replication also feeds an online
+    /// [`rayfade_telemetry::HealthMonitor`], whose reports are exported to
+    /// the registry and journaled as `health` events after each
+    /// replication's `dyn_net`; the journal is otherwise identical to the
     /// unmonitored stream. The [`StabilityReport`] is bit-identical to
     /// [`run`](Self::run)'s either way.
     pub fn run_with_telemetry(
         &self,
         tele: Option<&Telemetry>,
-        monitor: Option<&MonitorSpec>,
-    ) -> MonitoredStabilityReport {
+        monitor: Option<&MonitorConfig>,
+    ) -> StabilityReport {
         let mut configs = Vec::new();
         for policy in PolicyKind::all() {
             for model in SuccessModelKind::all() {
@@ -226,9 +221,8 @@ impl LambdaSweep {
             .into_par_iter()
             .map(|cfg| {
                 let _g = rayfade_telemetry::trace::guard(tracer, cell_span);
-                let mcfg = monitor.map(|spec| spec.monitor_config(cfg.arrival.rate(), cfg.links));
                 let engine = DynamicEngine::new(cfg);
-                let (outcomes, reports) = engine.replicate(tele, mcfg.as_ref());
+                let (outcomes, reports) = engine.replicate(tele, monitor);
                 (engine, outcomes, reports)
             })
             .collect();
@@ -252,7 +246,6 @@ impl LambdaSweep {
         }
 
         let mut cells = Vec::with_capacity(runs.len());
-        let mut health = Vec::new();
         for (engine, outcomes, reports) in &runs {
             engine.journal_outcomes(tele, outcomes, reports);
             let cfg = engine.config();
@@ -263,13 +256,6 @@ impl LambdaSweep {
                 cfg.links,
                 outcomes,
             );
-            if let Some(spec) = monitor {
-                let cell_health = CellHealth::from_reports(spec, &cell, cfg.links, reports);
-                if let Some(ev) = tele.and_then(|t| t.event("health")) {
-                    cell_health.summary_fields(ev).write();
-                }
-                health.push(cell_health);
-            }
             if let Some(ev) = tele.and_then(|t| t.event("stability_cell")) {
                 ev.str("policy", cell.policy.label())
                     .str("model", cell.model.label())
@@ -303,7 +289,7 @@ impl LambdaSweep {
             }
             t.flush();
         }
-        MonitoredStabilityReport { report, health }
+        report
     }
 }
 
@@ -339,176 +325,6 @@ impl StabilityReport {
             }
         }
         star
-    }
-}
-
-/// Configuration template for online monitoring of a sweep: everything a
-/// [`MonitorConfig`] needs except the drift threshold, which is derived
-/// per cell from its λ (`drift_tolerance · λ · links` — the post-hoc
-/// rule, so online and post-hoc verdicts test the same inequality).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSpec {
-    /// Fraction of the network-wide offered load the backlog drift may
-    /// reach before the online detector alerts.
-    pub drift_tolerance: f64,
-    /// Delay SLO tracked per cell (`None` disables the tracker).
-    pub slo: Option<SloConfig>,
-    /// Consecutive new-high-watermark samples before alerting.
-    pub watermark_streak_limit: u64,
-    /// EWMA smoothing factor for the rate estimators.
-    pub ewma_alpha: f64,
-    /// Departure/arrival ratio below which throughput counts collapsed.
-    pub collapse_ratio: f64,
-    /// Relative accuracy γ of the delay quantile sketch.
-    pub sketch_gamma: f64,
-}
-
-impl Default for MonitorSpec {
-    /// [`DRIFT_TOLERANCE`] plus [`MonitorConfig::default`]'s detector
-    /// settings.
-    fn default() -> Self {
-        let base = MonitorConfig::default();
-        MonitorSpec {
-            drift_tolerance: DRIFT_TOLERANCE,
-            slo: base.slo,
-            watermark_streak_limit: base.watermark_streak_limit,
-            ewma_alpha: base.ewma_alpha,
-            collapse_ratio: base.collapse_ratio,
-            sketch_gamma: base.sketch_gamma,
-        }
-    }
-}
-
-impl MonitorSpec {
-    /// The per-cell monitor configuration: the drift threshold scales
-    /// with this cell's offered load, everything else copies the spec.
-    pub fn monitor_config(&self, lambda: f64, links: usize) -> MonitorConfig {
-        MonitorConfig {
-            drift_threshold: self.drift_tolerance * lambda * links as f64,
-            slo: self.slo,
-            watermark_streak_limit: self.watermark_streak_limit,
-            ewma_alpha: self.ewma_alpha,
-            collapse_ratio: self.collapse_ratio,
-            sketch_gamma: self.sketch_gamma,
-        }
-    }
-}
-
-/// Online health summary of one sweep cell: the per-replication
-/// [`HealthReport`]s plus the live λ-stability verdict their drift slopes
-/// aggregate to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellHealth {
-    /// The policy this cell ran.
-    pub policy: PolicyKind,
-    /// The success model this cell ran.
-    pub model: SuccessModelKind,
-    /// The cell's arrival rate λ.
-    pub lambda: f64,
-    /// The online drift-alert threshold (`tolerance · λ · links`).
-    pub drift_threshold: f64,
-    /// Mean of the per-replication online drift slopes.
-    pub online_drift: f64,
-    /// The live verdict: stable iff `online_drift ≤ drift_threshold` —
-    /// the same inequality, over the same sampled points, as the
-    /// post-hoc [`judge_cell`], so the verdicts agree up to
-    /// floating-point noise in the slope fit.
-    pub online_verdict: StabilityVerdict,
-    /// One report per replication, in network order.
-    pub reports: Vec<HealthReport>,
-}
-
-impl CellHealth {
-    fn from_reports(
-        spec: &MonitorSpec,
-        cell: &StabilityCell,
-        links: usize,
-        reports: &[HealthReport],
-    ) -> Self {
-        let online_drift =
-            reports.iter().map(|r| r.drift_slope).sum::<f64>() / reports.len().max(1) as f64;
-        let drift_threshold = spec.drift_tolerance * cell.lambda * links as f64;
-        let online_verdict = if online_drift <= drift_threshold {
-            StabilityVerdict::Stable
-        } else {
-            StabilityVerdict::Unstable
-        };
-        CellHealth {
-            policy: cell.policy,
-            model: cell.model,
-            lambda: cell.lambda,
-            drift_threshold,
-            online_drift,
-            online_verdict,
-            reports: reports.to_vec(),
-        }
-    }
-
-    /// Adds this cell's `lambda_stability` summary fields to a `health`
-    /// event under construction.
-    fn summary_fields<'a>(&self, ev: rayfade_telemetry::Event<'a>) -> rayfade_telemetry::Event<'a> {
-        ev.str("policy", self.policy.label())
-            .str("model", self.model.label())
-            .num("lambda", self.lambda)
-            .str("detector", "lambda_stability")
-            .num("drift", self.online_drift)
-            .num("threshold", self.drift_threshold)
-            .str("verdict", self.online_verdict.label())
-    }
-}
-
-/// A [`LambdaSweep::run_with_telemetry`] result: the ordinary post-hoc
-/// report plus per-cell online health.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitoredStabilityReport {
-    /// The post-hoc report, bit-equal to [`LambdaSweep::run`]'s.
-    pub report: StabilityReport,
-    /// Online health per cell, in the same order as `report.cells`
-    /// (empty when the sweep ran unmonitored).
-    pub health: Vec<CellHealth>,
-}
-
-impl MonitoredStabilityReport {
-    /// Number of cells whose online verdict agrees with the post-hoc
-    /// one, over the total (cells compare index-aligned).
-    pub fn verdict_agreement(&self) -> (usize, usize) {
-        let agree = self
-            .report
-            .cells
-            .iter()
-            .zip(&self.health)
-            .filter(|(cell, health)| cell.verdict == health.online_verdict)
-            .count();
-        (agree, self.health.len())
-    }
-
-    /// Writes the standalone health journal (`stability_health.jsonl`):
-    /// a schema header, then per cell every replication's detector
-    /// `health` events followed by the cell's `lambda_stability` summary
-    /// carrying both the online and the post-hoc verdict. Deterministic:
-    /// every value derives from simulated state.
-    pub fn write_health_journal<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let journal = Journal::create(path)?;
-        for (cell, health) in self.report.cells.iter().zip(&self.health) {
-            for (net, report) in health.reports.iter().enumerate() {
-                report.journal(&journal, |e| {
-                    e.str("policy", health.policy.label())
-                        .str("model", health.model.label())
-                        .num("lambda", health.lambda)
-                        .int("net", net as i64)
-                });
-            }
-            health
-                .summary_fields(journal.event("health"))
-                .num("posthoc_drift", cell.drift)
-                .str("posthoc_verdict", cell.verdict.label())
-                .write();
-        }
-        journal.flush();
-        if journal.write_errors() > 0 {
-            return Err(io::Error::other("health journal writes failed"));
-        }
-        Ok(())
     }
 }
 
@@ -707,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn monitored_sweep_matches_plain_and_verdicts_agree() {
+    fn monitored_sweep_matches_plain() {
         let base = DynamicConfig {
             slots: 600,
             networks: 2,
@@ -715,68 +531,40 @@ mod tests {
         };
         let sweep = LambdaSweep::linear(base, 0.3, 3);
         let plain = sweep.run();
-        let monitored = sweep.run_with_telemetry(None, Some(&MonitorSpec::default()));
+        let monitored = sweep.run_with_telemetry(None, Some(&MonitorConfig::default()));
         assert_eq!(
-            plain, monitored.report,
+            plain, monitored,
             "monitoring must not change the post-hoc report"
         );
-        assert_eq!(monitored.health.len(), plain.cells.len());
-        // The online fit sees exactly the sampled points the post-hoc
-        // two-pass fit sees; slopes agree to FP noise, verdicts exactly.
-        let (agree, total) = monitored.verdict_agreement();
-        assert_eq!(agree, total, "online verdict must match post-hoc");
-        for (cell, health) in plain.cells.iter().zip(&monitored.health) {
-            assert!(
-                (cell.drift - health.online_drift).abs() <= 1e-9 * cell.drift.abs().max(1.0),
-                "online slope {} vs post-hoc {}",
-                health.online_drift,
-                cell.drift
-            );
-            assert_eq!(cell.lambda, health.lambda);
-        }
     }
 
     #[test]
-    fn health_journal_has_summary_and_detector_events_per_cell() {
+    fn monitored_journal_has_three_detector_events_per_replication() {
         let base = DynamicConfig {
             slots: 300,
             networks: 2,
             ..tiny_base()
         };
         let sweep = LambdaSweep::linear(base, 0.2, 1);
-        let monitored = sweep.run_with_telemetry(None, Some(&MonitorSpec::default()));
 
         let dir = std::env::temp_dir().join("rayfade-dynamic-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("health-journal-{}.jsonl", std::process::id()));
-        monitored.write_health_journal(&path).unwrap();
+        let tele = Telemetry::with_journal(&path).unwrap();
+        let report = sweep.run_with_telemetry(Some(&tele), Some(&MonitorConfig::default()));
+        tele.flush();
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(
-            events[0].get("kind").and_then(|k| k.as_str()),
-            Some("schema")
-        );
-        let health: Vec<_> = events
+        let detectors: Vec<&str> = events
             .iter()
             .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("health"))
+            .map(|e| e.get("detector").and_then(|d| d.as_str()).unwrap())
             .collect();
-        // Per cell: 4 detector events per replication + 1 summary.
-        let cells = monitored.health.len();
-        assert_eq!(health.len(), cells * (2 * 4 + 1));
-        let summaries: Vec<_> = health
-            .iter()
-            .filter(|e| e.get("detector").and_then(|d| d.as_str()) == Some("lambda_stability"))
-            .collect();
-        assert_eq!(summaries.len(), cells);
-        for s in &summaries {
-            // The summary pairs the online verdict with the post-hoc one
-            // so the committed artifact is self-checking.
-            let online = s.get("verdict").and_then(|v| v.as_str()).unwrap();
-            let posthoc = s.get("posthoc_verdict").and_then(|v| v.as_str()).unwrap();
-            assert_eq!(online, posthoc);
-            assert!(s.get("drift").and_then(|v| v.as_f64()).is_some());
-            assert!(s.get("threshold").and_then(|v| v.as_f64()).is_some());
+        let replications = report.cells.len() * 2;
+        assert_eq!(detectors.len(), replications * 3);
+        for chunk in detectors.chunks(3) {
+            assert_eq!(chunk, ["watermark", "throughput", "delay_slo"]);
         }
     }
 
@@ -794,11 +582,7 @@ mod tests {
         let path = dir.join(format!("sweep-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
         let instrumented = sweep.run_with_telemetry(Some(&tele), None);
-        assert_eq!(
-            plain, instrumented.report,
-            "telemetry must not change verdicts"
-        );
-        assert!(instrumented.health.is_empty());
+        assert_eq!(plain, instrumented, "telemetry must not change verdicts");
 
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();

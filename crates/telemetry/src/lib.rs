@@ -6,8 +6,8 @@
 //!
 //! - [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free metric
 //!   primitives safe to hammer from rayon workers ([`metrics`]).
-//! - [`Registry`] — get-or-create named metrics with Prometheus-text and
-//!   CSV exposition ([`registry`]).
+//! - [`Registry`] — get-or-create named metrics with Prometheus-text
+//!   exposition ([`registry`]).
 //! - [`Journal`] — append-only JSONL event logs with monotone sequence
 //!   numbers instead of wall-clock timestamps, so deterministic runs
 //!   produce byte-identical journals — and [`JournalReader`], the
@@ -20,9 +20,9 @@
 //! - [`Ewma`] / [`SlidingWindow`] / [`QuantileSketch`] — streaming
 //!   estimators, including a mergeable γ-relative-error quantile sketch
 //!   ([`stream`]).
-//! - [`HealthMonitor`] — online drift / delay-SLO / watermark /
-//!   throughput detectors producing deterministic `health` journal
-//!   events and registry metrics ([`monitor`]).
+//! - [`HealthMonitor`] — online delay-SLO / watermark / throughput
+//!   detectors producing deterministic `health` journal events and
+//!   registry metrics ([`monitor`]).
 //!
 //! Instrumented code takes an `Option<&Telemetry>`; `None` keeps the
 //! uninstrumented fast path (see `results/telemetry_overhead.csv` for
@@ -54,11 +54,11 @@ pub use journal::{read_jsonl, Event, Journal, JournalReader, SCHEMA_VERSION};
 pub use json::{Json, JsonError, MAX_DEPTH};
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use monitor::{
-    DelaySloTracker, HealthMonitor, HealthReport, HealthVerdict, MonitorConfig, QueueDriftDetector,
-    SloConfig, SloReport, WatermarkDetector,
+    DelaySloTracker, HealthMonitor, HealthReport, HealthVerdict, MonitorConfig, SloConfig,
+    SloReport, WatermarkDetector,
 };
 pub use registry::Registry;
-pub use stream::{Ewma, OnlineSlope, QuantileSketch, SlidingWindow};
+pub use stream::{Ewma, QuantileSketch, SlidingWindow};
 pub use trace::{SpanGuard, SpanId, Tracer};
 
 /// A run's telemetry context: a metric [`Registry`], an optional event
@@ -118,16 +118,11 @@ impl Telemetry {
         self.journal.as_ref().map(|j| j.event(kind))
     }
 
-    /// Writes the registry to `prom_path` (Prometheus text) and
-    /// `csv_path` (CSV), flushing the journal first if one is attached.
-    pub fn write_metrics<P: AsRef<Path>, Q: AsRef<Path>>(
-        &self,
-        prom_path: P,
-        csv_path: Q,
-    ) -> io::Result<()> {
+    /// Writes the registry to `prom_path` (Prometheus text), flushing
+    /// the journal first if one is attached.
+    pub fn write_metrics<P: AsRef<Path>>(&self, prom_path: P) -> io::Result<()> {
         self.flush();
-        self.registry.write_prometheus(prom_path)?;
-        self.registry.write_csv(csv_path)
+        self.registry.write_prometheus(prom_path)
     }
 
     /// Flushes the journal (no-op without one).

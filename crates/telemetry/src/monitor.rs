@@ -1,17 +1,10 @@
-//! Online health monitoring: drift, SLO, watermark, and throughput
-//! detectors over a live run, with journal + registry exposition.
+//! Online health monitoring: SLO, watermark, and throughput detectors
+//! over a live run, with journal + registry exposition.
 //!
-//! Everything the rest of the stack produces is post-hoc — you learn a
-//! run went unstable after the sweep finishes. A [`HealthMonitor`] is fed
-//! *during* the run (one per replication; feeding it never touches any
-//! random stream, so monitored runs stay bit-equal to plain ones) and its
-//! [`HealthReport`] snapshot answers, while the run is live:
+//! A [`HealthMonitor`] is fed *during* the run (one per replication;
+//! feeding it never touches any random stream, so monitored runs stay
+//! bit-equal to plain ones) and its [`HealthReport`] snapshot answers:
 //!
-//! * **queue drift** — is the sampled total backlog growing? An
-//!   [`OnlineSlope`] fit of (slot, backlog),
-//!   alerting when the slope exceeds a threshold the caller derives from
-//!   the offered load (the same `tolerance·λ·n` rule the post-hoc sweep
-//!   uses, so online and post-hoc verdicts agree).
 //! * **delay SLO** — is the target delay quantile under its threshold,
 //!   and is the per-link violation fraction inside budget? Backed by the
 //!   γ-relative-error [`QuantileSketch`],
@@ -23,6 +16,10 @@
 //!   arrival rate? Windowed EWMA rates over the sampled cumulative
 //!   counters.
 //!
+//! Whether a backlog drifts is not a detector here: the stability sweep
+//! judges it once per cell from the sampled backlog trace
+//! (`rayfade_dynamic::judge_cell`).
+//!
 //! Reports journal as deterministic `kind: "health"` events (one per
 //! detector, each carrying `detector` and `verdict` fields — the contract
 //! `telemetry_lint` enforces) and export through the existing
@@ -30,7 +27,7 @@
 
 use crate::journal::{Event, Journal};
 use crate::registry::Registry;
-use crate::stream::{Ewma, OnlineSlope, QuantileSketch, SlidingWindow};
+use crate::stream::{Ewma, QuantileSketch, SlidingWindow};
 
 /// Number of recent backlog samples the monitor keeps for windowed
 /// mean/variance.
@@ -95,11 +92,6 @@ impl Default for SloConfig {
 /// Configuration of a [`HealthMonitor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
-    /// Backlog slope (packets/slot, network total) above which the drift
-    /// detector alerts. Callers derive it from the offered load — the
-    /// dynamic engine uses `tolerance · λ · links`, mirroring the
-    /// post-hoc stability test.
-    pub drift_threshold: f64,
     /// Delay SLO to track (`None` disables the tracker).
     pub slo: Option<SloConfig>,
     /// Consecutive new-high-watermark samples before the watermark
@@ -117,56 +109,12 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            drift_threshold: 0.0,
             slo: Some(SloConfig::default()),
             watermark_streak_limit: 10,
             ewma_alpha: 0.05,
             collapse_ratio: 0.5,
             sketch_gamma: 0.01,
         }
-    }
-}
-
-/// Online backlog-drift detector: a streaming least-squares fit of
-/// (slot, total backlog), alerting when the slope exceeds a threshold.
-///
-/// Fed the same sampled points the post-hoc drift test fits, its slope
-/// matches the two-pass fit to floating-point noise — the basis for the
-/// online/post-hoc verdict-agreement contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueDriftDetector {
-    fit: OnlineSlope,
-    threshold: f64,
-}
-
-impl QueueDriftDetector {
-    /// A detector alerting above `threshold` packets/slot of drift.
-    pub fn new(threshold: f64) -> Self {
-        QueueDriftDetector {
-            fit: OnlineSlope::new(),
-            threshold,
-        }
-    }
-
-    /// Folds one sampled (slot, total backlog) point into the fit.
-    pub fn observe(&mut self, slot: f64, backlog: f64) {
-        self.fit.observe(slot, backlog);
-    }
-
-    /// The fitted backlog slope in packets/slot.
-    pub fn slope(&self) -> f64 {
-        self.fit.slope()
-    }
-
-    /// The configured alert threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// `Ok` iff the slope is at most the threshold (`<=`, matching the
-    /// post-hoc rule so a zero-load run with zero drift counts stable).
-    pub fn verdict(&self) -> HealthVerdict {
-        HealthVerdict::from_alert(self.slope() > self.threshold)
     }
 }
 
@@ -320,7 +268,6 @@ pub struct SloReport {
 /// so a monitored run's outcomes are bit-equal to an unmonitored one's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthMonitor {
-    drift: QueueDriftDetector,
     watermark: WatermarkDetector,
     window: SlidingWindow,
     arrivals: Ewma,
@@ -337,7 +284,6 @@ impl HealthMonitor {
     /// A monitor over `links` links.
     pub fn new(cfg: &MonitorConfig, links: usize) -> Self {
         HealthMonitor {
-            drift: QueueDriftDetector::new(cfg.drift_threshold),
             watermark: WatermarkDetector::new(cfg.watermark_streak_limit),
             window: SlidingWindow::new(BACKLOG_WINDOW),
             arrivals: Ewma::new(cfg.ewma_alpha),
@@ -362,7 +308,6 @@ impl HealthMonitor {
     ) {
         self.samples += 1;
         let b = backlog as f64;
-        self.drift.observe(slot as f64, b);
         self.watermark.observe(b);
         self.window.observe(b);
         if let Some((prev_slot, prev_arr, prev_dep)) = self.last {
@@ -392,9 +337,6 @@ impl HealthMonitor {
         let collapsed = arrival_rate > 0.0 && departure_rate < self.collapse_ratio * arrival_rate;
         HealthReport {
             samples: self.samples,
-            drift_slope: self.drift.slope(),
-            drift_threshold: self.drift.threshold(),
-            drift_verdict: self.drift.verdict(),
             watermark: self.watermark.watermark(),
             growth_streak: self.watermark.max_streak(),
             watermark_verdict: self.watermark.verdict(),
@@ -413,12 +355,6 @@ impl HealthMonitor {
 pub struct HealthReport {
     /// Sampled slots folded in so far.
     pub samples: u64,
-    /// Fitted backlog slope, packets/slot (network total).
-    pub drift_slope: f64,
-    /// The drift alert threshold.
-    pub drift_threshold: f64,
-    /// Drift detector state.
-    pub drift_verdict: HealthVerdict,
     /// All-time backlog maximum.
     pub watermark: f64,
     /// Longest consecutive new-watermark streak.
@@ -442,8 +378,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// The worst verdict across all detectors: `Alert` if any alerts.
     pub fn worst(&self) -> HealthVerdict {
-        let alert = self.drift_verdict.is_alert()
-            || self.watermark_verdict.is_alert()
+        let alert = self.watermark_verdict.is_alert()
             || self.throughput_verdict.is_alert()
             || self.slo.as_ref().is_some_and(|s| s.verdict.is_alert());
         HealthVerdict::from_alert(alert)
@@ -451,20 +386,13 @@ impl HealthReport {
 
     /// Journals one `kind: "health"` event per detector.
     ///
-    /// Every event carries a `detector` tag (`queue_drift`, `watermark`,
-    /// `throughput`, `delay_slo`) and a `verdict` string — the fields
+    /// Every event carries a `detector` tag (`watermark`, `throughput`,
+    /// `delay_slo`) and a `verdict` string — the fields
     /// `telemetry_lint` requires on health events. `decorate` adds caller
     /// context (policy, λ, replication index, ...) to each event before
     /// the detector fields; all values here derive from simulated state,
     /// never wall clock, so the events are deterministic.
     pub fn journal<'a>(&self, journal: &'a Journal, decorate: impl Fn(Event<'a>) -> Event<'a>) {
-        decorate(journal.event("health"))
-            .str("detector", "queue_drift")
-            .num("slope", self.drift_slope)
-            .num("threshold", self.drift_threshold)
-            .int("samples", self.samples as i64)
-            .str("verdict", self.drift_verdict.label())
-            .write();
         decorate(journal.event("health"))
             .str("detector", "watermark")
             .num("watermark", self.watermark)
@@ -504,23 +432,16 @@ impl HealthReport {
     /// metrics.
     ///
     /// Gauges are integer-valued, so float health values ride on
-    /// histograms (one observation per report — `_sum`/`_mean` exposition
+    /// histograms (one observation per report — `_sum`/`_count` exposition
     /// carries the value) and counters carry totals.
     pub fn export(&self, registry: &Registry) {
         registry.counter("rayfade_monitor_reports_total").inc();
-        let alerts = [
-            self.drift_verdict,
-            self.watermark_verdict,
-            self.throughput_verdict,
-        ]
-        .iter()
-        .filter(|v| v.is_alert())
-        .count() as u64
+        let alerts = [self.watermark_verdict, self.throughput_verdict]
+            .iter()
+            .filter(|v| v.is_alert())
+            .count() as u64
             + u64::from(self.slo.as_ref().is_some_and(|s| s.verdict.is_alert()));
         registry.counter("rayfade_monitor_alerts_total").add(alerts);
-        registry
-            .histogram("rayfade_monitor_drift_slope")
-            .observe(self.drift_slope);
         registry
             .histogram("rayfade_monitor_backlog_mean")
             .observe(self.backlog_mean);
@@ -581,16 +502,9 @@ mod tests {
         assert!((98_000..=101_000).contains(&p99), "p99 {p99}");
     }
 
-    fn cfg(drift_threshold: f64) -> MonitorConfig {
-        MonitorConfig {
-            drift_threshold,
-            ..MonitorConfig::default()
-        }
-    }
-
     #[test]
     fn flat_backlog_is_healthy() {
-        let mut m = HealthMonitor::new(&cfg(0.1), 4);
+        let mut m = HealthMonitor::new(&MonitorConfig::default(), 4);
         for k in 0..50u64 {
             m.observe_sample(k * 10, 3, k * 5 + 3, k * 5);
         }
@@ -599,8 +513,6 @@ mod tests {
         }
         let r = m.report();
         assert_eq!(r.samples, 50);
-        assert!(r.drift_slope.abs() < 1e-9);
-        assert_eq!(r.drift_verdict, HealthVerdict::Ok);
         assert_eq!(r.watermark_verdict, HealthVerdict::Ok);
         assert_eq!(r.throughput_verdict, HealthVerdict::Ok);
         let slo = r.slo.as_ref().expect("SLO configured by default");
@@ -613,16 +525,14 @@ mod tests {
     }
 
     #[test]
-    fn linear_growth_trips_drift_watermark_and_throughput() {
-        let mut m = HealthMonitor::new(&cfg(0.1), 4);
-        // One packet per slot arrives, nothing departs: slope 1, every
-        // sample a new watermark, departure rate 0.
+    fn linear_growth_trips_watermark_and_throughput() {
+        let mut m = HealthMonitor::new(&MonitorConfig::default(), 4);
+        // One packet per slot arrives, nothing departs: every sample a
+        // new watermark, departure rate 0.
         for k in 0..40u64 {
             m.observe_sample(k * 10, k * 10, k * 10, 0);
         }
         let r = m.report();
-        assert!((r.drift_slope - 1.0).abs() < 1e-9);
-        assert_eq!(r.drift_verdict, HealthVerdict::Alert);
         assert_eq!(r.watermark, 390.0);
         assert!(r.growth_streak >= 10);
         assert_eq!(r.watermark_verdict, HealthVerdict::Alert);
@@ -696,7 +606,7 @@ mod tests {
         let mut m = HealthMonitor::new(
             &MonitorConfig {
                 slo: None,
-                ..cfg(1.0)
+                ..MonitorConfig::default()
             },
             2,
         );
@@ -711,7 +621,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("health-{}.jsonl", std::process::id()));
         let journal = Journal::create(&path).unwrap();
-        let mut m = HealthMonitor::new(&cfg(0.1), 2);
+        let mut m = HealthMonitor::new(&MonitorConfig::default(), 2);
         for k in 0..10u64 {
             m.observe_sample(k * 5, k, k * 2, k);
             m.observe_delay((k % 2) as usize, k + 1);
@@ -725,7 +635,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("health"))
             .collect();
-        assert_eq!(health.len(), 4, "drift, watermark, throughput, SLO");
+        assert_eq!(health.len(), 3, "watermark, throughput, SLO");
         for ev in &health {
             assert_eq!(ev.get("net").and_then(|v| v.as_i64()), Some(7));
             assert!(ev.get("detector").and_then(|v| v.as_str()).is_some());
@@ -736,24 +646,24 @@ mod tests {
             .iter()
             .filter_map(|e| e.get("detector").and_then(|v| v.as_str()))
             .collect();
-        assert_eq!(
-            detectors,
-            ["queue_drift", "watermark", "throughput", "delay_slo"]
-        );
+        assert_eq!(detectors, ["watermark", "throughput", "delay_slo"]);
     }
 
     #[test]
     fn export_writes_monitor_metrics() {
         let registry = Registry::new();
-        let mut m = HealthMonitor::new(&cfg(0.01), 2);
+        let mut m = HealthMonitor::new(&MonitorConfig::default(), 2);
         for k in 0..30u64 {
             m.observe_sample(k * 10, k * 10, k * 10, 0); // growing: alerts
         }
         m.report().export(&registry);
         assert_eq!(registry.counter("rayfade_monitor_reports_total").get(), 1);
-        assert!(registry.counter("rayfade_monitor_alerts_total").get() >= 3);
+        assert_eq!(registry.counter("rayfade_monitor_alerts_total").get(), 2);
         assert_eq!(registry.gauge("rayfade_monitor_watermark_max").get(), 290);
-        assert_eq!(registry.histogram("rayfade_monitor_drift_slope").count(), 1);
+        assert_eq!(
+            registry.histogram("rayfade_monitor_backlog_mean").count(),
+            1
+        );
         // A second, larger watermark advances the max; a smaller one
         // would not.
         let mut r = m.report();

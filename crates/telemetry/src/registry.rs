@@ -1,4 +1,4 @@
-//! A named-metric registry with Prometheus-text and CSV exposition.
+//! A named-metric registry with Prometheus-text exposition.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -156,35 +156,10 @@ impl Registry {
         out
     }
 
-    /// Renders every metric as CSV (`kind,name,value`); histograms expand
-    /// to `_count`, `_sum`, and `_mean` rows.
-    pub fn csv_text(&self) -> String {
-        let inner = self.inner.lock().expect("registry mutex poisoned");
-        let mut out = String::from("kind,name,value\n");
-        for (name, c) in &inner.counters {
-            let _ = writeln!(out, "counter,{name},{}", c.get());
-        }
-        for (name, g) in &inner.gauges {
-            let _ = writeln!(out, "gauge,{name},{}", g.get());
-        }
-        for (name, h) in &inner.histograms {
-            let _ = writeln!(out, "histogram,{name}_count,{}", h.count());
-            let _ = writeln!(out, "histogram,{name}_sum,{}", h.sum());
-            let _ = writeln!(out, "histogram,{name}_mean,{}", h.mean());
-        }
-        out
-    }
-
     /// Writes [`Registry::prometheus_text`] to `path` (creating parent
     /// directories).
     pub fn write_prometheus<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         write_creating_dirs(path.as_ref(), &self.prometheus_text())
-    }
-
-    /// Writes [`Registry::csv_text`] to `path` (creating parent
-    /// directories).
-    pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        write_creating_dirs(path.as_ref(), &self.csv_text())
     }
 }
 
@@ -242,20 +217,5 @@ rayfade_policy_seconds_sum 0.0000000045
 rayfade_policy_seconds_count 3
 ";
         assert_eq!(r.prometheus_text(), expected);
-    }
-
-    #[test]
-    fn csv_covers_every_kind() {
-        let r = Registry::new();
-        r.counter("c").add(2);
-        r.gauge("g").set(7);
-        r.histogram("h").observe(1.0);
-        let csv = r.csv_text();
-        assert!(csv.starts_with("kind,name,value\n"));
-        assert!(csv.contains("counter,c,2\n"));
-        assert!(csv.contains("gauge,g,7\n"));
-        assert!(csv.contains("histogram,h_count,1\n"));
-        assert!(csv.contains("histogram,h_sum,1\n"));
-        assert!(csv.contains("histogram,h_mean,1\n"));
     }
 }

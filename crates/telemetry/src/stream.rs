@@ -325,59 +325,6 @@ impl QuantileSketch {
     }
 }
 
-/// An online (single-pass) least-squares slope over `(x, y)` samples.
-///
-/// Numerically this is the Welford-style update of the centered moments
-/// `Sxx` and `Sxy`; the final `slope()` agrees with the two-pass
-/// [`least-squares fit`](https://en.wikipedia.org/wiki/Simple_linear_regression)
-/// to floating-point noise, which is what lets the online queue-drift
-/// detector reproduce the post-hoc drift verdict bit-for-bit on every
-/// committed stability cell (they see identical samples).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineSlope {
-    n: u64,
-    mean_x: f64,
-    mean_y: f64,
-    sxx: f64,
-    sxy: f64,
-}
-
-impl OnlineSlope {
-    /// An empty fit.
-    pub fn new() -> Self {
-        OnlineSlope::default()
-    }
-
-    /// Folds one `(x, y)` sample into the fit.
-    pub fn observe(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        let n = self.n as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / n;
-        self.mean_y += dy / n;
-        // dx is pre-update, (x - mean_x) post-update: the standard
-        // single-pass co-moment recurrence.
-        self.sxx += dx * (x - self.mean_x);
-        self.sxy += dx * (y - self.mean_y);
-    }
-
-    /// Number of samples folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// The fitted slope in y-units per x-unit (0 with fewer than two
-    /// distinct x values, matching the two-pass convention).
-    pub fn slope(&self) -> f64 {
-        if self.n < 2 || self.sxx == 0.0 {
-            0.0
-        } else {
-            self.sxy / self.sxx
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,35 +453,5 @@ mod tests {
             "bucket count {} exceeds the documented bound",
             s.bucket_len()
         );
-    }
-
-    #[test]
-    fn online_slope_matches_two_pass_fit() {
-        let xs: Vec<f64> = (0..50).map(|k| (k * 37) as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 0.25 * x - 3.0 + (x % 7.0)).collect();
-        let mut fit = OnlineSlope::new();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            fit.observe(x, y);
-        }
-        // Two-pass reference.
-        let n = xs.len() as f64;
-        let mx = xs.iter().sum::<f64>() / n;
-        let my = ys.iter().sum::<f64>() / n;
-        let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-        let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-        assert!((fit.slope() - sxy / sxx).abs() < 1e-12);
-        assert_eq!(fit.count(), 50);
-    }
-
-    #[test]
-    fn online_slope_degenerate_cases() {
-        let mut fit = OnlineSlope::new();
-        assert_eq!(fit.slope(), 0.0);
-        fit.observe(1.0, 5.0);
-        assert_eq!(fit.slope(), 0.0, "one point has no slope");
-        let mut same_x = OnlineSlope::new();
-        same_x.observe(2.0, 1.0);
-        same_x.observe(2.0, 9.0);
-        assert_eq!(same_x.slope(), 0.0, "vertical data has no finite slope");
     }
 }
