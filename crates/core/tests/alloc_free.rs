@@ -8,9 +8,10 @@
 //! allocator, and pins the same for every `NetworkEvaluator` variant's
 //! `set_uniform`, `set_probs`, `expected_successes`,
 //! `expected_successes_interval` and `switch_transmit_set` (the dynamic
-//! engine's per-slot call). The tests live in their own
-//! integration-test binary and take one lock, so no concurrently running
-//! test can pollute the allocation counter.
+//! engine's per-slot call). The allocator counts the calls of each thread
+//! apart, and each measured call runs on a one-thread pool, all of it on
+//! the calling thread, so the test harness and the other test of this
+//! binary, which run on threads of their own, cannot pollute a count.
 
 use rayfade_core::{
     expected_successes, expected_successes_of_set, success_probability_of_set, NetworkEvaluator,
@@ -18,18 +19,37 @@ use rayfade_core::{
 };
 use rayfade_sinr::{GainMatrix, SinrParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Heap allocations made by this thread. Const-initialized and free
+    /// of destructors, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic.
+fn count_one() {
+    // `try_with`: a thread tearing down its locals may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method delegates directly to `System` with the caller's
+// arguments; the count is a thread-local cell that allocates nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -40,13 +60,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Held by each test for its whole body: the counter is process-wide.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+/// Runs `f` on a one-thread pool and returns the heap allocations it
+/// made, with its result.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = pool.install(f);
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 /// A 64-link instance whose cross gains decay with index distance.
@@ -67,7 +90,6 @@ fn instance() -> (GainMatrix, SinrParams) {
 
 #[test]
 fn set_evaluations_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (gm, params) = instance();
     let n = gm.len();
     let set: Vec<usize> = (0..n).step_by(3).collect();
@@ -95,7 +117,6 @@ fn set_evaluations_do_not_allocate() {
 
 #[test]
 fn batch_calls_do_not_allocate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (gm, params) = instance();
     let n = gm.len();
     let probs: Vec<f64> = (0..n).map(|j| (j % 5) as f64 / 4.0).collect();

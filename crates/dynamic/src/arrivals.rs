@@ -11,6 +11,7 @@
 //! per link), so a λ sweep changes offered load without changing the
 //! burstiness structure.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -193,14 +194,27 @@ fn markov_step(
 /// Every link's arrival stream in one replication: a generator per link
 /// and, for Markov arrivals, each link's chain state. A slot's draws are
 /// bit-identical to one [`ArrivalSample::draw`] per link, in link order,
-/// but the process is matched once per slot rather than once per link.
+/// but each coin is a [`Bernoulli`] built once, so a draw is one integer
+/// compare.
 #[derive(Debug, Clone)]
 pub(crate) struct ArrivalStreams {
-    /// The process parameters (a Markov template's own state is unused).
-    sample: ArrivalSample,
+    coins: Coins,
     rngs: Vec<StdRng>,
-    /// Per-link ON/OFF state; empty unless the process is Markov.
-    on: Vec<bool>,
+}
+
+/// The coins of one arrival process, shared by every link.
+#[derive(Debug, Clone)]
+enum Coins {
+    /// Bernoulli and Batch: one coin per link and slot; a hit brings
+    /// `packets` packets.
+    Single { arrive: Bernoulli, packets: u32 },
+    /// ON/OFF chains, as in [`markov_step`], with each link's state.
+    Markov {
+        exit: Bernoulli,
+        enter: Bernoulli,
+        arrive: Bernoulli,
+        on: Vec<bool>,
+    },
 }
 
 impl ArrivalStreams {
@@ -211,12 +225,29 @@ impl ArrivalStreams {
     /// On parameters outside their documented domains (see
     /// [`ArrivalProcess::sampler`]).
     pub(crate) fn new(process: &ArrivalProcess, rngs: Vec<StdRng>) -> Self {
-        let sample = process.sampler();
-        let on = match sample {
-            ArrivalSample::Markov { on, .. } => vec![on; rngs.len()],
-            ArrivalSample::Bernoulli { .. } | ArrivalSample::Batch { .. } => Vec::new(),
+        let coin = |p| Bernoulli::new(p).expect("the sampler checked its probabilities");
+        let coins = match process.sampler() {
+            ArrivalSample::Bernoulli { rate } => Coins::Single {
+                arrive: coin(rate),
+                packets: 1,
+            },
+            ArrivalSample::Batch { prob, batch } => Coins::Single {
+                arrive: coin(prob),
+                packets: batch,
+            },
+            ArrivalSample::Markov {
+                on,
+                p_on_arrival,
+                p_enter,
+                p_exit,
+            } => Coins::Markov {
+                exit: coin(p_exit),
+                enter: coin(p_enter),
+                arrive: coin(p_on_arrival),
+                on: vec![on; rngs.len()],
+            },
         };
-        ArrivalStreams { sample, rngs, on }
+        ArrivalStreams { coins, rngs }
     }
 
     /// Draws one slot on every link: clears `arrivals`, then appends
@@ -224,34 +255,49 @@ impl ArrivalStreams {
     /// order.
     pub(crate) fn draw_slot(&mut self, arrivals: &mut Vec<(usize, u32)>) {
         arrivals.clear();
-        match self.sample {
-            ArrivalSample::Bernoulli { rate } => {
-                for (i, rng) in self.rngs.iter_mut().enumerate() {
-                    if rng.gen_bool(rate) {
-                        arrivals.push((i, 1));
-                    }
-                }
+        match &mut self.coins {
+            Coins::Single { arrive, packets } => {
+                gather_hits(&mut self.rngs, arrivals, *packets, |_, rng| {
+                    arrive.sample(rng)
+                })
             }
-            ArrivalSample::Batch { prob, batch } => {
-                for (i, rng) in self.rngs.iter_mut().enumerate() {
-                    if rng.gen_bool(prob) {
-                        arrivals.push((i, batch));
-                    }
-                }
-            }
-            ArrivalSample::Markov {
-                p_on_arrival,
-                p_enter,
-                p_exit,
-                ..
-            } => {
-                let links = self.rngs.iter_mut().zip(&mut self.on).enumerate();
-                for (i, (rng, on)) in links {
-                    if markov_step(on, p_on_arrival, p_enter, p_exit, rng) {
-                        arrivals.push((i, 1));
-                    }
-                }
-            }
+            Coins::Markov {
+                exit,
+                enter,
+                arrive,
+                on,
+            } => gather_hits(&mut self.rngs, arrivals, 1, |i, rng| {
+                on[i] = if on[i] {
+                    !exit.sample(rng)
+                } else {
+                    enter.sample(rng)
+                };
+                on[i] && arrive.sample(rng)
+            }),
+        }
+    }
+}
+
+/// Asks `hit(link, rng)` for every link in order and appends
+/// `(link, packets)` for each hit, ascending. The hits are gathered 64
+/// links at a time into a word, so the loop over links takes no branch
+/// of its own; only `hit` may branch (a Markov link's state decides how
+/// many draws it takes).
+fn gather_hits(
+    rngs: &mut [StdRng],
+    arrivals: &mut Vec<(usize, u32)>,
+    packets: u32,
+    mut hit: impl FnMut(usize, &mut StdRng) -> bool,
+) {
+    for (w, rngs) in rngs.chunks_mut(64).enumerate() {
+        let base = w * 64;
+        let mut hits = 0u64;
+        for (bit, rng) in rngs.iter_mut().enumerate() {
+            hits |= u64::from(hit(base + bit, rng)) << bit;
+        }
+        while hits != 0 {
+            arrivals.push((base + hits.trailing_zeros() as usize, packets));
+            hits &= hits - 1;
         }
     }
 }
@@ -385,9 +431,11 @@ mod tests {
                 burst: 5.0,
             },
         ];
-        let rngs = || (0..7).map(StdRng::seed_from_u64).collect::<Vec<_>>();
+        // 130 links: two full hit words and a partial one.
+        let links = 130;
+        let rngs = || (0..links).map(StdRng::seed_from_u64).collect::<Vec<_>>();
         for process in processes {
-            let mut samplers: Vec<ArrivalSample> = (0..7).map(|_| process.sampler()).collect();
+            let mut samplers: Vec<ArrivalSample> = (0..links).map(|_| process.sampler()).collect();
             let mut reference = rngs();
             let mut streams = ArrivalStreams::new(&process, rngs());
             let mut arrivals = Vec::new();

@@ -1134,7 +1134,6 @@ mod tests {
         assert_eq!(plain, outcomes, "monitoring must not perturb outcomes");
         assert_eq!(health.len(), 2, "one report per replication");
         for report in &health {
-            assert_eq!(report.samples, 400 / 50);
             assert!(report.slo.is_some());
         }
 

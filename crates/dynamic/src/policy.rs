@@ -25,6 +25,7 @@
 //! invariant defensively.
 
 use crate::queue::Backlogs;
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rayfade_learning::{loss, Action, NoRegretLearner, Rwm};
@@ -408,7 +409,12 @@ impl OnlinePolicy for QueueAloha {
         chosen.clear();
         // One draw per backlogged link, in ascending link order.
         match self.shared_probability(backlogs.count()) {
-            Some(q) => chosen.extend(backlogs.iter().filter(|_| rng.gen_bool(q))),
+            Some(q) => {
+                // The slot's one coin: `gen_bool(q)`'s draws, tested as
+                // integers.
+                let coin = Bernoulli::new(q).unwrap_or_else(|_| panic!("p={q} must lie in [0, 1]"));
+                chosen.extend(backlogs.iter().filter(|_| coin.sample(rng)));
+            }
             None => {
                 let probs = &self.backoff_prob;
                 chosen.extend(
@@ -573,6 +579,13 @@ mod tests {
         }
         let f = sent as f64 / trials as f64;
         assert!((f - 0.5).abs() < 0.05, "empirical send rate {f}");
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie in [0, 1]")]
+    fn aloha_rejects_a_nan_probability() {
+        let mut policy = QueueAloha::new(AlohaPolicy::Fixed(f64::NAN), 2);
+        policy.choose(&[1, 0], &mut StdRng::seed_from_u64(0));
     }
 
     #[test]

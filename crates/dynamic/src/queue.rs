@@ -127,16 +127,12 @@ impl Backlogs {
 
     /// The backlogged links, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + bit
-                })
-            })
-        })
+        let (&bits, rest) = self.words.split_first().unwrap_or((&0, &[]));
+        BacklogWalk {
+            words: rest.iter(),
+            bits,
+            base: 0,
+        }
     }
 
     /// Sets link `i`'s backlog, keeping the bitset and count in step.
@@ -152,6 +148,31 @@ impl Backlogs {
                 self.count -= 1;
             }
         }
+    }
+}
+
+/// [`Backlogs::iter`]: the set bits of the bitset, a word at a time.
+struct BacklogWalk<'a> {
+    /// The words not yet reached.
+    words: std::slice::Iter<'a, u64>,
+    /// The current word's bits not yet visited.
+    bits: u64,
+    /// The link of the current word's bit 0.
+    base: usize,
+}
+
+impl Iterator for BacklogWalk<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base += 64;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + bit)
     }
 }
 

@@ -153,6 +153,87 @@ impl ReferenceAloha {
     }
 }
 
+/// Backlog patterns over `n` links with empty, full and partial bitset
+/// words.
+fn word_edge_patterns(n: usize) -> Vec<Vec<u64>> {
+    let pattern = |busy: &dyn Fn(usize) -> bool| -> Vec<u64> {
+        (0..n)
+            .map(|i| if busy(i) { 1 + i as u64 % 3 } else { 0 })
+            .collect()
+    };
+    vec![
+        pattern(&|_| false),
+        pattern(&|_| true),
+        pattern(&|i| i % 3 == 1),
+        pattern(&|i| i < 64),
+        pattern(&|i| i >= 64),
+        pattern(&|i| i + 1 == n),
+        pattern(&|i| i % 64 == 0 || i % 64 == 63),
+        pattern(&|i| (i * 2_654_435_761) % 7 < 3),
+    ]
+}
+
+/// The sizes around the bitset's word boundaries.
+const WORD_EDGE_SIZES: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
+#[test]
+fn backlog_walk_matches_a_scan() {
+    for n in WORD_EDGE_SIZES {
+        for backlogs in word_edge_patterns(n) {
+            let index = Backlogs::from_slice(&backlogs);
+            let scan: Vec<usize> = (0..n).filter(|&i| index.as_slice()[i] > 0).collect();
+            assert_eq!(index.iter().collect::<Vec<_>>(), scan, "n = {n}");
+            assert_eq!(index.count(), scan.len(), "n = {n}");
+        }
+    }
+}
+
+/// The property test below at the bitset's word boundaries, where random
+/// sizes seldom land: every ALOHA variant against the per-link reference
+/// loop over empty, full and partial words.
+#[test]
+fn aloha_walk_matches_per_link_loop_at_word_edges() {
+    let policies = [
+        AlohaPolicy::Fixed(0.3),
+        AlohaPolicy::default_inverse(),
+        AlohaPolicy::Backoff {
+            init: 0.6,
+            factor: 0.5,
+            floor: 0.02,
+        },
+        AlohaPolicy::Sawtooth { levels: 4 },
+    ];
+    for policy in policies {
+        for n in WORD_EDGE_SIZES {
+            let mut reference = ReferenceAloha::new(policy.clone(), n);
+            let mut walk = QueueAloha::new(policy.clone(), n);
+            let mut rng_reference = StdRng::seed_from_u64(n as u64);
+            let mut rng_walk = rng_reference.clone();
+            let mut chosen = Vec::new();
+            for backlogs in word_edge_patterns(n).iter().cycle().take(40) {
+                let mask = reference.choose(backlogs, &mut rng_reference);
+                walk.choose_into(
+                    &Backlogs::from_slice(backlogs),
+                    &mut rng_walk,
+                    None,
+                    &mut chosen,
+                );
+                let want: Vec<usize> = (0..n).filter(|&i| mask[i]).collect();
+                assert_eq!(chosen, want, "{policy:?}, n = {n}");
+                assert_eq!(rng_walk, rng_reference, "{policy:?}, n = {n}");
+
+                let successes: Vec<bool> = (0..n).map(|i| mask[i] && i % 2 == 0).collect();
+                reference.observe(&mask, &successes);
+                walk.observe(&ObservedSlot {
+                    active: &mask,
+                    would_succeed: &successes,
+                    successes: &successes,
+                });
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

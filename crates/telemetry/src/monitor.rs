@@ -277,7 +277,6 @@ pub struct HealthMonitor {
     /// Previous sampled (slot, cum_arrivals, cum_departures) for rate
     /// deltas.
     last: Option<(u64, u64, u64)>,
-    samples: u64,
 }
 
 impl HealthMonitor {
@@ -293,7 +292,6 @@ impl HealthMonitor {
                 .slo
                 .map(|slo| DelaySloTracker::new(slo, cfg.sketch_gamma, links)),
             last: None,
-            samples: 0,
         }
     }
 
@@ -306,7 +304,6 @@ impl HealthMonitor {
         cum_arrivals: u64,
         cum_departures: u64,
     ) {
-        self.samples += 1;
         let b = backlog as f64;
         self.watermark.observe(b);
         self.window.observe(b);
@@ -336,7 +333,6 @@ impl HealthMonitor {
         let departure_rate = self.departures.value().unwrap_or(0.0);
         let collapsed = arrival_rate > 0.0 && departure_rate < self.collapse_ratio * arrival_rate;
         HealthReport {
-            samples: self.samples,
             watermark: self.watermark.watermark(),
             growth_streak: self.watermark.max_streak(),
             watermark_verdict: self.watermark.verdict(),
@@ -353,8 +349,6 @@ impl HealthMonitor {
 /// A point-in-time snapshot of every detector in a [`HealthMonitor`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
-    /// Sampled slots folded in so far.
-    pub samples: u64,
     /// All-time backlog maximum.
     pub watermark: f64,
     /// Longest consecutive new-watermark streak.
@@ -512,7 +506,6 @@ mod tests {
             m.observe_delay(1, 2);
         }
         let r = m.report();
-        assert_eq!(r.samples, 50);
         assert_eq!(r.watermark_verdict, HealthVerdict::Ok);
         assert_eq!(r.throughput_verdict, HealthVerdict::Ok);
         let slo = r.slo.as_ref().expect("SLO configured by default");
