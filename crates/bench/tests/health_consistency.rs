@@ -6,7 +6,9 @@
 //!   throughput and one delay-SLO `health` record, in that order, for
 //!   every replication of every cell the committed `results/stability.csv`
 //!   lists — regenerating one artifact without the other fails here.
-//! * A quick monitored sweep's detector records are pinned by digest.
+//! * A quick monitored sweep's detector records are pinned by digest,
+//!   at 12 samples per replication and at 120, past the throughput
+//!   detector's 64-sample backlog window.
 //! * A live quick sweep run twice — plain and monitored — must produce
 //!   bit-equal reports, and the monitored journal must be byte-identical
 //!   to the plain one once the inserted `health` records are dropped and
@@ -158,14 +160,10 @@ fn strip_seq(line: &str) -> String {
 }
 
 /// FNV-1a over the watermark, throughput and delay-SLO `health` lines of
-/// a quick monitored sweep, `seq` masked: adding or removing another
-/// detector must not move a byte of these three.
-const DETECTOR_RECORDS_DIGEST: u64 = 0x387a_70f0_27e3_328a;
-
-#[test]
-fn watermark_throughput_and_slo_records_are_pinned() {
-    let sweep = quick_sweep();
-    let path = scratch("pinned.jsonl");
+/// a monitored run of `sweep`, `seq` masked, with the number of records
+/// hashed and the number the sweep's cells imply.
+fn detector_records_digest(sweep: &LambdaSweep, name: &str) -> (u64, usize, usize) {
+    let path = scratch(name);
     let tele = Telemetry::with_journal(&path).expect("create monitored journal");
     let report = sweep.run_with_telemetry(Some(&tele), Some(&MonitorConfig::default()));
     tele.flush();
@@ -188,10 +186,37 @@ fn watermark_throughput_and_slo_records_are_pinned() {
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }
     }
-    let networks = sweep.base.networks;
-    assert_eq!(records, report.cells.len() * networks * 3);
+    (hash, records, report.cells.len() * sweep.base.networks * 3)
+}
+
+/// [`detector_records_digest`] of the quick sweep: adding or removing
+/// another detector must not move a byte of these three.
+const DETECTOR_RECORDS_DIGEST: u64 = 0x387a_70f0_27e3_328a;
+
+#[test]
+fn watermark_throughput_and_slo_records_are_pinned() {
+    let (hash, records, expected) = detector_records_digest(&quick_sweep(), "pinned.jsonl");
+    assert_eq!(records, expected);
     assert_eq!(
         hash, DETECTOR_RECORDS_DIGEST,
+        "detector records moved: digest {hash:#018x}"
+    );
+}
+
+/// [`detector_records_digest`] of the quick sweep sampled every 5 slots:
+/// 120 samples per replication, so the throughput record's 64-sample
+/// backlog window fills and evicts, which the 12 samples above never do.
+const FULL_WINDOW_RECORDS_DIGEST: u64 = 0x6a6e_0660_7efa_03d4;
+
+#[test]
+fn detector_records_past_a_full_backlog_window_are_pinned() {
+    let mut sweep = quick_sweep();
+    sweep.base.sample_every = 5;
+    assert!(sweep.base.slots / sweep.base.sample_every > 64);
+    let (hash, records, expected) = detector_records_digest(&sweep, "full-window.jsonl");
+    assert_eq!(records, expected);
+    assert_eq!(
+        hash, FULL_WINDOW_RECORDS_DIGEST,
         "detector records moved: digest {hash:#018x}"
     );
 }
