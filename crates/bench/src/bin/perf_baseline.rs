@@ -206,14 +206,14 @@ fn workloads() -> Vec<Workload> {
         name: "stability_slots",
         descriptor: dyn_descriptor(&dyn_cfg),
         run: Box::new(move |tele| {
-            let _ = DynamicEngine::new(dyn_cfg.clone()).run_with_telemetry(tele, None);
+            let _ = DynamicEngine::new(dyn_cfg.clone()).run_with_telemetry(tele, false);
         }),
     });
     list.push(Workload {
         name: "stability_slots_mc",
         descriptor: dyn_descriptor(&mc_cfg),
         run: Box::new(move |tele| {
-            let _ = DynamicEngine::new(mc_cfg.clone()).run_with_telemetry(tele, None);
+            let _ = DynamicEngine::new(mc_cfg.clone()).run_with_telemetry(tele, false);
         }),
     });
 

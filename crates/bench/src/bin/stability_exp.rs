@@ -17,11 +17,11 @@
 //! least one policy — fading randomizes interference, so the strongest
 //! blocker is not *always* present.
 //!
-//! With `--telemetry dir --monitor`, the sweep also runs the online
-//! health monitor (watermark, throughput-collapse, and delay-SLO
-//! detectors per network) and journals its `health` records after each
-//! replication's `dyn_net`. Monitoring never changes the schedule: the
-//! monitored report is bit-equal to the plain one.
+//! With `--telemetry dir --monitor`, the sweep also journals each
+//! replication's `health` records (watermark, throughput-collapse, and
+//! delay-SLO detectors, computed from its trace and delays after its
+//! slot loop) after its `dyn_net`. Monitoring never changes the
+//! schedule: the monitored report is bit-equal to the plain one.
 //!
 //! Usage: `cargo run -p rayfade-bench --release --bin stability_exp [--quick] [--out dir] [--telemetry dir [--trace] [--monitor]]`
 
@@ -32,7 +32,6 @@ use rayfade_dynamic::{
 use rayfade_geometry::PaperTopology;
 use rayfade_sim::{fmt_f, Table};
 use rayfade_sinr::SinrParams;
-use rayfade_telemetry::MonitorConfig;
 
 fn main() {
     let cli = Cli::parse();
@@ -68,8 +67,7 @@ fn main() {
     };
     let tele = cli.experiment_telemetry("stability");
     let sweep = LambdaSweep::linear(base, max_lambda, steps);
-    let monitor = cli.monitor.then(MonitorConfig::default);
-    let report = sweep.run_with_telemetry(telemetry_ref(&tele), monitor.as_ref());
+    let report = sweep.run_with_telemetry(telemetry_ref(&tele), cli.monitor);
 
     let mut table = Table::new([
         "policy",

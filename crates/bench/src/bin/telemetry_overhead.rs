@@ -3,15 +3,15 @@
 //!
 //! Runs the identical `DynamicEngine` configuration four times — plain
 //! (`run()`, telemetry compiled in but disabled via `None`), with a live
-//! metrics registry (`run_with_telemetry(Some(_), None)`, which times
+//! metrics registry (`run_with_telemetry(Some(_), false)`, which times
 //! `policy.choose` on the sampled slots and tallies counters), with
 //! metrics plus span tracing (`with_tracing()`, sampled slot-phase spans
 //! and the always-on replication/selector spans), and with metrics plus
-//! the online health monitor (`run_with_telemetry(Some(_), Some(_))`,
-//! streaming drift/watermark/SLO detectors fed every sampled slot and
-//! every delivery) — and
-//! reports the wall-clock ratios. Outcomes are asserted bit-identical,
-//! so the only difference is instrumentation cost.
+//! health records (`run_with_telemetry(Some(_), true)`, the watermark,
+//! throughput and SLO reports computed from each replication's trace
+//! and delays after its slot loop) — and reports the wall-clock ratios.
+//! Outcomes are asserted bit-identical, so the only difference is
+//! instrumentation cost.
 //!
 //! Claims checked at the headline size (800 slots, paper-scale links):
 //! metrics + tracing stays within 15% of the uninstrumented baseline,
@@ -31,7 +31,7 @@ use rayfade_dynamic::{
 use rayfade_geometry::PaperTopology;
 use rayfade_sim::{fmt_f, Table};
 use rayfade_sinr::SinrParams;
-use rayfade_telemetry::{MonitorConfig, Telemetry};
+use rayfade_telemetry::Telemetry;
 use std::time::Instant;
 
 /// The slot-loop configuration under measurement: paper-scale links with
@@ -94,7 +94,6 @@ fn main() {
         "traced_overhead_pct",
         "monitor_overhead_pct",
     ]);
-    let monitor_cfg = MonitorConfig::default();
     let mut headline_traced = f64::NAN;
     let mut headline_monitor = f64::NAN;
     for &slots in slot_counts {
@@ -102,24 +101,24 @@ fn main() {
         let repeats = if slots <= 4_000 { 60 } else { 25 };
 
         // One warm-up + correctness pass: neither metrics, span tracing,
-        // nor the health monitor may perturb the simulation.
+        // nor the health records may perturb the simulation.
         let plain = DynamicEngine::new(cfg.clone()).run();
         let tele = Telemetry::new();
         let (instrumented, _) =
-            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None);
+            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), false);
         assert_eq!(
             plain, instrumented,
             "slots={slots}: instrumented run diverged from baseline"
         );
         let tele = Telemetry::new().with_tracing();
-        let (traced, _) = DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), None);
+        let (traced, _) = DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), false);
         assert_eq!(
             plain, traced,
             "slots={slots}: traced run diverged from baseline"
         );
         let tele = Telemetry::new();
         let (monitored, _health) =
-            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), Some(&monitor_cfg));
+            DynamicEngine::new(cfg.clone()).run_with_telemetry(Some(&tele), true);
         assert_eq!(
             plain, monitored,
             "slots={slots}: monitored run diverged from baseline"
@@ -140,15 +139,15 @@ fn main() {
                 },
                 &mut || {
                     let _ = DynamicEngine::new(cfg.clone())
-                        .run_with_telemetry(Some(&metrics_tele), None);
+                        .run_with_telemetry(Some(&metrics_tele), false);
                 },
                 &mut || {
                     let _ = DynamicEngine::new(cfg.clone())
-                        .run_with_telemetry(Some(&traced_tele), None);
+                        .run_with_telemetry(Some(&traced_tele), false);
                 },
                 &mut || {
                     let _ = DynamicEngine::new(cfg.clone())
-                        .run_with_telemetry(Some(&monitor_tele), Some(&monitor_cfg));
+                        .run_with_telemetry(Some(&monitor_tele), true);
                 },
             ],
         );

@@ -7,7 +7,7 @@
 //! `--telemetry <dir>` to dump a metrics registry and JSONL journal on
 //! exit, `--trace` (requires `--telemetry`) to also record spans and
 //! write a Chrome-trace JSON plus a self-profile table, and `--monitor`
-//! (also requires `--telemetry`) to journal the online health detectors
+//! (also requires `--telemetry`) to journal the health detectors
 //! where supported (see README's Observability section). A bad command
 //! line exits with status 2.
 
@@ -36,9 +36,9 @@ pub struct Cli {
     /// experiment's [`ExperimentTelemetry::finish`] additionally writes a
     /// Chrome-trace JSON and a self-profile CSV.
     pub trace: bool,
-    /// Run with online health monitoring (requires `--telemetry`): for
-    /// experiments that support it, streaming detectors ride along and
-    /// their `health` records land in the journal.
+    /// Run with health monitoring (requires `--telemetry`): for
+    /// experiments that support it, each replication's `health` records
+    /// land in the journal.
     pub monitor: bool,
 }
 

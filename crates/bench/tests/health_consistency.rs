@@ -1,5 +1,4 @@
-//! The online health monitor's records, on the committed artifacts and
-//! live.
+//! The health records, on the committed artifacts and live.
 //!
 //! * `results/stability_journal.jsonl` (written by `stability_exp
 //!   --telemetry results --monitor`) carries exactly one watermark, one
@@ -20,7 +19,7 @@ use rayfade_dynamic::{
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::SinrParams;
-use rayfade_telemetry::{JournalReader, Json, MonitorConfig, Telemetry};
+use rayfade_telemetry::{JournalReader, Json, Telemetry};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -165,7 +164,7 @@ fn strip_seq(line: &str) -> String {
 fn detector_records_digest(sweep: &LambdaSweep, name: &str) -> (u64, usize, usize) {
     let path = scratch(name);
     let tele = Telemetry::with_journal(&path).expect("create monitored journal");
-    let report = sweep.run_with_telemetry(Some(&tele), Some(&MonitorConfig::default()));
+    let report = sweep.run_with_telemetry(Some(&tele), true);
     tele.flush();
     drop(tele);
     let text = std::fs::read_to_string(&path).expect("read monitored journal");
@@ -227,13 +226,13 @@ fn monitored_journal_is_byte_identical_modulo_health_records() {
 
     let plain_path = scratch("plain.jsonl");
     let tele = Telemetry::with_journal(&plain_path).expect("create plain journal");
-    let plain = sweep.run_with_telemetry(Some(&tele), None);
+    let plain = sweep.run_with_telemetry(Some(&tele), false);
     tele.flush();
     drop(tele);
 
     let mon_path = scratch("monitored.jsonl");
     let tele = Telemetry::with_journal(&mon_path).expect("create monitored journal");
-    let monitored = sweep.run_with_telemetry(Some(&tele), Some(&MonitorConfig::default()));
+    let monitored = sweep.run_with_telemetry(Some(&tele), true);
     tele.flush();
     drop(tele);
 

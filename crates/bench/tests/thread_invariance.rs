@@ -17,7 +17,7 @@ use rayfade_dynamic::{
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams};
 use rayfade_spatial::{build_sparse_ratios_stats, SparseBuildStats};
-use rayfade_telemetry::{MonitorConfig, Telemetry};
+use rayfade_telemetry::Telemetry;
 use std::path::PathBuf;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -83,7 +83,7 @@ fn stability_sweep_journal_and_csv_rows_identical_at_pool_sizes_1_2_8() {
     for &threads in &POOL_SIZES {
         let path = scratch(&format!("stability-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
-        let report = at_pool_size(threads, || sweep.run_with_telemetry(Some(&tele), None));
+        let report = at_pool_size(threads, || sweep.run_with_telemetry(Some(&tele), false));
         tele.flush();
         journals.push((threads, std::fs::read(&path).expect("read journal")));
         reports.push((threads, report));
@@ -117,15 +117,12 @@ fn stability_sweep_journal_and_csv_rows_identical_at_pool_sizes_1_2_8() {
 fn monitored_sweep_journal_identical_at_pool_sizes_1_4_8() {
     const MONITOR_POOL_SIZES: [usize; 3] = [1, 4, 8];
     let sweep = sweep();
-    let monitor = MonitorConfig::default();
     let mut journals: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut reports: Vec<(usize, StabilityReport)> = Vec::new();
     for &threads in &MONITOR_POOL_SIZES {
         let path = scratch(&format!("monitored-{threads}.jsonl"));
         let tele = Telemetry::with_journal(&path).expect("create journal");
-        let report = at_pool_size(threads, || {
-            sweep.run_with_telemetry(Some(&tele), Some(&monitor))
-        });
+        let report = at_pool_size(threads, || sweep.run_with_telemetry(Some(&tele), true));
         tele.flush();
         journals.push((threads, std::fs::read(&path).expect("read journal")));
         reports.push((threads, report));

@@ -41,7 +41,7 @@ use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel, SPARSE_
 use rayfade_geometry::{Network, PaperTopology};
 use rayfade_sinr::{GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SuccessModel};
 use rayfade_telemetry::trace::{self, SpanId};
-use rayfade_telemetry::{HealthMonitor, HealthReport, MonitorConfig, Telemetry};
+use rayfade_telemetry::{HealthReport, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
@@ -444,24 +444,25 @@ impl DynamicEngine {
     /// Runs every replication (rayon-parallel, deterministic order) and
     /// returns the per-network outcomes.
     pub fn run(&self) -> Vec<DynamicOutcome> {
-        self.replicate(None, None).0
+        self.replicate(None, false).0
     }
 
     /// Like [`run`](Self::run), but records `rayfade_dynamic_*` /
     /// `rayfade_sched_*` metrics into the registry during the parallel
     /// replications and then journals `dyn_run` / `dyn_slot` / `dyn_net`
     /// events post-collect, in deterministic order (journal bytes do not
-    /// depend on rayon scheduling). With a `monitor`, each replication
-    /// also feeds an online [`HealthMonitor`]: its [`HealthReport`] is
-    /// returned (one per network), exported to the registry post-collect,
-    /// and journaled as `health` events after that replication's
-    /// `dyn_net`, leaving the rest of the event stream identical to the
-    /// unmonitored one. `None` for both is the uninstrumented fast path;
-    /// the returned outcomes are bit-identical either way.
+    /// depend on rayon scheduling). With `monitor`, each replication's
+    /// [`HealthReport`] is computed from its trace and delays after its
+    /// slot loop, returned (one per network), exported to the registry
+    /// post-collect, and journaled as `health` events after that
+    /// replication's `dyn_net`, leaving the rest of the event stream
+    /// identical to the unmonitored one. `None` and `false` are the
+    /// uninstrumented fast path; the returned outcomes are bit-identical
+    /// either way.
     pub fn run_with_telemetry(
         &self,
         tele: Option<&Telemetry>,
-        monitor: Option<&MonitorConfig>,
+        monitor: bool,
     ) -> (Vec<DynamicOutcome>, Vec<HealthReport>) {
         let (outcomes, health) = self.replicate(tele, monitor);
         self.journal_outcomes(tele, &outcomes, &health);
@@ -470,14 +471,14 @@ impl DynamicEngine {
 
     /// The replication half of [`run_with_telemetry`](Self::run_with_telemetry):
     /// replications tally registry metrics, but nothing is journaled and
-    /// the monitor reports are not yet exported. Sweeps running many
+    /// the health reports are not yet exported. Sweeps running many
     /// engines in parallel use this and call
     /// [`journal_outcomes`](Self::journal_outcomes) afterwards, in
     /// deterministic order.
     pub(crate) fn replicate(
         &self,
         tele: Option<&Telemetry>,
-        monitor: Option<&MonitorConfig>,
+        monitor: bool,
     ) -> (Vec<DynamicOutcome>, Vec<HealthReport>) {
         let pairs: Vec<(DynamicOutcome, Option<HealthReport>)> = (0..self.config.networks as u64)
             .into_par_iter()
@@ -489,18 +490,18 @@ impl DynamicEngine {
 
     /// Runs one replication.
     pub fn run_network(&self, net: u64) -> DynamicOutcome {
-        self.run_network_full(net, None, None).0
+        self.run_network_full(net, None, false).0
     }
 
     /// Runs one replication, optionally tallying metrics (never journal
-    /// events — see [`journal_outcomes`](Self::journal_outcomes)) and
-    /// optionally feeding an online [`HealthMonitor`] whose end-of-run
-    /// [`HealthReport`] is returned alongside the outcome.
+    /// events — see [`journal_outcomes`](Self::journal_outcomes)) and,
+    /// with `monitor`, returning the [`HealthReport`] of its trace and
+    /// delays alongside the outcome.
     fn run_network_full(
         &self,
         net: u64,
         tele: Option<&Telemetry>,
-        monitor: Option<&MonitorConfig>,
+        monitor: bool,
     ) -> (DynamicOutcome, Option<HealthReport>) {
         let cfg = &self.config;
         let topology = PaperTopology {
@@ -562,11 +563,10 @@ impl DynamicEngine {
         let mut active = vec![false; n];
         let mut would_succeed = vec![false; n];
         let mut successes = vec![false; n];
-        // Metric handles resolved once per replication; the per-slot hot
-        // path only touches atomics (and `Instant` on sampled slots).
+        // The one metric the slot loop updates, resolved once per
+        // replication; it touches an atomic and `Instant` on sampled
+        // slots only.
         let policy_seconds = tele.map(|t| t.registry().histogram("rayfade_dynamic_policy_seconds"));
-        let sampled_backlog =
-            tele.map(|t| t.registry().histogram("rayfade_dynamic_sampled_backlog"));
         // Span ids interned once per replication. The per-slot phase
         // spans and the policy latency are *sampled* (only on
         // `slot % sample_every == 0` slots): four spans, two clock reads
@@ -584,10 +584,6 @@ impl DynamicEngine {
         let _replication_span = trace::guard(tracer, span_replication);
         let mut transmissions: u64 = 0;
         let mut deliveries: u64 = 0;
-        // The monitor observes simulated state only (it draws no
-        // randomness and feeds nothing back), so outcomes are bit-equal
-        // with or without it.
-        let mut mon = monitor.map(|cfg| HealthMonitor::new(cfg, n));
 
         for slot in 0..cfg.slots {
             let sampled = slot % cfg.sample_every == 0;
@@ -642,9 +638,6 @@ impl DynamicEngine {
                         successes[i] = true;
                         let delivered = bank.dequeue(i, slot);
                         debug_assert!(delivered.is_some());
-                        if let (Some(m), Some(delay)) = (mon.as_mut(), delivered) {
-                            m.observe_delay(i, delay);
-                        }
                         deliveries += 1;
                     }
                 }
@@ -662,22 +655,10 @@ impl DynamicEngine {
             }
             // 5. Sampled backlog trace.
             if sampled {
-                let backlog = bank.total_backlog();
                 trace.slots.push(slot);
-                trace.total_backlog.push(backlog);
+                trace.total_backlog.push(bank.total_backlog());
                 trace.cum_arrivals.push(bank.total_arrivals());
                 trace.cum_departures.push(bank.total_departures());
-                if let Some(hist) = &sampled_backlog {
-                    hist.observe(backlog as f64);
-                }
-                if let Some(m) = mon.as_mut() {
-                    m.observe_sample(
-                        slot,
-                        backlog,
-                        bank.total_arrivals(),
-                        bank.total_departures(),
-                    );
-                }
             }
         }
 
@@ -694,6 +675,11 @@ impl DynamicEngine {
                 .add(deliveries);
             reg.gauge("rayfade_dynamic_final_backlog")
                 .add(bank.total_backlog() as i64);
+            // Integer values: the histogram's sum is exact in any order.
+            let sampled_backlog = reg.histogram("rayfade_dynamic_sampled_backlog");
+            for &backlog in &trace.total_backlog {
+                sampled_backlog.observe(backlog as f64);
+            }
             if let Some(stats) = policy.selection_stats() {
                 reg.counter("rayfade_sched_candidates_scored_total")
                     .add(stats.candidates_scored);
@@ -714,7 +700,19 @@ impl DynamicEngine {
             trace,
             sparse_accuracy,
         };
-        (outcome, mon.map(|m| m.report()))
+        // Read off the finished run, never during it: a monitored run's
+        // outcome is bit-equal to an unmonitored one's.
+        let health = monitor.then(|| {
+            let t = &outcome.trace;
+            HealthReport::from_run(
+                &t.slots,
+                &t.total_backlog,
+                &t.cum_arrivals,
+                &t.cum_departures,
+                (0..n).map(|i| bank.queue(i).delays()),
+            )
+        });
+        (outcome, health)
     }
 
     /// Records a finished run post-collect: exports each replication's
@@ -1065,7 +1063,7 @@ mod tests {
             // Journal *and* tracer attached: the strongest instrumented
             // configuration must still not perturb outcomes.
             let tele = Telemetry::with_journal(&path).unwrap().with_tracing();
-            let (outs, health) = engine.run_with_telemetry(Some(&tele), None);
+            let (outs, health) = engine.run_with_telemetry(Some(&tele), false);
             assert!(health.is_empty(), "no monitor, no health reports");
             tele.flush();
             let bytes = std::fs::read(&path).unwrap();
@@ -1128,13 +1126,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("monitored-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let monitor = MonitorConfig::default();
-        let (outcomes, health) = engine.run_with_telemetry(Some(&tele), Some(&monitor));
+        let (outcomes, health) = engine.run_with_telemetry(Some(&tele), true);
         tele.flush();
         assert_eq!(plain, outcomes, "monitoring must not perturb outcomes");
         assert_eq!(health.len(), 2, "one report per replication");
-        for report in &health {
-            assert!(report.slo.is_some());
+        for (report, out) in health.iter().zip(&outcomes) {
+            let backlog = &out.trace.total_backlog;
+            assert_eq!(report.watermark, *backlog.iter().max().unwrap() as f64);
+            // Every delivery of the run, not only those up to the last
+            // sampled slot.
+            let cfg = engine.config();
+            let departed = out.throughput_per_link * (cfg.slots * cfg.links as u64) as f64;
+            assert_eq!(report.slo.observed, departed.round() as u64);
         }
 
         // Health events appear directly after each replication's dyn_net,
@@ -1322,7 +1325,7 @@ mod tests {
         let run_once = |name: &str| {
             let path = dir.join(format!("{name}-{}.jsonl", std::process::id()));
             let tele = Telemetry::with_journal(&path).unwrap();
-            let (outs, _) = engine.run_with_telemetry(Some(&tele), None);
+            let (outs, _) = engine.run_with_telemetry(Some(&tele), false);
             tele.flush();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
@@ -1370,7 +1373,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sparse-accuracy-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let (outs, _) = engine.run_with_telemetry(Some(&tele), None);
+        let (outs, _) = engine.run_with_telemetry(Some(&tele), false);
         tele.flush();
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();

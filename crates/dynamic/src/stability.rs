@@ -20,7 +20,7 @@ use crate::engine::{
     DynamicConfig, DynamicEngine, DynamicOutcome, SlotModelKind, SuccessModelKind,
 };
 use crate::policy::PolicyKind;
-use rayfade_telemetry::{HealthReport, MonitorConfig, Telemetry};
+use rayfade_telemetry::{HealthReport, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -173,7 +173,7 @@ impl LambdaSweep {
     /// report. Cell order is deterministic: policies × models × λ
     /// ascending.
     pub fn run(&self) -> StabilityReport {
-        self.run_with_telemetry(None, None)
+        self.run_with_telemetry(None, false)
     }
 
     /// Like [`run`](Self::run), but tallies registry metrics during the
@@ -183,17 +183,13 @@ impl LambdaSweep {
     /// `dyn_net` trace, a `stability_cell` verdict per cell, and one
     /// `lambda_star` event per (policy, model) curve.
     ///
-    /// With a `monitor` config, every replication also feeds an online
-    /// [`rayfade_telemetry::HealthMonitor`], whose reports are exported to
-    /// the registry and journaled as `health` events after each
-    /// replication's `dyn_net`; the journal is otherwise identical to the
-    /// unmonitored stream. The [`StabilityReport`] is bit-identical to
+    /// With `monitor`, every replication's [`HealthReport`], computed
+    /// from its trace and delays after its slot loop, is exported to the
+    /// registry and journaled as `health` events after the replication's
+    /// `dyn_net`; the journal is otherwise identical to the unmonitored
+    /// stream. The [`StabilityReport`] is bit-identical to
     /// [`run`](Self::run)'s either way.
-    pub fn run_with_telemetry(
-        &self,
-        tele: Option<&Telemetry>,
-        monitor: Option<&MonitorConfig>,
-    ) -> StabilityReport {
+    pub fn run_with_telemetry(&self, tele: Option<&Telemetry>, monitor: bool) -> StabilityReport {
         let mut configs = Vec::new();
         for policy in PolicyKind::all() {
             for model in SuccessModelKind::all() {
@@ -531,7 +527,7 @@ mod tests {
         };
         let sweep = LambdaSweep::linear(base, 0.3, 3);
         let plain = sweep.run();
-        let monitored = sweep.run_with_telemetry(None, Some(&MonitorConfig::default()));
+        let monitored = sweep.run_with_telemetry(None, true);
         assert_eq!(
             plain, monitored,
             "monitoring must not change the post-hoc report"
@@ -551,7 +547,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("health-journal-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let report = sweep.run_with_telemetry(Some(&tele), Some(&MonitorConfig::default()));
+        let report = sweep.run_with_telemetry(Some(&tele), true);
         tele.flush();
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -581,7 +577,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sweep-{}.jsonl", std::process::id()));
         let tele = Telemetry::with_journal(&path).unwrap();
-        let instrumented = sweep.run_with_telemetry(Some(&tele), None);
+        let instrumented = sweep.run_with_telemetry(Some(&tele), false);
         assert_eq!(plain, instrumented, "telemetry must not change verdicts");
 
         let events = rayfade_telemetry::read_jsonl(&path).unwrap();

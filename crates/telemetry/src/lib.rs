@@ -17,12 +17,12 @@
 //! - [`Tracer`] — hierarchical RAII spans in per-thread ring buffers,
 //!   exported as Chrome Trace Event JSON and a self-profile table
 //!   ([`trace`]).
-//! - [`Ewma`] / [`SlidingWindow`] / [`QuantileSketch`] — streaming
-//!   estimators, including a mergeable γ-relative-error quantile sketch
+//! - [`QuantileSketch`] — a mergeable γ-relative-error quantile sketch
 //!   ([`stream`]).
-//! - [`HealthMonitor`] — online delay-SLO / watermark / throughput
-//!   detectors producing deterministic `health` journal events and
-//!   registry metrics ([`monitor`]).
+//! - [`HealthReport`] — delay-SLO / watermark / throughput detectors
+//!   computed from a finished replication's records, producing
+//!   deterministic `health` journal events and registry metrics
+//!   ([`monitor`]).
 //!
 //! Instrumented code takes an `Option<&Telemetry>`; `None` keeps the
 //! uninstrumented fast path (see `results/telemetry_overhead.csv` for
@@ -53,12 +53,9 @@ use std::path::Path;
 pub use journal::{read_jsonl, Event, Journal, JournalReader, SCHEMA_VERSION};
 pub use json::{Json, JsonError, MAX_DEPTH};
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
-pub use monitor::{
-    DelaySloTracker, HealthMonitor, HealthReport, HealthVerdict, MonitorConfig, SloConfig,
-    SloReport, WatermarkDetector,
-};
+pub use monitor::{HealthReport, HealthVerdict, SloReport};
 pub use registry::Registry;
-pub use stream::{Ewma, QuantileSketch, SlidingWindow};
+pub use stream::QuantileSketch;
 pub use trace::{SpanGuard, SpanId, Tracer};
 
 /// A run's telemetry context: a metric [`Registry`], an optional event

@@ -1,42 +1,57 @@
-//! Online health monitoring: SLO, watermark, and throughput detectors
-//! over a live run, with journal + registry exposition.
+//! Health records: SLO, watermark, and throughput detectors over one
+//! finished replication, with journal + registry exposition.
 //!
-//! A [`HealthMonitor`] is fed *during* the run (one per replication;
-//! feeding it never touches any random stream, so monitored runs stay
-//! bit-equal to plain ones) and its [`HealthReport`] snapshot answers:
+//! [`HealthReport::from_run`] reads what a replication already recorded
+//! (its sampled backlog and cumulative counter series, and every link's
+//! delivery delays) after its slot loop, so a report never touches the
+//! loop or a random stream. It answers:
 //!
-//! * **delay SLO** — is the target delay quantile under its threshold,
-//!   and is the per-link violation fraction inside budget? Backed by the
-//!   γ-relative-error [`QuantileSketch`],
-//!   not the coarse base-2 [`Histogram`](crate::Histogram).
-//! * **watermark** — has the backlog set a new all-time high on too many
+//! * **delay SLO**: is the p95 delay at most 500 slots, and has no link
+//!   sent more than 5% of its deliveries over that? The p95 is read off
+//!   the γ-relative-error [`QuantileSketch`], not the coarse base-2
+//!   [`Histogram`](crate::Histogram).
+//! * **watermark**: has the backlog set a new all-time high on 10
 //!   *consecutive* samples? A bounded process renews its maximum ever
 //!   more rarely; a linearly growing one renews it every sample.
-//! * **throughput** — has the departure rate collapsed relative to the
-//!   arrival rate? Windowed EWMA rates over the sampled cumulative
-//!   counters.
+//! * **throughput**: has the departure rate fallen below half the
+//!   arrival rate? EWMA rates over the sampled cumulative counters.
 //!
 //! Whether a backlog drifts is not a detector here: the stability sweep
 //! judges it once per cell from the sampled backlog trace
 //! (`rayfade_dynamic::judge_cell`).
 //!
 //! Reports journal as deterministic `kind: "health"` events (one per
-//! detector, each carrying `detector` and `verdict` fields — the contract
+//! detector, each carrying `detector` and `verdict` fields, the contract
 //! `telemetry_lint` enforces) and export through the existing
 //! [`Registry`].
 
 use crate::journal::{Event, Journal};
 use crate::registry::Registry;
-use crate::stream::{Ewma, QuantileSketch, SlidingWindow};
+use crate::stream::QuantileSketch;
 
-/// Number of recent backlog samples the monitor keeps for windowed
-/// mean/variance.
+/// Consecutive new-high-watermark samples at which the watermark
+/// detector alerts.
+const WATERMARK_STREAK_LIMIT: u64 = 10;
+/// EWMA smoothing factor of the arrival and departure rates.
+const RATE_EWMA_ALPHA: f64 = 0.05;
+/// The throughput detector alerts when the departure rate falls below
+/// this fraction of the arrival rate.
+const COLLAPSE_RATIO: f64 = 0.5;
+/// Relative accuracy γ of the delay quantile sketch.
+const SKETCH_GAMMA: f64 = 0.01;
+/// The delay quantile the SLO constrains.
+const SLO_QUANTILE: f64 = 0.95;
+/// Upper bound, in slots, on the SLO quantile and on each delay.
+const SLO_THRESHOLD: f64 = 500.0;
+/// Fraction of a link's deliveries allowed over the threshold.
+const SLO_BUDGET: f64 = 0.05;
+/// Number of recent backlog samples in the windowed mean and variance.
 const BACKLOG_WINDOW: usize = 64;
 
 /// A detector's binary state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthVerdict {
-    /// Within its configured envelope.
+    /// Within its envelope.
     Ok,
     /// Out of envelope — the condition the detector watches for is live.
     Alert,
@@ -65,165 +80,60 @@ impl HealthVerdict {
     }
 }
 
-/// A per-link delay service-level objective.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// The delay quantile the objective constrains (e.g. 0.95).
-    pub quantile: f64,
-    /// Upper bound, in slots, that the quantile (and each individual
-    /// delay) must respect.
-    pub threshold: f64,
-    /// Allowed fraction of over-threshold deliveries per link before the
-    /// tracker alerts.
-    pub budget: f64,
-}
-
-impl Default for SloConfig {
-    /// p95 delay ≤ 500 slots, with 5% of deliveries allowed over.
-    fn default() -> Self {
-        SloConfig {
-            quantile: 0.95,
-            threshold: 500.0,
-            budget: 0.05,
-        }
-    }
-}
-
-/// Configuration of a [`HealthMonitor`].
+/// The delay SLO's state over one replication's deliveries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Delay SLO to track (`None` disables the tracker).
-    pub slo: Option<SloConfig>,
-    /// Consecutive new-high-watermark samples before the watermark
-    /// detector alerts.
-    pub watermark_streak_limit: u64,
-    /// EWMA smoothing factor for the arrival/departure rate estimators.
-    pub ewma_alpha: f64,
-    /// The throughput detector alerts when the departure rate falls below
-    /// this fraction of the arrival rate.
-    pub collapse_ratio: f64,
-    /// Relative accuracy γ of the delay quantile sketch.
-    pub sketch_gamma: f64,
+pub struct SloReport {
+    /// Sketch estimate of the p95 delay (`None` without deliveries).
+    pub estimate: Option<f64>,
+    /// Total deliveries.
+    pub observed: u64,
+    /// Total over-threshold deliveries.
+    pub violations: u64,
+    /// The link with the highest violation fraction, the lowest such
+    /// link on ties (`None` without deliveries).
+    pub worst_link: Option<usize>,
+    /// That link's violation fraction.
+    pub worst_fraction: f64,
+    /// `Alert` when the p95 estimate exceeds the threshold or the worst
+    /// link's violation fraction exceeds the budget.
+    pub verdict: HealthVerdict,
 }
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            slo: Some(SloConfig::default()),
-            watermark_streak_limit: 10,
-            ewma_alpha: 0.05,
-            collapse_ratio: 0.5,
-            sketch_gamma: 0.01,
-        }
-    }
-}
-
-/// Backlog high-watermark growth detector.
-///
-/// Tracks the all-time maximum of the sampled backlog and the longest run
-/// of *consecutive* samples that each set a new maximum. A positive-
-/// recurrent backlog renews its maximum ever more rarely; under linear
-/// growth every sample is a new high and the streak grows without bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatermarkDetector {
-    watermark: f64,
-    streak: u64,
-    max_streak: u64,
-    limit: u64,
-}
-
-impl WatermarkDetector {
-    /// A detector alerting at `limit` consecutive new highs.
-    pub fn new(limit: u64) -> Self {
-        WatermarkDetector {
-            watermark: 0.0,
-            streak: 0,
-            max_streak: 0,
-            limit,
-        }
-    }
-
-    /// Folds one sampled backlog value in.
-    pub fn observe(&mut self, backlog: f64) {
-        if backlog > self.watermark {
-            self.watermark = backlog;
-            self.streak += 1;
-            self.max_streak = self.max_streak.max(self.streak);
-        } else {
-            self.streak = 0;
-        }
-    }
-
-    /// The all-time backlog maximum seen so far.
-    pub fn watermark(&self) -> f64 {
-        self.watermark
-    }
-
-    /// The longest consecutive new-high streak seen so far.
-    pub fn max_streak(&self) -> u64 {
-        self.max_streak
-    }
-
-    /// `Ok` iff the longest streak stayed below the limit.
-    pub fn verdict(&self) -> HealthVerdict {
-        HealthVerdict::from_alert(self.max_streak >= self.limit)
-    }
-}
-
-/// Per-link delay-SLO tracker: one γ-accurate sketch of all delivery
-/// delays plus per-link violation tallies against the threshold/budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DelaySloTracker {
-    cfg: SloConfig,
-    sketch: QuantileSketch,
-    observed: Vec<u64>,
-    violations: Vec<u64>,
-}
-
-impl DelaySloTracker {
-    /// A tracker over `links` links.
-    pub fn new(cfg: SloConfig, sketch_gamma: f64, links: usize) -> Self {
-        DelaySloTracker {
-            cfg,
-            sketch: QuantileSketch::new(sketch_gamma),
-            observed: vec![0; links],
-            violations: vec![0; links],
-        }
-    }
-
-    /// Records one delivered packet's delay (in slots) on `link`.
-    pub fn observe(&mut self, link: usize, delay: f64) {
-        self.sketch.observe(delay);
-        self.observed[link] += 1;
-        if delay > self.cfg.threshold {
-            self.violations[link] += 1;
-        }
-    }
-
-    /// Snapshot of the objective's state.
-    pub fn report(&self) -> SloReport {
-        let estimate = self.sketch.quantile(self.cfg.quantile);
+impl SloReport {
+    /// The SLO over every link's delivery delays, in link order. The
+    /// sketch's quantile reads bucket counts only, so it does not matter
+    /// that the delays arrive link by link rather than in delivery order.
+    fn from_delays<'a>(delays: impl IntoIterator<Item = &'a [u64]>) -> Self {
+        let mut sketch = QuantileSketch::new(SKETCH_GAMMA);
+        let (mut observed, mut violations) = (0, 0);
         let mut worst_link = None;
         let mut worst_fraction = 0.0f64;
-        for (link, (&obs, &vio)) in self.observed.iter().zip(&self.violations).enumerate() {
-            if obs == 0 {
+        for (link, link_delays) in delays.into_iter().enumerate() {
+            if link_delays.is_empty() {
                 continue;
             }
-            let fraction = vio as f64 / obs as f64;
+            for &delay in link_delays {
+                sketch.observe(delay as f64);
+            }
+            let over = link_delays
+                .iter()
+                .filter(|&&d| d as f64 > SLO_THRESHOLD)
+                .count() as u64;
+            observed += link_delays.len() as u64;
+            violations += over;
+            let fraction = over as f64 / link_delays.len() as f64;
             if worst_link.is_none() || fraction > worst_fraction {
                 worst_link = Some(link);
                 worst_fraction = fraction;
             }
         }
-        let quantile_over = estimate.is_some_and(|e| e > self.cfg.threshold);
-        let budget_blown = worst_fraction > self.cfg.budget;
+        let estimate = sketch.quantile(SLO_QUANTILE);
+        let quantile_over = estimate.is_some_and(|e| e > SLO_THRESHOLD);
+        let budget_blown = worst_fraction > SLO_BUDGET;
         SloReport {
-            quantile: self.cfg.quantile,
-            threshold: self.cfg.threshold,
-            budget: self.cfg.budget,
             estimate,
-            observed: self.observed.iter().sum(),
-            violations: self.violations.iter().sum(),
+            observed,
+            violations,
             worst_link,
             worst_fraction,
             verdict: HealthVerdict::from_alert(quantile_over || budget_blown),
@@ -231,122 +141,7 @@ impl DelaySloTracker {
     }
 }
 
-/// Snapshot of a [`DelaySloTracker`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloReport {
-    /// The tracked quantile.
-    pub quantile: f64,
-    /// The delay threshold, in slots.
-    pub threshold: f64,
-    /// The allowed per-link violation fraction.
-    pub budget: f64,
-    /// Sketch estimate of the tracked delay quantile (`None` before any
-    /// delivery).
-    pub estimate: Option<f64>,
-    /// Total deliveries observed.
-    pub observed: u64,
-    /// Total over-threshold deliveries.
-    pub violations: u64,
-    /// The link with the highest violation fraction (`None` before any
-    /// delivery).
-    pub worst_link: Option<usize>,
-    /// That link's violation fraction.
-    pub worst_fraction: f64,
-    /// `Alert` when the quantile estimate exceeds the threshold or the
-    /// worst link's violation fraction exceeds the budget.
-    pub verdict: HealthVerdict,
-}
-
-/// The online health monitor for one replication: every detector behind
-/// one pair of feed calls.
-///
-/// Feed [`observe_sample`](HealthMonitor::observe_sample) at each sampled
-/// slot and [`observe_delay`](HealthMonitor::observe_delay) at each
-/// delivery; take a [`report`](HealthMonitor::report) whenever a snapshot
-/// is needed (the dynamic engine takes one at end of run). The monitor is
-/// pure read-side state — it draws no randomness and feeds nothing back,
-/// so a monitored run's outcomes are bit-equal to an unmonitored one's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthMonitor {
-    watermark: WatermarkDetector,
-    window: SlidingWindow,
-    arrivals: Ewma,
-    departures: Ewma,
-    collapse_ratio: f64,
-    slo: Option<DelaySloTracker>,
-    /// Previous sampled (slot, cum_arrivals, cum_departures) for rate
-    /// deltas.
-    last: Option<(u64, u64, u64)>,
-}
-
-impl HealthMonitor {
-    /// A monitor over `links` links.
-    pub fn new(cfg: &MonitorConfig, links: usize) -> Self {
-        HealthMonitor {
-            watermark: WatermarkDetector::new(cfg.watermark_streak_limit),
-            window: SlidingWindow::new(BACKLOG_WINDOW),
-            arrivals: Ewma::new(cfg.ewma_alpha),
-            departures: Ewma::new(cfg.ewma_alpha),
-            collapse_ratio: cfg.collapse_ratio,
-            slo: cfg
-                .slo
-                .map(|slo| DelaySloTracker::new(slo, cfg.sketch_gamma, links)),
-            last: None,
-        }
-    }
-
-    /// Feeds one sampled slot: the network-total backlog plus the
-    /// cumulative arrival/departure counters at `slot`.
-    pub fn observe_sample(
-        &mut self,
-        slot: u64,
-        backlog: u64,
-        cum_arrivals: u64,
-        cum_departures: u64,
-    ) {
-        let b = backlog as f64;
-        self.watermark.observe(b);
-        self.window.observe(b);
-        if let Some((prev_slot, prev_arr, prev_dep)) = self.last {
-            let dt = slot.saturating_sub(prev_slot) as f64;
-            if dt > 0.0 {
-                self.arrivals
-                    .observe(cum_arrivals.saturating_sub(prev_arr) as f64 / dt);
-                self.departures
-                    .observe(cum_departures.saturating_sub(prev_dep) as f64 / dt);
-            }
-        }
-        self.last = Some((slot, cum_arrivals, cum_departures));
-    }
-
-    /// Feeds one delivered packet's delay (in slots) on `link`. No-op
-    /// when no SLO is configured.
-    pub fn observe_delay(&mut self, link: usize, delay: u64) {
-        if let Some(slo) = &mut self.slo {
-            slo.observe(link, delay as f64);
-        }
-    }
-
-    /// Snapshot of every detector.
-    pub fn report(&self) -> HealthReport {
-        let arrival_rate = self.arrivals.value().unwrap_or(0.0);
-        let departure_rate = self.departures.value().unwrap_or(0.0);
-        let collapsed = arrival_rate > 0.0 && departure_rate < self.collapse_ratio * arrival_rate;
-        HealthReport {
-            watermark: self.watermark.watermark(),
-            growth_streak: self.watermark.max_streak(),
-            watermark_verdict: self.watermark.verdict(),
-            arrival_rate,
-            departure_rate,
-            throughput_verdict: HealthVerdict::from_alert(collapsed),
-            backlog_mean: self.window.mean(),
-            backlog_variance: self.window.variance(),
-            slo: self.slo.as_ref().map(DelaySloTracker::report),
-        }
-    }
-}
-
-/// A point-in-time snapshot of every detector in a [`HealthMonitor`].
+/// Every detector's state over one replication.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// All-time backlog maximum.
@@ -361,21 +156,93 @@ pub struct HealthReport {
     pub departure_rate: f64,
     /// Throughput-collapse detector state.
     pub throughput_verdict: HealthVerdict,
-    /// Mean of the recent-backlog window.
+    /// Mean of the last 64 backlog samples.
     pub backlog_mean: f64,
-    /// Population variance of the recent-backlog window.
+    /// Population variance of the last 64 backlog samples.
     pub backlog_variance: f64,
-    /// Delay-SLO snapshot, when an SLO was configured.
-    pub slo: Option<SloReport>,
+    /// Delay-SLO state.
+    pub slo: SloReport,
+}
+
+/// Folds `rate` into an EWMA seeded with its first rate.
+fn ewma(value: &mut Option<f64>, rate: f64) {
+    *value = Some(match *value {
+        None => rate,
+        Some(v) => RATE_EWMA_ALPHA * rate + (1.0 - RATE_EWMA_ALPHA) * v,
+    });
 }
 
 impl HealthReport {
-    /// The worst verdict across all detectors: `Alert` if any alerts.
-    pub fn worst(&self) -> HealthVerdict {
-        let alert = self.watermark_verdict.is_alert()
-            || self.throughput_verdict.is_alert()
-            || self.slo.as_ref().is_some_and(|s| s.verdict.is_alert());
-        HealthVerdict::from_alert(alert)
+    /// The report of one replication. `slots`, `backlog`, `cum_arrivals`
+    /// and `cum_departures` are its sampled series, in slot order:
+    /// network-total backlog and cumulative arrival and departure counts
+    /// at each sampled slot. `delays` yields each link's delivery delays
+    /// (in slots), in link order.
+    ///
+    /// # Panics
+    /// When the four series differ in length.
+    pub fn from_run<'a>(
+        slots: &[u64],
+        backlog: &[u64],
+        cum_arrivals: &[u64],
+        cum_departures: &[u64],
+        delays: impl IntoIterator<Item = &'a [u64]>,
+    ) -> Self {
+        let n = slots.len();
+        assert!(
+            backlog.len() == n && cum_arrivals.len() == n && cum_departures.len() == n,
+            "the sampled series must have one entry per sampled slot"
+        );
+        let (mut watermark, mut streak, mut growth_streak) = (0.0f64, 0u64, 0u64);
+        let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
+        let (mut arrival_rate, mut departure_rate) = (None, None);
+        for k in 0..n {
+            let b = backlog[k] as f64;
+            if b > watermark {
+                watermark = b;
+                streak += 1;
+                growth_streak = growth_streak.max(streak);
+            } else {
+                streak = 0;
+            }
+            // The window evicts its oldest sample before it adds.
+            if k >= BACKLOG_WINDOW {
+                let old = backlog[k - BACKLOG_WINDOW] as f64;
+                sum -= old;
+                sumsq -= old * old;
+            }
+            sum += b;
+            sumsq += b * b;
+            // A sample in the same slot as the previous one adds no rate,
+            // but is the previous sample of the next.
+            if k > 0 {
+                let dt = slots[k].saturating_sub(slots[k - 1]) as f64;
+                if dt > 0.0 {
+                    let arrived = cum_arrivals[k].saturating_sub(cum_arrivals[k - 1]);
+                    let departed = cum_departures[k].saturating_sub(cum_departures[k - 1]);
+                    ewma(&mut arrival_rate, arrived as f64 / dt);
+                    ewma(&mut departure_rate, departed as f64 / dt);
+                }
+            }
+        }
+        // An empty window divides its zero sums by 1. Incremental sums
+        // can take the variance fractionally negative.
+        let filled = n.clamp(1, BACKLOG_WINDOW) as f64;
+        let backlog_variance = ((sumsq - sum * sum / filled) / filled).max(0.0);
+        let arrival_rate = arrival_rate.unwrap_or(0.0);
+        let departure_rate = departure_rate.unwrap_or(0.0);
+        let collapsed = arrival_rate > 0.0 && departure_rate < COLLAPSE_RATIO * arrival_rate;
+        HealthReport {
+            watermark,
+            growth_streak,
+            watermark_verdict: HealthVerdict::from_alert(growth_streak >= WATERMARK_STREAK_LIMIT),
+            arrival_rate,
+            departure_rate,
+            throughput_verdict: HealthVerdict::from_alert(collapsed),
+            backlog_mean: sum / filled,
+            backlog_variance,
+            slo: SloReport::from_delays(delays),
+        }
     }
 
     /// Journals one `kind: "health"` event per detector.
@@ -401,28 +268,27 @@ impl HealthReport {
             .num("backlog_variance", self.backlog_variance)
             .str("verdict", self.throughput_verdict.label())
             .write();
-        if let Some(slo) = &self.slo {
-            let mut ev = decorate(journal.event("health"))
-                .str("detector", "delay_slo")
-                .num("quantile", slo.quantile)
-                .num("threshold", slo.threshold)
-                .num("budget", slo.budget);
-            if let Some(estimate) = slo.estimate {
-                ev = ev.num("estimate", estimate);
-            }
-            ev = ev
-                .int("observed", slo.observed as i64)
-                .int("violations", slo.violations as i64);
-            if let Some(link) = slo.worst_link {
-                ev = ev
-                    .int("worst_link", link as i64)
-                    .num("worst_fraction", slo.worst_fraction);
-            }
-            ev.str("verdict", slo.verdict.label()).write();
+        let slo = &self.slo;
+        let mut ev = decorate(journal.event("health"))
+            .str("detector", "delay_slo")
+            .num("quantile", SLO_QUANTILE)
+            .num("threshold", SLO_THRESHOLD)
+            .num("budget", SLO_BUDGET);
+        if let Some(estimate) = slo.estimate {
+            ev = ev.num("estimate", estimate);
         }
+        ev = ev
+            .int("observed", slo.observed as i64)
+            .int("violations", slo.violations as i64);
+        if let Some(link) = slo.worst_link {
+            ev = ev
+                .int("worst_link", link as i64)
+                .num("worst_fraction", slo.worst_fraction);
+        }
+        ev.str("verdict", slo.verdict.label()).write();
     }
 
-    /// Exports the snapshot into `registry` as `rayfade_monitor_*`
+    /// Exports the report into `registry` as `rayfade_monitor_*`
     /// metrics.
     ///
     /// Gauges are integer-valued, so float health values ride on
@@ -430,29 +296,30 @@ impl HealthReport {
     /// carries the value) and counters carry totals.
     pub fn export(&self, registry: &Registry) {
         registry.counter("rayfade_monitor_reports_total").inc();
-        let alerts = [self.watermark_verdict, self.throughput_verdict]
-            .iter()
-            .filter(|v| v.is_alert())
-            .count() as u64
-            + u64::from(self.slo.as_ref().is_some_and(|s| s.verdict.is_alert()));
+        let alerts = [
+            self.watermark_verdict,
+            self.throughput_verdict,
+            self.slo.verdict,
+        ]
+        .iter()
+        .filter(|v| v.is_alert())
+        .count() as u64;
         registry.counter("rayfade_monitor_alerts_total").add(alerts);
         registry
             .histogram("rayfade_monitor_backlog_mean")
             .observe(self.backlog_mean);
         let watermark_gauge = registry.gauge("rayfade_monitor_watermark_max");
         watermark_gauge.set(watermark_gauge.get().max(self.watermark as i64));
-        if let Some(slo) = &self.slo {
+        registry
+            .counter("rayfade_monitor_slo_observed_total")
+            .add(self.slo.observed);
+        registry
+            .counter("rayfade_monitor_slo_violations_total")
+            .add(self.slo.violations);
+        if let Some(estimate) = self.slo.estimate {
             registry
-                .counter("rayfade_monitor_slo_observed_total")
-                .add(slo.observed);
-            registry
-                .counter("rayfade_monitor_slo_violations_total")
-                .add(slo.violations);
-            if let Some(estimate) = slo.estimate {
-                registry
-                    .histogram("rayfade_monitor_slo_delay_quantile")
-                    .observe(estimate);
-            }
+                .histogram("rayfade_monitor_slo_delay_quantile")
+                .observe(estimate);
         }
     }
 }
@@ -496,116 +363,123 @@ mod tests {
         assert!((98_000..=101_000).contains(&p99), "p99 {p99}");
     }
 
+    /// The report of a run sampled every `every` slots, with cumulative
+    /// arrival and departure counts `arr` and `dep` at each sample.
+    fn run(every: u64, arr: &[u64], dep: &[u64], delays: &[&[u64]]) -> HealthReport {
+        let slots: Vec<u64> = (0..arr.len() as u64).map(|k| k * every).collect();
+        let backlog: Vec<u64> = arr.iter().zip(dep).map(|(a, d)| a - d).collect();
+        HealthReport::from_run(&slots, &backlog, arr, dep, delays.iter().copied())
+    }
+
     #[test]
     fn flat_backlog_is_healthy() {
-        let mut m = HealthMonitor::new(&MonitorConfig::default(), 4);
-        for k in 0..50u64 {
-            m.observe_sample(k * 10, 3, k * 5 + 3, k * 5);
-        }
-        for _ in 0..20 {
-            m.observe_delay(1, 2);
-        }
-        let r = m.report();
+        // 100 samples, so the 64-sample window is full and has evicted.
+        let arrivals: Vec<u64> = (0..100).map(|k| k * 5 + 3).collect();
+        let departures: Vec<u64> = (0..100).map(|k| k * 5).collect();
+        let r = run(10, &arrivals, &departures, &[&[], &[2; 20], &[], &[]]);
         assert_eq!(r.watermark_verdict, HealthVerdict::Ok);
         assert_eq!(r.throughput_verdict, HealthVerdict::Ok);
-        let slo = r.slo.as_ref().expect("SLO configured by default");
-        assert_eq!(slo.verdict, HealthVerdict::Ok);
-        assert_eq!(slo.observed, 20);
-        assert_eq!(slo.violations, 0);
-        assert_eq!(r.worst(), HealthVerdict::Ok);
+        assert_eq!(r.slo.verdict, HealthVerdict::Ok);
+        assert_eq!(r.slo.observed, 20);
+        assert_eq!(r.slo.violations, 0);
+        assert_eq!(r.slo.worst_link, Some(1));
         assert!((r.arrival_rate - 0.5).abs() < 1e-9);
         assert!((r.departure_rate - 0.5).abs() < 1e-9);
+        assert_eq!(r.backlog_mean, 3.0);
+        assert_eq!(r.backlog_variance, 0.0);
     }
 
     #[test]
     fn linear_growth_trips_watermark_and_throughput() {
-        let mut m = HealthMonitor::new(&MonitorConfig::default(), 4);
         // One packet per slot arrives, nothing departs: every sample a
         // new watermark, departure rate 0.
-        for k in 0..40u64 {
-            m.observe_sample(k * 10, k * 10, k * 10, 0);
-        }
-        let r = m.report();
+        let arrivals: Vec<u64> = (0..40).map(|k| k * 10).collect();
+        let r = run(10, &arrivals, &[0; 40], &[]);
         assert_eq!(r.watermark, 390.0);
         assert!(r.growth_streak >= 10);
         assert_eq!(r.watermark_verdict, HealthVerdict::Alert);
         assert_eq!(r.throughput_verdict, HealthVerdict::Alert);
-        assert_eq!(r.worst(), HealthVerdict::Alert);
     }
 
     #[test]
-    fn slo_tracker_flags_budget_blowout_on_the_worst_link() {
-        let mut t = DelaySloTracker::new(
-            SloConfig {
-                quantile: 0.95,
-                threshold: 10.0,
-                budget: 0.1,
-            },
-            0.01,
-            3,
-        );
-        // Link 0: all fast. Link 2: 1 of 4 over threshold (25% > 10%).
-        for _ in 0..20 {
-            t.observe(0, 2.0);
-        }
-        for _ in 0..3 {
-            t.observe(2, 5.0);
-        }
-        t.observe(2, 50.0);
-        let r = t.report();
-        assert_eq!(r.observed, 24);
-        assert_eq!(r.violations, 1);
-        assert_eq!(r.worst_link, Some(2));
-        assert!((r.worst_fraction - 0.25).abs() < 1e-12);
-        assert_eq!(r.verdict, HealthVerdict::Alert);
+    fn rates_are_an_ewma_seeded_with_the_first_rate() {
+        // Rates 1.0, then 0.0, then (a same-slot sample adds none) 0.5
+        // measured from the same-slot sample, not from the one before.
+        let slots = [0, 10, 20, 20, 40];
+        let arrivals = [0, 10, 10, 15, 25];
+        let r = HealthReport::from_run(&slots, &arrivals, &arrivals, &[0; 5], []);
+        let second = 0.05 * 0.0 + 0.95 * 1.0;
+        assert_eq!(r.arrival_rate, 0.05 * 0.5 + 0.95 * second);
+        assert_eq!(r.departure_rate, 0.0);
+        let one = HealthReport::from_run(&[0], &[4], &[4], &[0], []);
+        assert_eq!(one.arrival_rate, 0.0, "no rate before two samples");
+        assert_eq!(one.throughput_verdict, HealthVerdict::Ok);
     }
 
     #[test]
-    fn slo_quantile_over_threshold_alerts_even_within_budget() {
-        let mut t = DelaySloTracker::new(
-            SloConfig {
-                quantile: 0.5,
-                threshold: 10.0,
-                budget: 1.0, // budget can never blow
-            },
-            0.01,
-            1,
-        );
-        for _ in 0..10 {
-            t.observe(0, 40.0);
-        }
-        let r = t.report();
-        assert!(r.estimate.unwrap() > 10.0);
-        assert_eq!(r.verdict, HealthVerdict::Alert);
+    fn backlog_window_holds_the_last_64_samples() {
+        // 65 samples: an outlier of 100, then 0, 1, 0, 1, ... The 65th
+        // sample evicts the outlier.
+        let backlog: Vec<u64> = (0..65).map(|k| if k == 0 { 100 } else { k % 2 }).collect();
+        let slots: Vec<u64> = (0..65).collect();
+        let full = HealthReport::from_run(&slots, &backlog, &backlog, &[0; 65], []);
+        assert_eq!(full.backlog_mean, 0.5);
+        assert_eq!(full.backlog_variance, 0.25);
+        let before =
+            HealthReport::from_run(&slots[..64], &backlog[..64], &backlog[..64], &[0; 64], []);
+        assert_eq!(before.backlog_mean, (100.0 + 32.0) / 64.0);
+        let empty = HealthReport::from_run(&[], &[], &[], &[], []);
+        assert_eq!((empty.backlog_mean, empty.backlog_variance), (0.0, 0.0));
+    }
+
+    #[test]
+    fn slo_budget_blown_on_the_worst_link_alerts() {
+        // Link 0: all fast. Link 2: 1 of 4 over 500 slots (25% > 5%),
+        // while the p95 stays far under it.
+        let r = run(10, &[0, 0], &[0, 0], &[&[2; 20], &[], &[5, 5, 5, 600]]);
+        let slo = &r.slo;
+        assert_eq!(slo.observed, 24);
+        assert_eq!(slo.violations, 1);
+        assert_eq!(slo.worst_link, Some(2));
+        assert!((slo.worst_fraction - 0.25).abs() < 1e-12);
+        assert!(slo.estimate.unwrap() < 10.0);
+        assert_eq!(slo.verdict, HealthVerdict::Alert);
+    }
+
+    #[test]
+    fn slo_quantile_over_threshold_alerts() {
+        // Every delivery over 500 slots. (At p95 with a 5% budget, a
+        // p95 over the threshold always blows the budget too: more than
+        // 5% of the deliveries rank at or above the p95.)
+        let r = run(10, &[0, 0], &[0, 0], &[&[520; 10]]);
+        let estimate = r.slo.estimate.unwrap();
+        assert!((estimate - 520.0).abs() <= 0.01 * 520.0 * 1.000_001);
+        assert!(estimate > 500.0);
+        assert_eq!(r.slo.verdict, HealthVerdict::Alert);
+        let idle = run(10, &[0, 0], &[0, 0], &[&[], &[]]);
+        assert_eq!(idle.slo.estimate, None);
+        assert_eq!(idle.slo.worst_link, None);
+        assert_eq!(idle.slo.verdict, HealthVerdict::Ok);
     }
 
     #[test]
     fn watermark_streak_resets_on_non_record_samples() {
-        let mut d = WatermarkDetector::new(3);
-        for b in [1.0, 2.0, 1.0, 3.0, 4.0, 2.0, 5.0] {
-            d.observe(b);
-        }
-        assert_eq!(d.watermark(), 5.0);
-        assert_eq!(d.max_streak(), 2);
-        assert_eq!(d.verdict(), HealthVerdict::Ok);
-        for b in [6.0, 7.0, 8.0] {
-            d.observe(b);
-        }
-        assert_eq!(d.verdict(), HealthVerdict::Alert);
-    }
-
-    #[test]
-    fn monitor_without_slo_skips_delay_tracking() {
-        let mut m = HealthMonitor::new(
-            &MonitorConfig {
-                slo: None,
-                ..MonitorConfig::default()
-            },
-            2,
-        );
-        m.observe_delay(0, 9999); // must be a no-op
-        m.observe_sample(0, 0, 0, 0);
-        assert!(m.report().slo.is_none());
+        let watermark = |backlog: &[u64]| {
+            let slots: Vec<u64> = (0..backlog.len() as u64).collect();
+            HealthReport::from_run(&slots, backlog, backlog, &vec![0; backlog.len()], [])
+        };
+        let mut backlog = vec![1, 2, 1, 3, 4, 2, 5];
+        let r = watermark(&backlog);
+        assert_eq!(r.watermark, 5.0);
+        assert_eq!(r.growth_streak, 2);
+        // Eight more new highs after the 5: a streak of 9 is still ok,
+        // the tenth alerts.
+        backlog.extend(6..=13);
+        let r = watermark(&backlog);
+        assert_eq!(r.growth_streak, 9);
+        assert_eq!(r.watermark_verdict, HealthVerdict::Ok);
+        backlog.push(14);
+        assert_eq!(watermark(&backlog).watermark_verdict, HealthVerdict::Alert);
     }
 
     #[test]
@@ -614,12 +488,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("health-{}.jsonl", std::process::id()));
         let journal = Journal::create(&path).unwrap();
-        let mut m = HealthMonitor::new(&MonitorConfig::default(), 2);
-        for k in 0..10u64 {
-            m.observe_sample(k * 5, k, k * 2, k);
-            m.observe_delay((k % 2) as usize, k + 1);
-        }
-        m.report().journal(&journal, |e| e.int("net", 7));
+        let arrivals: Vec<u64> = (0..10).map(|k| k * 2).collect();
+        let departures: Vec<u64> = (0..10).collect();
+        let delays: [&[u64]; 2] = [&[1, 3, 5, 7, 9], &[2, 4, 6, 8, 10]];
+        run(5, &arrivals, &departures, &delays).journal(&journal, |e| e.int("net", 7));
         drop(journal);
 
         let events = crate::read_jsonl(&path).unwrap();
@@ -640,16 +512,20 @@ mod tests {
             .filter_map(|e| e.get("detector").and_then(|v| v.as_str()))
             .collect();
         assert_eq!(detectors, ["watermark", "throughput", "delay_slo"]);
+        let slo = health[2];
+        let field = |key: &str| slo.get(key).and_then(|v| v.as_f64());
+        assert_eq!(field("quantile"), Some(0.95));
+        assert_eq!(field("threshold"), Some(500.0));
+        assert_eq!(field("budget"), Some(0.05));
+        assert_eq!(field("observed"), Some(10.0));
     }
 
     #[test]
     fn export_writes_monitor_metrics() {
         let registry = Registry::new();
-        let mut m = HealthMonitor::new(&MonitorConfig::default(), 2);
-        for k in 0..30u64 {
-            m.observe_sample(k * 10, k * 10, k * 10, 0); // growing: alerts
-        }
-        m.report().export(&registry);
+        let arrivals: Vec<u64> = (0..30).map(|k| k * 10).collect();
+        let r = run(10, &arrivals, &[0; 30], &[]); // growing: alerts
+        r.export(&registry);
         assert_eq!(registry.counter("rayfade_monitor_reports_total").get(), 1);
         assert_eq!(registry.counter("rayfade_monitor_alerts_total").get(), 2);
         assert_eq!(registry.gauge("rayfade_monitor_watermark_max").get(), 290);
@@ -659,7 +535,7 @@ mod tests {
         );
         // A second, larger watermark advances the max; a smaller one
         // would not.
-        let mut r = m.report();
+        let mut r = r;
         r.watermark = 1000.0;
         r.export(&registry);
         assert_eq!(registry.gauge("rayfade_monitor_watermark_max").get(), 1000);

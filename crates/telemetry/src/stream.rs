@@ -1,127 +1,14 @@
-//! Streaming estimators: EWMA rates, ring-buffered sliding windows, and
-//! a mergeable relative-error-guaranteed quantile sketch.
+//! A mergeable, relative-error-guaranteed quantile sketch.
 //!
-//! Everything here is single-writer and allocation-free on the observe
-//! path (the sketch allocates only when a value opens a new log bucket).
-//! These are the building blocks of the online health monitor
-//! ([`crate::monitor`]): the 64-bucket base-2 [`crate::Histogram`] is
-//! fine for coarse latency attribution but far too coarse for p99 delay
-//! SLOs — adjacent bucket bounds differ by 2×, so a "p99" read off it can
-//! be wrong by 100%. The [`QuantileSketch`] bounds the *relative* error
-//! of every quantile estimate by a configurable γ (default 1%).
+//! The 64-bucket base-2 [`crate::Histogram`] is fine for coarse latency
+//! attribution but far too coarse for p99 delay SLOs: adjacent bucket
+//! bounds differ by 2×, so a "p99" read off it can be wrong by 100%. The
+//! [`QuantileSketch`] bounds the *relative* error of every quantile
+//! estimate by a configurable γ (1% for the health records' delay SLO,
+//! [`crate::monitor`]). Observing allocates only when a value opens a new
+//! log bucket.
 
 use std::collections::BTreeMap;
-
-/// An exponentially weighted moving average.
-///
-/// `value ← γ·x + (1−γ)·value`, seeded with the first observation (no
-/// zero-bias warm-up). With observations once per sampling window this is
-/// the classic windowed-EWMA rate estimator: feed it `Δcount/Δt` per
-/// window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A new EWMA with smoothing factor `alpha` in `(0, 1]` (larger =
-    /// faster to react, shorter memory).
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA smoothing factor must be in (0, 1]"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds one observation into the average.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// The current average (`None` before the first observation).
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-/// A fixed-capacity ring buffer with O(1) windowed mean and variance.
-///
-/// The running `sum`/`sumsq` are updated incrementally (add the incoming
-/// value, subtract the evicted one), so long streams accumulate a little
-/// floating-point drift — fine for monitoring thresholds, not for
-/// certified statistics. The update sequence is deterministic, so two
-/// identical streams produce bit-identical windows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlidingWindow {
-    buf: Vec<f64>,
-    next: usize,
-    filled: usize,
-    sum: f64,
-    sumsq: f64,
-}
-
-impl SlidingWindow {
-    /// A window holding the last `capacity` observations.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        SlidingWindow {
-            buf: vec![0.0; capacity],
-            next: 0,
-            filled: 0,
-            sum: 0.0,
-            sumsq: 0.0,
-        }
-    }
-
-    /// Pushes one observation, evicting the oldest when full.
-    pub fn observe(&mut self, x: f64) {
-        if self.filled == self.buf.len() {
-            let old = self.buf[self.next];
-            self.sum -= old;
-            self.sumsq -= old * old;
-        } else {
-            self.filled += 1;
-        }
-        self.buf[self.next] = x;
-        self.sum += x;
-        self.sumsq += x * x;
-        self.next = (self.next + 1) % self.buf.len();
-    }
-
-    /// Number of observations currently in the window.
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// Whether the window has no observations yet.
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-
-    /// Windowed mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.filled == 0 {
-            0.0
-        } else {
-            self.sum / self.filled as f64
-        }
-    }
-
-    /// Windowed population variance, clamped at 0 (incremental sums can
-    /// go fractionally negative).
-    pub fn variance(&self) -> f64 {
-        if self.filled == 0 {
-            return 0.0;
-        }
-        let n = self.filled as f64;
-        ((self.sumsq - self.sum * self.sum / n) / n).max(0.0)
-    }
-}
 
 /// Values at or below this threshold land in the sketch's "zero" bucket
 /// and are reported as exactly 0. Delays and backlogs are ≥ 0; the
@@ -328,51 +215,6 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_seeds_and_smooths() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.observe(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.observe(0.0);
-        assert_eq!(e.value(), Some(5.0));
-        e.observe(5.0);
-        assert_eq!(e.value(), Some(5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "smoothing factor")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn sliding_window_evicts_oldest() {
-        let mut w = SlidingWindow::new(3);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), 0.0);
-        for x in [1.0, 2.0, 3.0] {
-            w.observe(x);
-        }
-        assert_eq!(w.len(), 3);
-        assert!((w.mean() - 2.0).abs() < 1e-12);
-        w.observe(10.0); // evicts the 1.0
-        assert_eq!(w.len(), 3);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Population variance of {2, 3, 10}: mean 5, var (9+4+25)/3.
-        assert!((w.variance() - 38.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sliding_window_constant_stream_has_zero_variance() {
-        let mut w = SlidingWindow::new(8);
-        for _ in 0..100 {
-            w.observe(7.5);
-        }
-        assert!((w.mean() - 7.5).abs() < 1e-12);
-        assert!(w.variance() < 1e-12);
-    }
 
     #[test]
     fn sketch_relative_error_holds_on_a_known_stream() {
