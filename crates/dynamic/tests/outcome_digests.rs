@@ -6,7 +6,10 @@
 //! slot (realized Rayleigh fading, realized non-fading SINR, and the
 //! analytic Theorem-1 Bernoulli draw), all three arrival processes, and
 //! instances on both sides of `SPARSE_CROSSOVER` (the dense amortized
-//! cache below it, the certified sparse cache at it). The max-weight
+//! cache below it, the certified sparse cache at it). Below it the
+//! amortized cache is pinned in both of its table layouts: the 12-link
+//! Figure 1 instances keep full 64-bit rows, and the 300-link instance at
+//! the benchmark density keeps 16-bit far-field rows. The max-weight
 //! policies are pinned below the crossover only: above it they take a
 //! dense gain, whose O(n²) build alone takes seconds in a debug build. A rewrite of the
 //! loop, the queues, a policy or a resolver that moves a single random
@@ -129,6 +132,32 @@ fn at_crossover(policy: PolicyKind, arrival: ArrivalProcess) -> DynamicConfig {
     }
 }
 
+/// 300 links at one link per 10⁶ area units (the 10³- and 10⁴-link
+/// benchmarks' density), one replication: below the crossover, where the
+/// analytic resolver runs on the dense amortized cache, and sparse enough
+/// that almost every entry of its log table fits in 16 bits.
+fn far_field(policy: PolicyKind, arrival: ArrivalProcess) -> DynamicConfig {
+    let n = 300;
+    DynamicConfig {
+        links: n,
+        networks: 1,
+        slots: 400,
+        arrival,
+        policy,
+        model: SuccessModelKind::Rayleigh,
+        slot_model: SlotModelKind::Analytic,
+        topology: PaperTopology {
+            links: n,
+            side: (n as f64 * 1e6).sqrt(),
+            min_length: 20.0,
+            max_length: 40.0,
+        },
+        params: SinrParams::new(4.0, 2.5, 4e-7),
+        sample_every: 20,
+        seed: 0x5107,
+    }
+}
+
 /// (name, configuration, one digest per replication).
 fn pins() -> Vec<(&'static str, DynamicConfig, &'static [u64])> {
     use PolicyKind::{Aloha, MaxWeight, RayleighMaxWeight, Regret};
@@ -184,6 +213,11 @@ fn pins() -> Vec<(&'static str, DynamicConfig, &'static [u64])> {
             "rayleigh_max_weight/rayleigh/analytic/markov",
             small(RayleighMaxWeight, Rayleigh, Analytic, MARKOV),
             &[0xe12647f1a63d0d0e, 0xc5709290c9c31ffa],
+        ),
+        (
+            "far_field/regret/rayleigh/analytic/bernoulli",
+            far_field(Regret, BERNOULLI),
+            &[0x2f65cd0407a4625e],
         ),
         (
             "crossover/aloha/rayleigh/analytic/bernoulli",
