@@ -14,11 +14,16 @@
 //! the from-scratch `set_probs` rebuild the conformance check holds them
 //! bit-equal to. `f64_set_probs` times the same rebuild on the f64
 //! `SuccessEvaluator` (one row gather per receiver), beside it.
+//! The `regret_1k` cases time `amortized_flip` and `amortized_switch` at
+//! perfbench `regret_1k`'s geometry (10³ links, one per 10⁶ area units,
+//! α = 4) between ~6%-dense sets, as its slots run them: there the log
+//! table takes the narrow 16-bit layout, at the Figure 1 sizes the wide
+//! 64-bit one.
 //! `sparse_eval` is one certified evaluation of the sparse evaluator at
 //! 10⁵ links (`set_uniform` plus `expected_successes_interval`), on the
 //! geometry, δ and q-grid of perfbench's `sparse_100k` workload.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_bench::figure1_instance;
@@ -26,13 +31,52 @@ use rayfade_core::{
     expected_successes_of_set, success_probabilities, NetworkEvaluator, SuccessEvaluator,
 };
 use rayfade_geometry::PaperTopology;
-use rayfade_sinr::{AmortizedAccumulator, PowerAssignment, SinrParams};
+use rayfade_sinr::{AmortizedAccumulator, GainMatrix, PowerAssignment, SinrParams};
+use std::fmt::Display;
 use std::hint::black_box;
 
-/// A random transmit set of about 8% of `n` links, ascending.
-fn sparse_set(n: usize, seed: u64) -> Vec<usize> {
+/// A random transmit set of about `share` of `n` links, ascending.
+fn sparse_set(n: usize, share: f64, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).filter(|_| rng.gen_bool(0.08)).collect()
+    (0..n).filter(|_| rng.gen_bool(share)).collect()
+}
+
+/// The analytic slot resolver's primitives on one instance, under
+/// parameter `id`: `amortized_flip` toggles link `n/2` on top of `probs`
+/// (one row add or subtract), and `amortized_switch` moves between two
+/// random `share`-dense transmit sets.
+fn bench_amortized(
+    group: &mut BenchmarkGroup<'_>,
+    id: impl Display,
+    (gm, params): (&GainMatrix, &SinrParams),
+    probs: &[f64],
+    share: f64,
+) {
+    let n = gm.len();
+    group.bench_function(BenchmarkId::new("amortized_flip", &id), |b| {
+        let (ratios, mut acc) = AmortizedAccumulator::from_gain(gm, params);
+        acc.set_probs(&ratios, probs);
+        let mut on = false;
+        b.iter(|| {
+            on = !on;
+            if on {
+                acc.insert(black_box(&ratios), black_box(n / 2));
+            } else {
+                acc.remove(black_box(&ratios), black_box(n / 2));
+            }
+            black_box(acc.conditional_success_probability(&ratios, n / 2))
+        })
+    });
+    group.bench_function(BenchmarkId::new("amortized_switch", &id), |b| {
+        let mut ev = NetworkEvaluator::amortized_from_gain(gm, params);
+        let (mut from, mut to) = (sparse_set(n, share, 1), sparse_set(n, share, 2));
+        ev.switch_transmit_set(&[], &from);
+        b.iter(|| {
+            ev.switch_transmit_set(black_box(&from), black_box(&to));
+            std::mem::swap(&mut from, &mut to);
+            black_box(ev.conditional_success_probability(n / 2))
+        })
+    });
 }
 
 fn bench_evaluator(c: &mut Criterion) {
@@ -82,30 +126,7 @@ fn bench_evaluator(c: &mut Criterion) {
                 black_box(v)
             })
         });
-        group.bench_with_input(BenchmarkId::new("amortized_flip", n), &n, |b, _| {
-            let (ratios, mut acc) = AmortizedAccumulator::from_gain(&gm, &params);
-            acc.set_probs(&ratios, &probs);
-            let mut on = false;
-            b.iter(|| {
-                on = !on;
-                if on {
-                    acc.insert(black_box(&ratios), black_box(n / 2));
-                } else {
-                    acc.remove(black_box(&ratios), black_box(n / 2));
-                }
-                black_box(acc.conditional_success_probability(&ratios, n / 2))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("amortized_switch", n), &n, |b, _| {
-            let mut ev = NetworkEvaluator::amortized_from_gain(&gm, &params);
-            let (mut from, mut to) = (sparse_set(n, 1), sparse_set(n, 2));
-            ev.switch_transmit_set(&[], &from);
-            b.iter(|| {
-                ev.switch_transmit_set(black_box(&from), black_box(&to));
-                std::mem::swap(&mut from, &mut to);
-                black_box(ev.conditional_success_probability(n / 2))
-            })
-        });
+        bench_amortized(&mut group, n, (&gm, &params), &probs, 0.08);
         group.bench_with_input(BenchmarkId::new("amortized_rebuild", n), &n, |b, _| {
             let (ratios, mut acc) = AmortizedAccumulator::from_gain(&gm, &params);
             b.iter(|| {
@@ -121,6 +142,21 @@ fn bench_evaluator(c: &mut Criterion) {
             })
         });
     }
+    let n = 1_000;
+    let net = PaperTopology {
+        links: n,
+        side: (n as f64 * 1e6).sqrt(),
+        min_length: 20.0,
+        max_length: 40.0,
+    }
+    .generate(0x5107);
+    let params = SinrParams::new(4.0, 2.5, 4e-7);
+    let gm = GainMatrix::from_geometry(&net, &PowerAssignment::figure1_uniform(), params.alpha);
+    let set = sparse_set(n, 0.06, 3);
+    let mask: Vec<f64> = (0..n)
+        .map(|j| f64::from(u8::from(set.contains(&j))))
+        .collect();
+    bench_amortized(&mut group, "regret_1k", (&gm, &params), &mask, 0.06);
     let links = 100_000;
     let net = PaperTopology {
         links,

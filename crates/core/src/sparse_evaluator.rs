@@ -28,13 +28,14 @@ use rayfade_telemetry::Telemetry;
 /// Instance size at which [`NetworkEvaluator`] switches from the exact
 /// dense evaluator to the certified sparse one. Below this the dense
 /// O(n²) build stays bit-identical to the historical path. At n = 2 047
-/// (one link per 10⁶ area units, α = 4) it costs ~115 ms for the gain
-/// matrix plus ~30 ms for the exact evaluator or ~110 ms for the
-/// churn-amortized one, against ~2–3 ms for the spatial-grid sparse build
-/// at n = 2 048 (8.4 examined pairs per receiver; one core of a 2-vCPU
-/// Xeon VM). Above it the dense cache grows unaffordable (n = 10⁵ would
-/// need ~160 GB) while the sparse build costs O(n log n): ~0.15 s at
-/// n = 10⁵.
+/// (one link per 10⁶ area units, α = 4) it costs ~90–98 ms for the gain
+/// matrix plus ~15 ms for the exact evaluator or ~60–64 ms for the
+/// churn-amortized one, whose log table takes its 16-bit layout there
+/// (79–89 ms with 64-bit rows), against ~1.8–2.0 ms for the spatial-grid
+/// sparse build at n = 2 048 (8.4 examined pairs per receiver; medians of
+/// 7 builds on one core of a 2-vCPU Xeon VM). Above it the dense cache
+/// grows unaffordable (n = 10⁵ would need ~160 GB) while the sparse build
+/// costs O(n log n): ~0.15 s at n = 10⁵.
 pub const SPARSE_CROSSOVER: usize = 2048;
 
 /// Truncation bound `δ` used when [`NetworkEvaluator`] routes to the
@@ -82,7 +83,9 @@ impl SparseSuccessEvaluator {
 /// with its ratio cache, mirroring [`SuccessEvaluator`]'s shape. This is
 /// the persistent per-replication cache of the dynamic engine's analytic
 /// slot resolver: the transmit mask flips few links per slot, so slots
-/// cost O(flips · n) contiguous row adds instead of an O(n²) rebuild.
+/// cost O(min(flips, k)·n) row sums for k transmitters
+/// ([`NetworkEvaluator::switch_transmit_set`]) instead of an O(n²)
+/// rebuild.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AmortizedEvaluator {
     ratios: InterferenceRatios,
@@ -118,6 +121,12 @@ impl AmortizedEvaluator {
     #[inline]
     pub fn ratios(&self) -> &InterferenceRatios {
         &self.ratios
+    }
+
+    /// Whether the log table took the narrow 16-bit layout
+    /// ([`AmortizedAccumulator::is_narrow`]).
+    pub fn is_narrow(&self) -> bool {
+        self.acc.is_narrow()
     }
 
     /// Current transmission probabilities.
@@ -383,7 +392,9 @@ impl NetworkEvaluator {
     /// integers, whose result does not depend on the order, so it takes
     /// the cheaper route to the same bits: when `to` has fewer links than
     /// there are flips it resets and inserts `to`, otherwise it applies
-    /// the flips. Either way a slot costs O(min(flips, |to|)·n) there.
+    /// the flips. Either way a slot costs O(min(flips, |to|)·n) there,
+    /// and both routes run the accumulator's batch kernel
+    /// ([`AmortizedAccumulator::churn`]).
     pub fn switch_transmit_set(&mut self, from: &[usize], to: &[usize]) {
         debug_assert!(from.windows(2).all(|w| w[0] < w[1]), "`from` not ascending");
         debug_assert!(to.windows(2).all(|w| w[0] < w[1]), "`to` not ascending");
@@ -393,15 +404,15 @@ impl NetworkEvaluator {
                     && ev.probs().iter().filter(|&&q| q != 0.0).count() == from.len(),
                 "the evaluator must hold exactly the transmit set `from`"
             );
-            let mut flips = 0;
-            for_each_flip(from, to, |_, _| flips += 1);
-            if to.len() < flips {
+            let (joins, leaves) = (Difference { a: to, b: from }, Difference { a: from, b: to });
+            if to.len() < joins.clone().count() + leaves.clone().count() {
                 ev.reset();
-                for &k in to {
-                    ev.insert(k);
-                }
-                return;
+                ev.acc
+                    .churn(&ev.ratios, to.iter().copied(), std::iter::empty());
+            } else {
+                ev.acc.churn(&ev.ratios, joins, leaves);
             }
+            return;
         }
         for_each_flip(from, to, |j, joins| {
             if joins {
@@ -463,6 +474,30 @@ impl NetworkEvaluator {
                 (v, v)
             }
         }
+    }
+}
+
+/// The links of the ascending list `a` that are not in the ascending list
+/// `b`, ascending.
+#[derive(Clone)]
+struct Difference<'a> {
+    a: &'a [usize],
+    b: &'a [usize],
+}
+
+impl Iterator for Difference<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while let Some((&j, rest)) = self.a.split_first() {
+            self.a = rest;
+            let skip = self.b.iter().take_while(|&&k| k < j).count();
+            self.b = &self.b[skip..];
+            if self.b.first() != Some(&j) {
+                return Some(j);
+            }
+        }
+        None
     }
 }
 

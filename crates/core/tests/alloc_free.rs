@@ -8,16 +8,22 @@
 //! allocator, and pins the same for every `NetworkEvaluator` variant's
 //! `set_uniform`, `set_probs`, `expected_successes`,
 //! `expected_successes_interval` and `switch_transmit_set` (the dynamic
-//! engine's per-slot call). The allocator counts the calls of each thread
-//! apart, and each measured call runs on a one-thread pool, all of it on
-//! the calling thread, so the test harness and the other test of this
-//! binary, which run on threads of their own, cannot pollute a count.
+//! engine's per-slot call), the amortized variant on both layouts of its
+//! log table. It also holds the amortized table at the benchmark density
+//! to its 16-bit size. The allocator counts the calls and bytes of each
+//! thread apart, and each measured call runs on a one-thread pool, all of
+//! it on the calling thread, so the test harness and the other tests of
+//! this binary, which run on threads of their own, cannot pollute a
+//! count.
 
 use rayfade_core::{
     expected_successes, expected_successes_of_set, success_probability_of_set, NetworkEvaluator,
     SparseSuccessEvaluator,
 };
-use rayfade_sinr::{GainMatrix, SinrParams};
+use rayfade_geometry::PaperTopology;
+use rayfade_sinr::{
+    AmortizedAccumulator, GainMatrix, InterferenceRatios, PowerAssignment, SinrParams,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -27,28 +33,32 @@ thread_local! {
     /// Heap allocations made by this thread. Const-initialized and free
     /// of destructors, so the allocator may touch it.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new
+    /// size in full).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread tearing down its locals may still allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method delegates directly to `System` with the caller's
-// arguments; the count is a thread-local cell that allocates nothing.
+// arguments; the counts are thread-local cells that allocate nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -72,8 +82,9 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-/// A 64-link instance whose cross gains decay with index distance.
-fn instance() -> (GainMatrix, SinrParams) {
+/// A 64-link instance whose cross gains decay with index distance as
+/// `scale / (1 + d)^power`.
+fn instance_decaying(scale: f64, power: i32) -> (GainMatrix, SinrParams) {
     let n = 64;
     let mut g = vec![0.0f64; n * n];
     for i in 0..n {
@@ -81,11 +92,17 @@ fn instance() -> (GainMatrix, SinrParams) {
             g[i * n + j] = if i == j {
                 50.0
             } else {
-                1.0 / (1.0 + (i as f64 - j as f64).abs())
+                scale / (1.0 + (i as f64 - j as f64).abs()).powi(power)
             };
         }
     }
     (GainMatrix::from_raw(n, g), SinrParams::new(2.0, 1.5, 0.1))
+}
+
+/// The 64-link instance with cross gains `1/(1 + d)`: every amortized log
+/// is near, so the table is wide.
+fn instance() -> (GainMatrix, SinrParams) {
+    instance_decaying(1.0, 1)
 }
 
 #[test]
@@ -126,6 +143,9 @@ fn batch_calls_do_not_allocate() {
     let a: Vec<usize> = (0..n).step_by(4).collect();
     let b: Vec<usize> = [0, 1].into_iter().chain((8..n).step_by(8)).collect();
     let c: Vec<usize> = (2..n).step_by(16).collect();
+    // Cross gains 10⁻³/(1 + d)⁴: only neighbours' logs are near, so the
+    // amortized table is narrow.
+    let (far_gm, far_params) = instance_decaying(1e-3, 4);
     let mut evaluators = [
         ("Dense", NetworkEvaluator::from_gain(&gm, &params)),
         (
@@ -136,7 +156,16 @@ fn batch_calls_do_not_allocate() {
             "Amortized",
             NetworkEvaluator::amortized_from_gain(&gm, &params),
         ),
+        (
+            "Amortized (narrow)",
+            NetworkEvaluator::amortized_from_gain(&far_gm, &far_params),
+        ),
     ];
+    for (name, ev) in &evaluators {
+        if let NetworkEvaluator::Amortized(amortized) = ev {
+            assert_eq!(amortized.is_narrow(), name.contains("narrow"), "{name}");
+        }
+    }
     // Every allocating call, so that one failure names all of them.
     let mut allocating = Vec::new();
     for (name, ev) in &mut evaluators {
@@ -174,5 +203,32 @@ fn batch_calls_do_not_allocate() {
     assert!(
         allocating.is_empty(),
         "(variant, call, allocations): {allocating:?}"
+    );
+}
+
+#[test]
+fn amortized_table_takes_at_most_3_bytes_per_entry() {
+    // perfbench `regret_1k`'s deployment: 10³ links at one link per 10⁶
+    // area units, α = 4, where 99% of the full-activation logs fit in 16
+    // bits. An all-`i64` table would take 8 B per entry.
+    let n = 1_000;
+    let net = PaperTopology {
+        links: n,
+        side: (n as f64 * 1e6).sqrt(),
+        min_length: 20.0,
+        max_length: 40.0,
+    }
+    .generate(0x5107);
+    let params = SinrParams::new(4.0, 2.5, 4e-7);
+    let gain = GainMatrix::from_geometry(&net, &PowerAssignment::figure1_uniform(), params.alpha);
+    let ratios = InterferenceRatios::new(&gain, &params);
+    let before = BYTES.with(Cell::get);
+    let acc = AmortizedAccumulator::new(&ratios);
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(acc.is_narrow());
+    assert!(
+        bytes <= 3 * (n * n) as u64,
+        "{bytes} B allocated for {} entries",
+        n * n
     );
 }

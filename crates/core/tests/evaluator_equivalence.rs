@@ -4,7 +4,7 @@
 //! random gain matrices including zero-gain rows and `q_j = 0` entries.
 //! [`NetworkEvaluator::switch_transmit_set`] must land on the bits of
 //! flip-by-flip `insert`/`remove` in ascending link order, on every
-//! variant.
+//! variant and on both layouts of the amortized variant's log table.
 
 use proptest::prelude::*;
 use rayfade_core::{
@@ -40,6 +40,37 @@ fn random_gain(seed: u64, n: usize) -> GainMatrix {
                 0.0 // sparse interference: many exact-zero cross gains
             } else {
                 unit(r) * 5.0
+            };
+        }
+    }
+    GainMatrix::from_raw(n, g)
+}
+
+/// A far-field gain matrix: own signals in [1, 50] (one link in four
+/// dead), cross gains in [0, 10⁻⁷] with many exact zeros, and about one
+/// cross gain in twenty near, in [0, 5]. On the amortized variant almost
+/// every full-activation log fits in 16 bits, so its table takes the
+/// narrow layout that `random_gain`'s near-field instances never do.
+fn far_gain(seed: u64, n: usize) -> GainMatrix {
+    let mut state = seed ^ 0xfa7;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let unit = |v: u64| (v >> 11) as f64 / (1u64 << 53) as f64;
+    let mut g = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            let r = next();
+            g[i * n + j] = match (j == i, r % 20) {
+                (true, k) if k % 4 == 0 => 0.0,
+                (true, _) => 1.0 + unit(r) * 49.0,
+                (false, 0) => unit(r) * 5.0,
+                (false, k) if k % 3 == 0 => 0.0,
+                (false, _) => unit(r) * 1e-7,
             };
         }
     }
@@ -121,22 +152,32 @@ proptest! {
     /// empty, identical, disjoint and overlapping successors, so the
     /// amortized variant both churns and rebuilds — equals flip-by-flip
     /// churn: the whole state on every variant, and the probability bits
-    /// of every link.
+    /// of every link. The near-field instance's amortized table is wide
+    /// and the far-field one's narrow.
     #[test]
     fn switch_transmit_set_equals_flip_by_flip(
         seed in any::<u64>(),
         steps in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..8),
     ) {
         let n = 20;
-        let gm = random_gain(seed, n);
         let params = SinrParams::new(2.0, 1.5, 0.2);
+        let (near, far) = (random_gain(seed, n), far_gain(seed, n));
+        let amortized = |gm: &GainMatrix, narrow: bool| {
+            let ev = NetworkEvaluator::amortized_from_gain(gm, &params);
+            let NetworkEvaluator::Amortized(inner) = &ev else {
+                unreachable!("below the crossover")
+            };
+            assert_eq!(inner.is_narrow(), narrow);
+            ev
+        };
         for (name, fresh) in [
-            ("Dense", NetworkEvaluator::from_gain(&gm, &params)),
+            ("Dense", NetworkEvaluator::from_gain(&near, &params)),
             (
                 "Sparse",
-                NetworkEvaluator::Sparse(SparseSuccessEvaluator::new(&gm, &params, 1e-2)),
+                NetworkEvaluator::Sparse(SparseSuccessEvaluator::new(&near, &params, 1e-2)),
             ),
-            ("Amortized", NetworkEvaluator::amortized_from_gain(&gm, &params)),
+            ("Amortized", amortized(&near, false)),
+            ("Amortized (narrow)", amortized(&far, true)),
         ] {
             let (mut switched, mut reference) = (fresh.clone(), fresh);
             let mut from = Vec::new();
