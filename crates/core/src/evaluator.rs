@@ -142,6 +142,15 @@ impl<R: RatioTable> RatioEvaluator<R> {
         self.acc.conditional_success_probability(&self.ratios, i)
     }
 
+    /// Whether the uniform `u` lies below
+    /// [`conditional_success_probability`](Self::conditional_success_probability)`(i)`,
+    /// bit for bit, mostly without its `exp`
+    /// ([`SuccessAccumulator::conditional_success_below`]).
+    #[inline]
+    pub fn conditional_success_below(&self, i: usize, u: f64) -> bool {
+        self.acc.conditional_success_below(&self.ratios, i, u)
+    }
+
     /// Certified interval `[p·e^{−τᵢ}, p]` containing the exact Theorem 1
     /// probability of link `i` (collapsed on the dense table).
     #[inline]

@@ -182,6 +182,15 @@ impl AmortizedEvaluator {
         self.acc.conditional_success_probability(&self.ratios, i)
     }
 
+    /// Whether the uniform `u` lies below
+    /// [`conditional_success_probability`](Self::conditional_success_probability)`(i)`,
+    /// bit for bit, mostly without its `exp`
+    /// ([`AmortizedAccumulator::conditional_success_below`]).
+    #[inline]
+    pub fn conditional_success_below(&self, i: usize, u: f64) -> bool {
+        self.acc.conditional_success_below(&self.ratios, i, u)
+    }
+
     /// All success probabilities — O(n).
     pub fn success_probabilities(&self) -> Vec<f64> {
         self.acc.success_probabilities(&self.ratios)
@@ -274,20 +283,23 @@ impl NetworkEvaluator {
     }
 
     /// Builds the churn-amortized routing variant from geometry: below
-    /// [`SPARSE_CROSSOVER`] exactly
+    /// [`SPARSE_CROSSOVER`], exactly
     /// [`amortized_from_gain`](Self::amortized_from_gain) over
-    /// `GainMatrix::from_geometry`; at or above it, the spatial-grid
-    /// sparse evaluator with [`DEFAULT_SPARSE_DELTA`], so no dense
-    /// structure is ever materialized. This is the cache the dynamic
-    /// engine's analytic slot resolver persists across slots.
+    /// `GainMatrix::from_geometry`, but with the ratio table built straight
+    /// from the network ([`InterferenceRatios::from_geometry`]), so the
+    /// n²·8-byte gain matrix is never allocated; at or above it, the
+    /// spatial-grid sparse evaluator with [`DEFAULT_SPARSE_DELTA`], so no
+    /// dense structure is ever materialized. This is the cache the
+    /// dynamic engine's analytic slot resolver persists across slots.
     pub fn amortized_for_network(
         network: &Network,
         power: &PowerAssignment,
         params: &SinrParams,
     ) -> Self {
         if network.len() < SPARSE_CROSSOVER {
-            let gain = GainMatrix::from_geometry(network, power, params.alpha);
-            Self::amortized_from_gain(&gain, params)
+            NetworkEvaluator::Amortized(AmortizedEvaluator::from_ratios(
+                InterferenceRatios::from_geometry(network, power, params),
+            ))
         } else {
             NetworkEvaluator::Sparse(SparseSuccessEvaluator::for_network(
                 network,
@@ -441,6 +453,19 @@ impl NetworkEvaluator {
             NetworkEvaluator::Dense(ev) => ev.conditional_success_probability(i),
             NetworkEvaluator::Sparse(ev) => ev.conditional_success_probability(i),
             NetworkEvaluator::Amortized(ev) => ev.conditional_success_probability(i),
+        }
+    }
+
+    /// Whether the uniform `u` lies below
+    /// [`conditional_success_probability`](Self::conditional_success_probability)`(i)`:
+    /// `u < p` bit for bit, the analytic slot resolver's draw, settled
+    /// mostly without `exp` by each cache's accumulator.
+    #[inline]
+    pub fn conditional_success_below(&self, i: usize, u: f64) -> bool {
+        match self {
+            NetworkEvaluator::Dense(ev) => ev.conditional_success_below(i, u),
+            NetworkEvaluator::Sparse(ev) => ev.conditional_success_below(i, u),
+            NetworkEvaluator::Amortized(ev) => ev.conditional_success_below(i, u),
         }
     }
 
@@ -695,35 +720,49 @@ mod tests {
         assert!(ev.conditional_success_probability(0) > p);
     }
 
+    /// Below the crossover the geometry route builds the ratio table
+    /// without the gain matrix; it must land on the gain route's state,
+    /// layout included, fresh and after churn, on a far-field network
+    /// (the narrow 16-bit log table) and the Figure 1 one (wide rows).
     #[test]
     fn amortized_for_network_is_the_gain_route_below_crossover() {
         use rayfade_geometry::generator::PaperTopology;
-        let net = PaperTopology {
-            links: 40,
-            side: 600.0,
-            min_length: 20.0,
-            max_length: 40.0,
-        }
-        .generate(11);
-        let power = PowerAssignment::figure1_uniform();
-        let params = SinrParams::figure1();
-        let mut built = NetworkEvaluator::amortized_for_network(&net, &power, &params);
-        let gain = GainMatrix::from_geometry(&net, &power, params.alpha);
-        let mut reference = NetworkEvaluator::amortized_from_gain(&gain, &params);
-        assert!(built.is_amortized());
-        assert_eq!(built, reference, "fresh builds");
-        for (k, j) in [3usize, 17, 3, 29, 0, 17, 38, 5].into_iter().enumerate() {
-            for ev in [&mut built, &mut reference] {
-                if k % 3 == 2 {
-                    ev.remove(j);
-                } else {
-                    ev.insert(j);
+        let far_field = (
+            PaperTopology {
+                links: 300,
+                side: (300.0f64 * 1e6).sqrt(),
+                min_length: 20.0,
+                max_length: 40.0,
+            },
+            SinrParams::new(4.0, 2.5, 4e-7),
+            true,
+        );
+        let figure1 = (PaperTopology::figure1(), SinrParams::figure1(), false);
+        for (topology, params, narrow) in [far_field, figure1] {
+            let net = topology.generate(11);
+            let n = net.len();
+            let power = PowerAssignment::figure1_uniform();
+            let mut built = NetworkEvaluator::amortized_for_network(&net, &power, &params);
+            let gain = GainMatrix::from_geometry(&net, &power, params.alpha);
+            let mut reference = NetworkEvaluator::amortized_from_gain(&gain, &params);
+            let NetworkEvaluator::Amortized(ev) = &built else {
+                panic!("{n} links: below the crossover the cache is amortized");
+            };
+            assert_eq!(ev.is_narrow(), narrow, "{n} links: layout");
+            assert_eq!(built, reference, "{n} links: fresh builds");
+            for (k, j) in [3usize, 17, 3, 29, 0, 17, 38, 5].into_iter().enumerate() {
+                for ev in [&mut built, &mut reference] {
+                    if k % 3 == 2 {
+                        ev.remove(j);
+                    } else {
+                        ev.insert(j);
+                    }
                 }
             }
+            built.set_prob(12, 0.3);
+            reference.set_prob(12, 0.3);
+            assert_eq!(built, reference, "{n} links: after churn");
         }
-        built.set_prob(12, 0.3);
-        reference.set_prob(12, 0.3);
-        assert_eq!(built, reference, "after churn");
     }
 
     #[test]

@@ -28,6 +28,20 @@
 //! is cheaper), and departures and feedback touch only listed links;
 //! every per-slot buffer is reused, so a steady-state slot allocates
 //! nothing.
+//!
+//! Setup builds the n² gain matrix only for what reads it: the Monte
+//! Carlo models and the max-weight policies. The analytic resolver builds
+//! its cache from geometry (the dense ratio table below
+//! [`SPARSE_CROSSOVER`](rayfade_core::SPARSE_CROSSOVER), the sparse one
+//! at or above it), so an analytic ALOHA or regret replication never
+//! holds the gain (`crates/dynamic/tests/analytic_peak_heap.rs`,
+//! `crates/dynamic/tests/no_dense_state.rs`).
+//!
+//! The analytic resolver draws one uniform `u` per link in ascending link
+//! order and takes the indicator `u < p` for the conditional Theorem-1
+//! probability `p`, bit for bit, from
+//! [`NetworkEvaluator::conditional_success_below`], which settles most
+//! draws from brackets on `p` without its `exp`.
 
 use crate::arrivals::{ArrivalProcess, ArrivalStreams};
 use crate::policy::{
@@ -37,7 +51,7 @@ use crate::policy::{
 use crate::queue::QueueBank;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel, SPARSE_CROSSOVER};
+use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel};
 use rayfade_geometry::{Network, PaperTopology};
 use rayfade_sinr::{GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SuccessModel};
 use rayfade_telemetry::trace::{self, SpanId};
@@ -207,9 +221,10 @@ impl SlotResolver for MonteCarloResolver {
 /// The analytic fast-slot resolver: persists a churn-amortized Theorem-1
 /// evaluator across slots and brings it from one slot's transmit set to
 /// the next — O(min(flips, k)·n) row passes on the amortized dense cache
-/// below [`SPARSE_CROSSOVER`] (k transmitters), O(flips·deg) on the
-/// certified sparse cache at or above it — instead of an O(n²) rebuild
-/// or n fading draws + n² interference terms, and draws each link's
+/// below [`SPARSE_CROSSOVER`](rayfade_core::SPARSE_CROSSOVER) (k
+/// transmitters), O(flips·deg) on the certified sparse cache at or above
+/// it — instead of an O(n²) rebuild or n fading draws + n² interference
+/// terms, and draws each link's
 /// indicator as Bernoulli(p_i) with `p_i = P[SINR_i ≥ β | mask]` — the
 /// conditional Theorem-1 probability, counterfactual for idle links.
 /// Without counterfactuals a slot costs O(flips + transmitters), however
@@ -244,8 +259,8 @@ impl AnalyticResolver {
     /// Like [`new`](Self::new), but builds the evaluator from geometry
     /// ([`NetworkEvaluator::amortized_for_network`]): bit-identical to
     /// [`new`](Self::new) over `GainMatrix::from_geometry` below the
-    /// sparse crossover, and the spatial-grid sparse cache, with no dense
-    /// n² state, at or above it.
+    /// sparse crossover, without ever allocating that gain, and the
+    /// spatial-grid sparse cache, with no dense n² state, at or above it.
     pub fn for_network(
         network: &Network,
         power: &PowerAssignment,
@@ -312,15 +327,14 @@ impl SlotResolver for AnalyticResolver {
         // the probability evaluation and the draw of every idle link are
         // skipped, which dominates the per-slot cost under sparse
         // contention.
+        let (evaluator, rng) = (&self.evaluator, &mut self.rng);
         if counterfactuals {
             for (i, w) in would_succeed.iter_mut().enumerate() {
-                let p = self.evaluator.conditional_success_probability(i);
-                *w = self.rng.gen::<f64>() < p;
+                *w = evaluator.conditional_success_below(i, rng.gen::<f64>());
             }
         } else {
             for &i in transmitters {
-                let p = self.evaluator.conditional_success_probability(i);
-                would_succeed[i] = self.rng.gen::<f64>() < p;
+                would_succeed[i] = evaluator.conditional_success_below(i, rng.gen::<f64>());
             }
         }
     }
@@ -409,7 +423,7 @@ pub struct DynamicOutcome {
     pub trace: SlotTrace,
     /// δ and `τ_max` of the sparse cache the analytic resolver drew
     /// from; `None` on the dense paths (Monte Carlo, or analytic below
-    /// [`SPARSE_CROSSOVER`]).
+    /// [`SPARSE_CROSSOVER`](rayfade_core::SPARSE_CROSSOVER)).
     pub sparse_accuracy: Option<SparseAccuracy>,
 }
 
@@ -821,11 +835,11 @@ fn label_tag(label: &str) -> u64 {
 }
 
 /// One replication's network, with its dense gain matrix built on first
-/// use. The O(n²) gain is taken only by the Monte Carlo models, the
-/// max-weight policies, and the analytic resolver below
-/// [`SPARSE_CROSSOVER`]; at or above it the analytic resolver works from
-/// geometry. So a replication builds the gain only when one of those is
-/// configured, and never twice.
+/// use. The O(n²) gain is taken only by the Monte Carlo models and the
+/// max-weight policies; the analytic resolver builds its cache from
+/// geometry. So a replication builds the gain only when a Monte Carlo
+/// model or a max-weight policy is configured, and never twice: gated
+/// ALOHA and regret learning on the analytic resolver never allocate it.
 struct Deployment {
     network: Network,
     params: SinrParams,
@@ -844,23 +858,12 @@ impl Deployment {
     }
 
     fn analytic_resolver(&self, seed: u64) -> AnalyticResolver {
-        if self.network.len() < SPARSE_CROSSOVER {
-            // `for_network` would build the same cache from the same
-            // dense gain, bit for bit, and then free the gain. Taking it
-            // from `gain()` instead shares it with a policy that takes it
-            // too, and keeps it for the whole replication: freeing 8·n²
-            // bytes mid-setup lets glibc hand the heap top back to the OS
-            // when the replication ends, and the next one pays ~5 800
-            // page faults (~12 ms at n = 10³) to regrow it.
-            AnalyticResolver::new(self.gain(), &self.params, seed)
-        } else {
-            AnalyticResolver::for_network(
-                &self.network,
-                &PowerAssignment::figure1_uniform(),
-                &self.params,
-                seed,
-            )
-        }
+        AnalyticResolver::for_network(
+            &self.network,
+            &PowerAssignment::figure1_uniform(),
+            &self.params,
+            seed,
+        )
     }
 }
 
@@ -1268,6 +1271,65 @@ mod tests {
         assert_listed_flips_match_a_mask_scan(evaluator);
     }
 
+    /// `v` and the `k` floats on either side of it.
+    fn around(v: f64, k: usize) -> Vec<f64> {
+        let (mut below, mut above) = (v, v);
+        let mut out = vec![v];
+        for _ in 0..k {
+            below = below.next_down();
+            above = above.next_up();
+            out.extend([below, above]);
+        }
+        out
+    }
+
+    #[test]
+    fn resolver_draws_equal_the_probability_comparison_on_every_cache() {
+        let (gain, params) = forty_link_gain();
+        // An exactly-one ratio: sender 0 zeroes receiver 1's factor, on
+        // the dense and the amortized cache.
+        let zeroing = GainMatrix::from_raw(2, vec![1.0, 1e-30, 1e300, 1.0]);
+        let zero_params = SinrParams::new(2.0, 1.0, 0.0);
+        let caches = [
+            NetworkEvaluator::from_gain(&gain, &params),
+            NetworkEvaluator::Sparse(rayfade_core::SparseSuccessEvaluator::new(
+                &gain, &params, 1e-3,
+            )),
+            NetworkEvaluator::amortized_from_gain(&gain, &params),
+            NetworkEvaluator::from_gain(&zeroing, &zero_params),
+            NetworkEvaluator::amortized_from_gain(&zeroing, &zero_params),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xd4a);
+        for mut ev in caches {
+            let n = ev.len();
+            let mut zeros = 0;
+            for density in [0.0, 0.2, 0.6, 1.0] {
+                ev.reset();
+                for j in 0..n {
+                    if rng.gen_bool(density) {
+                        ev.insert(j);
+                    }
+                }
+                for i in 0..n {
+                    let p = ev.conditional_success_probability(i);
+                    zeros += usize::from(p == 0.0);
+                    let mut us = around(p, 3);
+                    us.extend([0.0, rng.gen()]);
+                    for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                        assert_eq!(
+                            ev.conditional_success_below(i, u),
+                            u < p,
+                            "link {i}, u = {u:e}"
+                        );
+                    }
+                }
+            }
+            if n == 2 {
+                assert!(zeros > 0, "the zeroing cache must count a zero factor");
+            }
+        }
+    }
+
     #[test]
     fn analytic_mode_runs_deterministically_for_all_policies() {
         for policy in PolicyKind::all() {
@@ -1349,7 +1411,7 @@ mod tests {
 
     #[test]
     fn sparse_analytic_run_journals_its_accuracy() {
-        let n = SPARSE_CROSSOVER;
+        let n = rayfade_core::SPARSE_CROSSOVER;
         let cfg = DynamicConfig {
             links: n,
             networks: 1,

@@ -459,7 +459,10 @@ impl OnlinePolicy for QueueAloha {
 /// Per-link RWM learners over {idle, send}, gated on a nonempty queue.
 #[derive(Debug, Clone)]
 pub struct RegretPolicy {
-    learners: Vec<Rwm>,
+    /// One binary learner per link, each with its two weights, η, the
+    /// ½-loss factor, step count and next η drop inline: one allocation
+    /// for the whole population, which the slot loop walks in link order.
+    learners: Vec<Rwm<[f64; 2]>>,
     /// Links backlogged at the latest choice, ascending. Only they receive
     /// an update: an empty queue had no packet, so "send" was not an
     /// available action.

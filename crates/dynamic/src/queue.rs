@@ -284,7 +284,8 @@ impl QueueBank {
     /// packets, or `None` when nothing has departed yet.
     ///
     /// Uses the nearest-rank definition, so the result is always an
-    /// observed delay.
+    /// observed delay: the `⌈p·N/100⌉`-th smallest of the `N` delays,
+    /// found by selection in O(N) rather than by sorting them all.
     pub fn delay_percentile(&self, p: f64) -> Option<u64> {
         assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
         let mut all: Vec<u64> = self
@@ -295,9 +296,9 @@ impl QueueBank {
         if all.is_empty() {
             return None;
         }
-        all.sort_unstable();
         let rank = ((p / 100.0) * all.len() as f64).ceil() as usize;
-        Some(all[rank.clamp(1, all.len()) - 1])
+        let index = rank.clamp(1, all.len()) - 1;
+        Some(*all.select_nth_unstable(index).1)
     }
 }
 
@@ -407,6 +408,54 @@ mod tests {
         assert_eq!(bank.total_departures(), 3);
         assert_eq!(bank.total_backlog(), 5);
         assert_eq!(index, &Backlogs::from_slice(&bank.backlogs()));
+    }
+
+    /// The nearest-rank definition, by sorting every delay.
+    fn sorted_percentile(delays: &[u64], p: f64) -> u64 {
+        let mut sorted = delays.to_vec();
+        sorted.sort_unstable();
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    #[test]
+    fn selected_percentile_equals_the_sorted_definition() {
+        // Duplicate-heavy delays spread over several queues: a few
+        // distinct values, heavily repeated, in scrambled order.
+        let mut bank = QueueBank::new(5);
+        let mut delays = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for k in 0..997u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let link = (state % 5) as usize;
+            let delay = [1, 1, 1, 2, 3, 3, 7, 40][(state >> 8) as usize % 8];
+            bank.queue_mut(link).enqueue(1, k);
+            assert_eq!(bank.queue_mut(link).dequeue(k + delay - 1), Some(delay));
+            delays.push(delay);
+        }
+        for p in [
+            0.1, 1.0, 25.0, 37.5, 50.0, 62.5, 90.0, 95.0, 99.0, 99.9, 100.0,
+        ] {
+            assert_eq!(
+                bank.delay_percentile(p),
+                Some(sorted_percentile(&delays, p)),
+                "p = {p}"
+            );
+        }
+        assert_eq!(
+            bank.delay_percentile(100.0),
+            Some(40),
+            "p = 100 is the maximum"
+        );
+
+        let mut one = QueueBank::new(3);
+        one.queue_mut(2).enqueue(1, 4);
+        one.queue_mut(2).dequeue(10);
+        for p in [0.5, 50.0, 100.0] {
+            assert_eq!(one.delay_percentile(p), Some(7), "one delay, p = {p}");
+        }
     }
 
     #[test]

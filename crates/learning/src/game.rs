@@ -93,7 +93,7 @@ pub fn run_game_with_beta<M: SuccessModel>(
 
 /// Mean binary entropy (nats) of the learners' mixed strategies — 0 when
 /// every link has converged to a pure action, ln 2 at maximum hedging.
-fn mean_strategy_entropy(learners: &[Rwm]) -> f64 {
+fn mean_strategy_entropy(learners: &[Rwm<[f64; 2]>]) -> f64 {
     if learners.is_empty() {
         return 0.0;
     }
@@ -128,7 +128,7 @@ pub fn run_game_instrumented<M: SuccessModel>(
 ) -> GameOutcome {
     let n = model.len();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut learners: Vec<Rwm> = (0..n).map(|_| Rwm::binary()).collect();
+    let mut learners: Vec<Rwm<[f64; 2]>> = (0..n).map(|_| Rwm::binary()).collect();
     let mut regret = RegretTracker::new(n);
     let mut successes_per_round = Vec::with_capacity(config.rounds);
     let mut transmitters_per_round = Vec::with_capacity(config.rounds);

@@ -18,6 +18,12 @@
 //! `powf(x, 1)` exactly `x`, and the factor of a loss of ½ is computed by
 //! the same `(1 − η).powf(0.5)` call once per η epoch. Any other loss
 //! still calls `powf`.
+//!
+//! [`Rwm`] is generic over where its weights live: [`Rwm::binary`] keeps
+//! its two inline (`[f64; 2]`), so a population of binary learners is one
+//! flat allocation, and [`Rwm::new`] keeps any number on the heap
+//! (`Vec<f64>`). Both run the same code on a weight slice, so a binary
+//! learner gives the bits of `Rwm::new(2)`.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -37,10 +43,12 @@ pub trait NoRegretLearner {
     fn strategy(&self) -> Vec<f64>;
 }
 
-/// The paper's Randomized Weighted Majority variant.
+/// The paper's Randomized Weighted Majority variant, its weights stored
+/// in `W`: `[f64; 2]` for [`binary`](Rwm::binary) learners, `Vec<f64>`
+/// (the default) for [`new`](Rwm::new) ones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Rwm {
-    weights: Vec<f64>,
+pub struct Rwm<W = Vec<f64>> {
+    weights: W,
     eta: f64,
     /// `(1 − η)^½`, the weight factor of a loss of ½; recomputed whenever
     /// η drops.
@@ -55,19 +63,30 @@ impl Rwm {
     /// schedule (`η₀ = √0.5`).
     pub fn new(actions: usize) -> Self {
         assert!(actions >= 2, "need at least two actions");
+        Rwm::with_weights(vec![1.0; actions])
+    }
+}
+
+impl Rwm<[f64; 2]> {
+    /// The binary send/idle learner used by the capacity game, with its
+    /// two weights inline; bit for bit `Rwm::new(2)`.
+    pub fn binary() -> Self {
+        Rwm::with_weights([1.0; 2])
+    }
+}
+
+impl<W: AsRef<[f64]> + AsMut<[f64]>> Rwm<W> {
+    /// A learner starting from `weights` (all 1) with the paper's η
+    /// schedule.
+    fn with_weights(weights: W) -> Self {
         let eta = 0.5f64.sqrt();
         Rwm {
-            weights: vec![1.0; actions],
+            weights,
             eta,
             half_loss_factor: half_loss_factor(eta),
             steps: 0,
             next_eta_drop: 2,
         }
-    }
-
-    /// The binary send/idle learner used by the capacity game.
-    pub fn binary() -> Self {
-        Self::new(2)
     }
 
     /// Current learning rate η.
@@ -82,9 +101,10 @@ impl Rwm {
 
     fn renormalize_if_tiny(&mut self) {
         // Weights only shrink; rescale to keep them in floating range.
-        let max = self.weights.iter().cloned().fold(0.0f64, f64::max);
+        let weights = self.weights.as_mut();
+        let max = weights.iter().cloned().fold(0.0f64, f64::max);
         if max > 0.0 && max < 1e-100 {
-            for w in &mut self.weights {
+            for w in weights {
                 *w /= max;
             }
         }
@@ -96,30 +116,35 @@ fn half_loss_factor(eta: f64) -> f64 {
     (1.0 - eta).powf(0.5)
 }
 
-impl NoRegretLearner for Rwm {
+impl<W: AsRef<[f64]> + AsMut<[f64]>> NoRegretLearner for Rwm<W> {
     fn num_actions(&self) -> usize {
-        self.weights.len()
+        self.weights.as_ref().len()
     }
 
     fn choose<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let total: f64 = self.weights.iter().sum();
+        let weights = self.weights.as_ref();
+        let total: f64 = weights.iter().sum();
         if total <= 0.0 {
             // All weights collapsed (possible only after astronomically
             // many steps); fall back to uniform.
-            return rng.gen_range(0..self.weights.len());
+            return rng.gen_range(0..weights.len());
         }
         let mut t = rng.gen_range(0.0..total);
-        for (a, &w) in self.weights.iter().enumerate() {
+        for (a, &w) in weights.iter().enumerate() {
             if t < w {
                 return a;
             }
             t -= w;
         }
-        self.weights.len() - 1
+        weights.len() - 1
     }
 
     fn update(&mut self, losses: &[f64]) {
-        assert_eq!(losses.len(), self.weights.len(), "one loss per action");
+        assert_eq!(
+            losses.len(),
+            self.weights.as_ref().len(),
+            "one loss per action"
+        );
         debug_assert!(
             losses.iter().all(|l| (0.0..=1.0).contains(l)),
             "losses must lie in [0, 1]"
@@ -127,14 +152,15 @@ impl NoRegretLearner for Rwm {
         // w·(1 − η)^l, bit for bit, with `powf` only off the loss grid
         // {0, ½, 1} (module docs).
         let base = 1.0 - self.eta;
-        for (w, &l) in self.weights.iter_mut().zip(losses) {
+        let half = self.half_loss_factor;
+        for (w, &l) in self.weights.as_mut().iter_mut().zip(losses) {
             if l == 0.0 {
                 continue;
             }
             *w *= if l == 1.0 {
                 base
             } else if l == 0.5 {
-                self.half_loss_factor
+                half
             } else {
                 base.powf(l)
             };
@@ -151,11 +177,12 @@ impl NoRegretLearner for Rwm {
     }
 
     fn strategy(&self) -> Vec<f64> {
-        let total: f64 = self.weights.iter().sum();
+        let weights = self.weights.as_ref();
+        let total: f64 = weights.iter().sum();
         if total <= 0.0 {
-            return vec![1.0 / self.weights.len() as f64; self.weights.len()];
+            return vec![1.0 / weights.len() as f64; weights.len()];
         }
-        self.weights.iter().map(|&w| w / total).collect()
+        weights.iter().map(|&w| w / total).collect()
     }
 }
 
@@ -305,6 +332,42 @@ mod tests {
             assert_eq!(rwm.eta().to_bits(), eta.to_bits(), "step {step}");
         }
         assert_eq!(drops, 12);
+    }
+
+    /// A binary learner's inline weights follow `Rwm::new(2)`'s heap ones
+    /// bit for bit: the same choice from cloned generators at every step,
+    /// and the same weights, η and step count after every update, over
+    /// 4 096 steps (12 η drops) of random losses on the grid {0, ½, 1}.
+    #[test]
+    fn binary_inline_learner_equals_the_heap_learner_bit_for_bit() {
+        let (mut inline, mut heap) = (Rwm::binary(), Rwm::new(2));
+        let mut rng = StdRng::seed_from_u64(0x2b);
+        let grid = [0.0, 0.5, 1.0];
+        let mut drops = 0;
+        for step in 1..=4096u64 {
+            let mut twin = rng.clone();
+            assert_eq!(
+                inline.choose(&mut rng),
+                heap.choose(&mut twin),
+                "step {step}"
+            );
+            assert_eq!(rng, twin, "step {step}: both consumed the same draws");
+            let losses = [
+                grid[rng.gen_range(0..3usize)],
+                grid[rng.gen_range(0..3usize)],
+            ];
+            let eta = inline.eta();
+            inline.update(&losses);
+            heap.update(&losses);
+            drops += u32::from(inline.eta() != eta);
+            let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&inline.weights), bits(&heap.weights), "step {step}");
+            assert_eq!(inline.eta().to_bits(), heap.eta().to_bits(), "step {step}");
+            assert_eq!(inline.steps(), heap.steps());
+            assert_eq!(inline.strategy(), heap.strategy());
+        }
+        assert_eq!(drops, 12);
+        assert_eq!(inline.num_actions(), 2);
     }
 
     #[test]

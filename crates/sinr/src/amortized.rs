@@ -34,6 +34,41 @@
 //! [`set_probs`](AmortizedAccumulator::set_probs) rebuild accumulates
 //! row-blocks the same way instead of striding the receiver-major matrix.
 //!
+//! # Quantizing without libm's `round`, and mostly without `ln`
+//!
+//! The table build quantizes n² factors, and the value it must produce is
+//! fixed: `(factor.ln() * 2³⁸).round() as i64`, libm's `ln` included. Two
+//! shortcuts reach exactly that integer.
+//!
+//! - **Rounding in integers.** Every scaled log `y` here has
+//!   `|y| ≤ 53·ln 2·2³⁸ < 2⁴⁴` (capacity, below), so truncating it to an
+//!   integer `w` is exact and so is the fraction `y − w` (exact for any
+//!   `|y| < 2⁵²`); comparing the fraction with ±½ then rounds halves away
+//!   from zero, as `f64::round` does, which on baseline x86-64 is a libm
+//!   call. The comparison is branch-free: its outcome is a coin flip.
+//! - **A series for the far field.** Write the factor as `1 + t`; `t` is
+//!   exact (Sterbenz) for factors above ½. For `t ∈ (−2⁻²⁰, 0]`, which
+//!   covers every far-field entry (a 16-bit log has `|t| < 2⁻²²`),
+//!   `ln(1 + t)` is evaluated as `t − t²/2 + t³/3` in Horner form. For
+//!   `t ≤ 0` the cut-off terms `−|t|ᵏ/k`, `k ≥ 4`, sum to under
+//!   `|t|⁴/(4·(1 − |t|)) < 2⁻⁸¹`; the six roundings (five operations and
+//!   the constant ⅓) leave a relative error under `2⁻⁵²·(1 + 2⁻¹⁹)`; and
+//!   `|ln(1 + t)| < 2⁻²⁰·(1 + 2⁻²⁰)`. After scaling by 2³⁸, which is
+//!   exact, the cut-off is under 2⁻⁴³ and the roundings just over 2⁻³⁴,
+//!   so the series is within 2⁻³³ of the true scaled log, below the 2⁻³²
+//!   the argument needs. libm's `ln`, correct to within one ulp (≤ 2⁻⁷²
+//!   there), is within 2⁻³⁴ of it after scaling, so the two scaled values
+//!   differ by less than 2⁻³¹ and round alike unless a half-integer lies
+//!   between them. The series value is therefore used only when it is at least
+//!   2⁻²⁸ from every half-integer; otherwise, and for every `t` at or
+//!   below `−2⁻²⁰`, the factor takes `ln` and the integer rounding.
+//!
+//! At `regret_1k`'s density 99.5% of the 10⁶ entries of a 10³-link table
+//! take the series, and about one in 10⁸ falls back for being near a
+//! half-integer. `amortized::tests` pins the whole map against libm's
+//! `ln` and `round` at the ties, at the series boundary and over a
+//! random sweep of ratios and probabilities.
+//!
 //! # Two layouts of the log table
 //!
 //! Every full-activation log `round(ln(1 − ρ(j→i))·2³⁸)` is ≤ 0, and a
@@ -90,7 +125,7 @@
 
 use crate::gain::GainMatrix;
 use crate::params::SinrParams;
-use crate::ratio::InterferenceRatios;
+use crate::ratio::{bracketed_draw, InterferenceRatios};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -106,17 +141,60 @@ const NARROW_MAX_LINKS: usize = 1 << 16;
 /// stack, which stay in L1 while the rows stream past them.
 const TILE: usize = 1024;
 
-/// Quantized log of the Theorem 1 factor `1 − ρ·q`, or `None` when the
-/// factor is exactly zero (tracked by count, never accumulated).
+/// Factors `1 + t` with `t` above this, `−2⁻²⁰`, take the series for
+/// their logarithm (module docs).
+const SERIES_T_MIN: f64 = -1.0 / (1u64 << 20) as f64;
+
+/// A series value this close to a half-integer, 2⁻²⁸, is rounded from
+/// libm's `ln` instead (module docs).
+const SERIES_TIE_GUARD: f64 = 1.0 / (1u64 << 28) as f64;
+
+/// Quantized log of the Theorem 1 factor `1 − ρ·q`,
+/// `(factor.ln() * 2³⁸).round() as i64` bit for bit, or `None` when the
+/// factor is exactly zero (tracked by count, never accumulated). Far-field
+/// factors take a degree-3 series instead of `ln`, and the rounding is
+/// done in integers; the [module docs](self) derive why neither moves a
+/// bit.
 #[inline]
 fn quantized_log_factor(rho: f64, q: f64) -> Option<i64> {
     let factor = 1.0 - rho * q;
     debug_assert!(factor >= 0.0, "ρ·q must not exceed 1");
     if factor == 0.0 {
-        None
-    } else {
-        Some((factor.ln() * LOG_SCALE).round() as i64)
+        return None;
     }
+    // Exact (Sterbenz) wherever the series is used: factor > 1/2 there.
+    let t = factor - 1.0;
+    if t > SERIES_T_MIN {
+        let scaled = log1p_series(t) * LOG_SCALE;
+        let (whole, frac) = split(scaled);
+        if (frac.abs() - 0.5).abs() >= SERIES_TIE_GUARD {
+            return Some(round_split(whole, frac));
+        }
+    }
+    let (whole, frac) = split(factor.ln() * LOG_SCALE);
+    Some(round_split(whole, frac))
+}
+
+/// `ln(1 + t)` to degree 3, `t − t²/2 + t³/3`, in Horner form.
+#[inline]
+fn log1p_series(t: f64) -> f64 {
+    t * (1.0 + t * (-0.5 + t * (1.0 / 3.0)))
+}
+
+/// `y` as its integer part (truncated toward zero) and the rest, which is
+/// exact for `|y| < 2⁵²`.
+#[inline]
+fn split(y: f64) -> (i64, f64) {
+    let whole = y as i64;
+    (whole, y - whole as f64)
+}
+
+/// The integer nearest `whole + frac`, halves away from zero: what
+/// `f64::round` gives, without its libm call on baseline x86-64. Written
+/// without branches, since the sign of `|frac| − ½` is a coin flip.
+#[inline]
+fn round_split(whole: i64, frac: f64) -> i64 {
+    whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
 }
 
 /// Sender-major quantized logs at full activation,
@@ -451,11 +529,14 @@ impl AmortizedAccumulator {
     /// `i`, up to log-quantization (module docs).
     #[inline]
     pub fn interference_product(&self, i: usize) -> f64 {
-        if self.zeros[i] > 0 {
-            0.0
-        } else {
-            (self.acc[i] as f64 / LOG_SCALE).exp()
-        }
+        self.log_interference(i).map_or(0.0, f64::exp)
+    }
+
+    /// The logarithm `x ≤ 0` of receiver `i`'s interference product, the
+    /// integer sum over 2³⁸, or `None` while a zero factor is counted.
+    #[inline]
+    fn log_interference(&self, i: usize) -> Option<f64> {
+        (self.zeros[i] == 0).then(|| self.acc[i] as f64 / LOG_SCALE)
     }
 
     /// Theorem 1 success probability of link `i` under the current
@@ -472,6 +553,19 @@ impl AmortizedAccumulator {
     #[inline]
     pub fn conditional_success_probability(&self, ratios: &InterferenceRatios, i: usize) -> f64 {
         ratios.noise_factor(i) * self.interference_product(i)
+    }
+
+    /// Whether the uniform `u` lies below link `i`'s
+    /// [`conditional_success_probability`](Self::conditional_success_probability)
+    /// `p`: `u < p`, bit for bit, decided by brackets on the `exp` of the
+    /// log the product takes (`SuccessAccumulator::conditional_success_below`),
+    /// and from `p` itself only where they do not settle it or a zero
+    /// factor is counted.
+    #[inline]
+    pub fn conditional_success_below(&self, ratios: &InterferenceRatios, i: usize, u: f64) -> bool {
+        self.log_interference(i)
+            .and_then(|x| bracketed_draw(u, ratios.noise_factor(i), x))
+            .unwrap_or_else(|| u < self.conditional_success_probability(ratios, i))
     }
 
     /// All Theorem 1 success probabilities — O(n).
@@ -596,6 +690,104 @@ mod tests {
             }
         }
         set
+    }
+
+    /// The quantization `quantized_log_factor` must reproduce: libm's
+    /// `ln`, scaled, then `f64::round`.
+    fn reference_log(rho: f64, q: f64) -> Option<i64> {
+        let factor = 1.0 - rho * q;
+        (factor != 0.0).then(|| (factor.ln() * LOG_SCALE).round() as i64)
+    }
+
+    /// The factor in `[½, 1]` whose scaled `ln` is nearest `target`, found
+    /// by bisection over the ordered bit patterns.
+    fn factor_nearest(target: f64) -> f64 {
+        let scaled = |bits: u64| f64::from_bits(bits).ln() * LOG_SCALE;
+        let (mut lo, mut hi) = (0.5f64.to_bits(), 1.0f64.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if scaled(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let gap = |bits: u64| (scaled(bits) - target).abs();
+        f64::from_bits(if gap(lo) <= gap(hi) { lo } else { hi })
+    }
+
+    #[test]
+    fn quantized_logs_near_half_integers_match_libm_rounding() {
+        // Scaled logs −(k + ½) across the series range (|log| < 2¹⁸) and
+        // past it. A factor's ulp moves its scaled log by ~2⁻¹⁵, so about
+        // one target in 256 has a factor within 2⁻²⁴ of the tie, and one
+        // in 4 096 one inside the 2⁻²⁸ guard that sends it to `ln`.
+        let (mut near, mut guarded) = (0, 0);
+        for m in 0..16_384u64 {
+            let target = -((m * 32 + m % 31) as f64 + 0.5);
+            let factor = factor_nearest(target);
+            if (factor.ln() * LOG_SCALE - target).abs() > 1.0 / (1u64 << 24) as f64 {
+                continue;
+            }
+            near += 1;
+            let (_, frac) = split(log1p_series(factor - 1.0) * LOG_SCALE);
+            if factor - 1.0 > SERIES_T_MIN && (frac.abs() - 0.5).abs() < SERIES_TIE_GUARD {
+                guarded += 1;
+            }
+            for f in [factor.next_down(), factor, factor.next_up()] {
+                let rho = 1.0 - f;
+                assert_eq!(1.0 - rho, f, "the factor is reached exactly");
+                assert_eq!(
+                    quantized_log_factor(rho, 1.0),
+                    reference_log(rho, 1.0),
+                    "factor {f:e} near the half-integer {target}"
+                );
+            }
+        }
+        assert!(near >= 40, "only {near} factors within 2⁻²⁴ of a tie");
+        assert!(
+            guarded >= 2,
+            "only {guarded} series values inside the guard"
+        );
+    }
+
+    #[test]
+    fn quantized_logs_at_the_series_boundary_match_libm_rounding() {
+        // t = −2⁻²⁰ itself takes `ln`; one ulp of t above takes the series.
+        let edge = 1.0 - 1.0 / (1u64 << 20) as f64;
+        assert_eq!(edge - 1.0, SERIES_T_MIN);
+        let mut factor = edge;
+        for _ in 0..64 {
+            factor = factor.next_down();
+        }
+        for _ in 0..129 {
+            let rho = 1.0 - factor;
+            assert_eq!(
+                quantized_log_factor(rho, 1.0),
+                reference_log(rho, 1.0),
+                "t = {:e}",
+                factor - 1.0
+            );
+            factor = factor.next_up();
+        }
+    }
+
+    #[test]
+    fn quantized_logs_match_libm_rounding_over_random_ratios() {
+        let mut rng = StdRng::seed_from_u64(0x109);
+        for k in 0..200_000 {
+            // ρ log-uniform in [2⁻⁶⁰, 1): factors within an ulp of 1, far
+            // field, near field and nearly zero alike.
+            let rho = (-60.0 * rng.gen::<f64>() * std::f64::consts::LN_2).exp();
+            let q = if k % 2 == 0 { 1.0 } else { rng.gen::<f64>() };
+            assert_eq!(
+                quantized_log_factor(rho, q),
+                reference_log(rho, q),
+                "ρ = {rho:e}, q = {q}"
+            );
+        }
+        assert_eq!(quantized_log_factor(1.0, 1.0), None);
+        assert_eq!(quantized_log_factor(0.0, 1.0), Some(0));
     }
 
     #[test]

@@ -41,15 +41,8 @@ impl GainMatrix {
         let n = geometry.len();
         let powers = power.powers(geometry, alpha);
         let mut g = vec![0.0; n * n];
-        for i in 0..n {
-            let row = &mut g[i * n..(i + 1) * n];
-            for (j, slot) in row.iter_mut().enumerate() {
-                let d = geometry.cross_dist(j, i);
-                assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
-                let v = powers[j] / d.powf(alpha);
-                assert!(v.is_finite(), "gain S({j},{i}) must be finite");
-                *slot = v;
-            }
+        for (i, row) in g.chunks_exact_mut(n.max(1)).enumerate() {
+            geometry_row(geometry, &powers, alpha, i, row);
         }
         GainMatrix { n, g }
     }
@@ -120,6 +113,29 @@ impl GainMatrix {
     #[inline]
     pub fn feasible_alone(&self, i: usize, params: &SinrParams) -> bool {
         self.signal(i) >= params.beta * params.noise
+    }
+}
+
+/// Fills `row` with receiver `i`'s gains `S̄_{j,i} = p_j / d(s_j, r_i)^α`
+/// from every sender `j`, `powers` holding the `p_j`: row `i` of
+/// [`GainMatrix::from_geometry`], its asserts included. The ratio table
+/// built from geometry
+/// ([`InterferenceRatios::from_geometry`](crate::InterferenceRatios::from_geometry))
+/// calls it one receiver at a time, so both routes compute the same
+/// gains.
+pub(crate) fn geometry_row<G: LinkGeometry>(
+    geometry: &G,
+    powers: &[f64],
+    alpha: f64,
+    i: usize,
+    row: &mut [f64],
+) {
+    for (j, slot) in row.iter_mut().enumerate() {
+        let d = geometry.cross_dist(j, i);
+        assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
+        let v = powers[j] / d.powf(alpha);
+        assert!(v.is_finite(), "gain S({j},{i}) must be finite");
+        *slot = v;
     }
 }
 

@@ -70,8 +70,10 @@
 //! non-fading algorithm layer (`rayfade-sched`) can reuse the same cache
 //! without a dependency cycle.
 
-use crate::gain::GainMatrix;
+use crate::gain::{geometry_row, GainMatrix};
 use crate::params::SinrParams;
+use crate::power::PowerAssignment;
+use rayfade_geometry::LinkGeometry;
 use serde::{Deserialize, Serialize};
 
 /// Compensated (Kahan–Neumaier) summation.
@@ -137,35 +139,50 @@ impl InterferenceRatios {
     /// per gain matrix.
     pub fn new(gain: &GainMatrix, params: &SinrParams) -> Self {
         let n = gain.len();
-        let beta = params.beta;
         let mut rho = vec![0.0; n * n];
         let mut noise = vec![0.0; n];
-        for i in 0..n {
-            let s_ii = gain.signal(i);
-            if s_ii == 0.0 {
-                continue; // dead receiver: zero row, zero noise factor
-            }
-            noise[i] = (-beta * params.noise / s_ii).exp();
-            let row = gain.at_receiver(i);
-            let out = &mut rho[i * n..(i + 1) * n];
-            for (j, (&s_ji, slot)) in row.iter().zip(out.iter_mut()).enumerate() {
-                if j == i || s_ji == 0.0 {
-                    continue;
-                }
-                // Same guarded form as the scratch evaluation: s_ii/s_ji
-                // may overflow to +inf for tiny s_ji, giving ratio 0.
-                *slot = beta / (beta + s_ii / s_ji);
-            }
+        for (i, (out, noise_i)) in rho.chunks_exact_mut(n.max(1)).zip(&mut noise).enumerate() {
+            *noise_i = ratio_row(i, gain.at_receiver(i), params, out);
         }
+        Self::from_rows(n, params.beta, rho, noise)
+    }
+
+    /// The table [`new`](Self::new) builds over
+    /// [`GainMatrix::from_geometry`], bit for bit, without the n² gain
+    /// matrix: each receiver's gains are computed into one reused row of
+    /// n values (with `from_geometry`'s expression and asserts) and turned
+    /// into ratios at once. O(n²) time, 8·n² bytes for the table plus 8·n
+    /// for the row.
+    ///
+    /// # Panics
+    /// Where [`GainMatrix::from_geometry`] panics.
+    pub fn from_geometry<G: LinkGeometry>(
+        geometry: &G,
+        power: &PowerAssignment,
+        params: &SinrParams,
+    ) -> Self {
+        let n = geometry.len();
+        let powers = power.powers(geometry, params.alpha);
+        let mut gains = vec![0.0; n];
+        let mut rho = vec![0.0; n * n];
+        let mut noise = vec![0.0; n];
+        for (i, (out, noise_i)) in rho.chunks_exact_mut(n.max(1)).zip(&mut noise).enumerate() {
+            geometry_row(geometry, &powers, params.alpha, i, &mut gains);
+            *noise_i = ratio_row(i, &gains, params, out);
+        }
+        Self::from_rows(n, params.beta, rho, noise)
+    }
+
+    /// Wraps the rows both constructors build.
+    fn from_rows(n: usize, beta: f64, rho: Vec<f64>, noise: Vec<f64>) -> Self {
         // A deliberately wrong fast path for validating the conformance
         // harness end-to-end: every cached ratio is scaled by 0.999, so
         // cached evaluation diverges from the Theorem 1 formulas at ~1e-3
-        // while the scratch (uncached) path stays correct. Never enabled
-        // in normal builds; see TESTING.md.
+        // while the scratch (uncached) path stays correct. It sits here,
+        // where both constructors pass, so it corrupts either route.
+        // Never enabled in normal builds; see TESTING.md.
         #[cfg(feature = "inject-bug")]
-        for r in rho.iter_mut() {
-            *r *= 0.999;
-        }
+        let rho: Vec<f64> = rho.into_iter().map(|r| r * 0.999).collect();
         InterferenceRatios {
             n,
             beta,
@@ -215,6 +232,28 @@ impl InterferenceRatios {
     pub fn factor(&self, j: usize, i: usize, q_j: f64) -> f64 {
         1.0 - self.rho(j, i) * q_j
     }
+}
+
+/// Writes receiver `i`'s ratios `ρ(j → i) = β / (β + S̄_{i,i}/S̄_{j,i})`
+/// into `out` from its gains `gains[j] = S̄_{j,i}`, and returns its noise
+/// factor `exp(−β·ν/S̄_{i,i})`. A dead receiver (`S̄_{i,i} = 0`) keeps an
+/// all-zero row and gets a zero noise factor; the diagonal and zero cross
+/// gains keep ratio 0.
+fn ratio_row(i: usize, gains: &[f64], params: &SinrParams, out: &mut [f64]) -> f64 {
+    let s_ii = gains[i];
+    if s_ii == 0.0 {
+        return 0.0;
+    }
+    let beta = params.beta;
+    for (j, (&s_ji, slot)) in gains.iter().zip(out.iter_mut()).enumerate() {
+        if j == i || s_ji == 0.0 {
+            continue;
+        }
+        // Same guarded form as the scratch evaluation: s_ii/s_ji may
+        // overflow to +inf for tiny s_ji, giving ratio 0.
+        *slot = beta / (beta + s_ii / s_ji);
+    }
+    (-beta * params.noise / s_ii).exp()
 }
 
 /// A Theorem 1 ratio table that [`SuccessAccumulator`] evaluates over:
@@ -511,6 +550,22 @@ impl SuccessAccumulator {
         ratios.noise_factor(i) * self.interference_product(i)
     }
 
+    /// Whether the uniform `u` lies below link `i`'s
+    /// [`conditional_success_probability`](Self::conditional_success_probability)
+    /// `p`: `u < p`, bit for bit, decided by polynomial brackets on the
+    /// `exp` of the log sum (the product's shortcut for a zero sum is
+    /// `e⁰ = 1`), and from `p` itself only where the brackets do not
+    /// settle it or a zero factor is counted.
+    #[inline]
+    pub fn conditional_success_below<R: RatioTable>(&self, ratios: &R, i: usize, u: f64) -> bool {
+        if self.zeros[i] == 0 {
+            if let Some(below) = bracketed_draw(u, ratios.noise_factor(i), self.acc[i]) {
+                return below;
+            }
+        }
+        u < self.conditional_success_probability(ratios, i)
+    }
+
     /// Certified interval `[p·e^{−τᵢ}, p]` containing the exact Theorem 1
     /// probability of link `i`, where `p` is
     /// [`success_probability`](Self::success_probability); collapsed to
@@ -603,15 +658,220 @@ impl SuccessAccumulator {
     }
 }
 
+/// Relative widening of each bracket of [`bracketed_draw`], 2⁻⁴⁰: far
+/// more than the rounding of the two polynomials (≤ 2⁻⁵⁰ relative) and of
+/// libm's `exp` (≤ 2⁻⁵², within one ulp) together.
+const BRACKET_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Decides `u < c * x.exp()` for `c ≥ 0` from brackets on `eˣ`, or
+/// returns `None` when they do not settle it. The accumulators'
+/// `conditional_success_below` call it with `c` the noise factor and `x`
+/// the log of the interference product, so that `exp` runs only for the
+/// draws it leaves open.
+///
+/// For `x ∈ [−½, 0]` Taylor's theorem with its alternating remainder
+/// gives `1 + x + x²/2 + x³/6 ≤ eˣ ≤ 1 + x + x²/2`, and both sides lie in
+/// `[0.6, 1]`. Each is evaluated in f64 (relative error ≤ 2⁻⁵⁰) and
+/// widened by [`BRACKET_MARGIN`], which leaves the lower one below, and
+/// the upper one above, libm's `x.exp()` (within one ulp of `eˣ`). A
+/// product with `c ≥ 0` rounds monotonically, so `lo ≤ c * x.exp() ≤ hi`
+/// for the computed `lo = c·lower`, `hi = c·upper`, subnormal `c`
+/// included: `u < lo` is below the probability, and `u ≥ hi` is not.
+/// The gap between the brackets is `|x|³/6` plus the margins, so at the
+/// small `|x|` of a far-field slot almost every draw is settled here.
+/// Outside `[−½, 0]`, NaN included, nothing is decided: the f64 log sums
+/// of [`SuccessAccumulator`] can round a hair above 0.
+///
+/// The outcome is a coin flip, which a branch on it would mispredict, so
+/// the kernel branches only on whether `u` lies in `[lo, hi)`, with one
+/// unsigned compare: `lo` and `hi` are non-negative, and so is `u`, whose
+/// bit patterns order as the numbers do (a negative or NaN `u` lands
+/// outside, where `u < lo` is the right answer too).
+#[inline]
+pub(crate) fn bracketed_draw(u: f64, c: f64, x: f64) -> Option<bool> {
+    if !(-0.5..=0.0).contains(&x) {
+        return None;
+    }
+    let (lo, hi) = brackets(c, x);
+    let offset = u.to_bits().wrapping_sub(lo.to_bits());
+    let width = hi.to_bits().wrapping_sub(lo.to_bits());
+    (offset >= width).then_some(u < lo)
+}
+
+/// The widened brackets `(c·lower, c·upper)` around `c * x.exp()` for
+/// `x ∈ [−½, 0]` (see [`bracketed_draw`]).
+#[inline]
+fn brackets(c: f64, x: f64) -> (f64, f64) {
+    let half_square = 0.5 * (x * x);
+    let upper = 1.0 + x + half_square;
+    let lower = upper + x * half_square * (1.0 / 3.0);
+    (
+        c * (lower * (1.0 - BRACKET_MARGIN)),
+        c * (upper * (1.0 + BRACKET_MARGIN)),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The decision for a draw `u` against `c·eˣ`: the brackets', or the
+    /// comparison with libm's `exp` where they leave it open.
+    fn decided(u: f64, c: f64, x: f64) -> bool {
+        bracketed_draw(u, c, x).unwrap_or_else(|| u < c * x.exp())
+    }
+
+    /// `v` and the `k` floats on either side of it.
+    fn around(v: f64, k: usize) -> Vec<f64> {
+        let (mut below, mut above) = (v, v);
+        let mut out = vec![v];
+        for _ in 0..k {
+            below = below.next_down();
+            above = above.next_up();
+            out.extend([below, above]);
+        }
+        out
+    }
+
+    #[test]
+    fn bracketed_draws_equal_the_exp_comparison_at_the_edges() {
+        let tiny = f64::from_bits(1);
+        let half = -0.5f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -tiny,
+            -f64::MIN_POSITIVE,
+            -1e-300,
+            -1.0 / (1u64 << 60) as f64,
+            -1e-9,
+            half.next_up(),
+            half,
+            half.next_down(),
+            -700.0,
+            tiny,
+            1e-300,
+            1.0 / (1u64 << 50) as f64,
+            0.1,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xb4ac);
+        xs.extend((0..400).map(|_| -0.5 * rng.gen::<f64>()));
+        xs.extend((0..200).map(|k| -(2.0f64).powi(-(k % 60)) * rng.gen::<f64>()));
+        let mut cs = vec![0.0, tiny, f64::MIN_POSITIVE, 1e-300, 1.0];
+        cs.extend((0..6).map(|_| rng.gen::<f64>()));
+        let mut settled = 0usize;
+        let mut draws = 0usize;
+        for &x in &xs {
+            for &c in &cs {
+                let p = c * x.exp();
+                let (lo, hi) = brackets(c, x);
+                let mut us = around(p, 4);
+                us.extend(around(lo, 2));
+                us.extend(around(hi, 2));
+                us.extend([0.0, 1.0f64.next_down(), rng.gen::<f64>()]);
+                for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(decided(u, c, x), u < p, "u = {u:e}, c = {c:e}, x = {x:e}");
+                    draws += 1;
+                    settled += usize::from(bracketed_draw(u, c, x).is_some());
+                }
+            }
+            if !(-0.5..=0.0).contains(&x) {
+                assert_eq!(bracketed_draw(0.3, 1.0, x), None, "x = {x:e} is outside");
+            }
+        }
+        // Not vacuous: many of these edge draws are settled by the
+        // brackets themselves, not left to `exp`.
+        assert!(settled * 4 > draws, "{settled} of {draws} draws settled");
+    }
+
+    #[test]
+    fn brackets_settle_almost_every_far_field_draw() {
+        let mut rng = StdRng::seed_from_u64(0xfa4);
+        let draws = 100_000;
+        let settled = (0..draws)
+            .filter(|_| {
+                let x = -0.05 * rng.gen::<f64>();
+                bracketed_draw(rng.gen(), 0.99, x).is_some()
+            })
+            .count();
+        assert!(settled > draws - 10, "{settled} of {draws} settled");
+    }
 
     fn ratios2() -> (GainMatrix, SinrParams, InterferenceRatios) {
         let gm = GainMatrix::from_raw(2, vec![10.0, 2.0, 2.0, 10.0]);
         let params = SinrParams::new(2.0, 2.0, 0.1);
         let r = InterferenceRatios::new(&gm, &params);
         (gm, params, r)
+    }
+
+    #[test]
+    fn ratios_from_geometry_equal_ratios_over_the_geometry_gain() {
+        use rayfade_geometry::generator::PaperTopology;
+        let figure1 = PaperTopology {
+            links: 60,
+            ..PaperTopology::figure1()
+        };
+        let far_field = PaperTopology {
+            links: 200,
+            side: (200.0f64 * 1e6).sqrt(),
+            min_length: 20.0,
+            max_length: 40.0,
+        };
+        let cases = [
+            (
+                figure1,
+                PowerAssignment::figure1_uniform(),
+                SinrParams::figure1(),
+            ),
+            (
+                figure1,
+                PowerAssignment::figure1_square_root(),
+                SinrParams::figure1(),
+            ),
+            (
+                far_field,
+                PowerAssignment::figure1_uniform(),
+                SinrParams::new(4.0, 2.5, 4e-7),
+            ),
+            (
+                figure1,
+                PowerAssignment::Linear { scale: 0.5 },
+                SinrParams::new(3.0, 1.0, 0.0),
+            ),
+        ];
+        for (k, (topology, power, params)) in cases.into_iter().enumerate() {
+            let net = topology.generate(40 + k as u64);
+            let gain = GainMatrix::from_geometry(&net, &power, params.alpha);
+            assert_eq!(
+                InterferenceRatios::from_geometry(&net, &power, &params),
+                InterferenceRatios::new(&gain, &params),
+                "case {k}"
+            );
+        }
+        let empty = rayfade_geometry::Network::new(Vec::new());
+        let none = InterferenceRatios::from_geometry(
+            &empty,
+            &PowerAssignment::Uniform(1.0),
+            &SinrParams::figure1(),
+        );
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cross distance d(s_1, r_0) must be positive")]
+    fn ratios_from_geometry_reject_a_sender_on_a_receiver() {
+        use rayfade_geometry::{Link, Network, Point};
+        let net = Network::new(vec![
+            Link::new(Point::new(0.0, 0.0), Point::new(1.0, 0.0)),
+            Link::new(Point::new(1.0, 0.0), Point::new(2.0, 0.0)),
+        ]);
+        let _ = InterferenceRatios::from_geometry(
+            &net,
+            &PowerAssignment::Uniform(1.0),
+            &SinrParams::figure1(),
+        );
     }
 
     /// Scratch Theorem 1 evaluation (the reference the accumulator must

@@ -204,8 +204,8 @@ impl SparseInterferenceRatios {
                 "stored ratios must lie in (0, 1], got {r}"
             );
         }
-        // Same deliberate corruption as the dense cache (see
-        // `InterferenceRatios::new` and TESTING.md): scaling the stored
+        // Same deliberate corruption as the dense cache (both of
+        // `InterferenceRatios`' constructors, TESTING.md): scaling the stored
         // ratios here keeps the sparse path bit-consistent with the dense
         // one under the `inject-bug` validation feature.
         #[cfg(feature = "inject-bug")]
