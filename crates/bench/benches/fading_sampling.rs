@@ -30,7 +30,7 @@ fn bench_fading(c: &mut Criterion) {
             let transmitters: Vec<usize> = (0..n).collect();
             let mut sinrs = vec![0.0; n];
             b.iter(|| {
-                model.resolve_sinrs(black_box(&transmitters), &mut sinrs);
+                model.resolve_sinrs(black_box(&transmitters), true, &mut sinrs);
                 black_box(sinrs[0])
             })
         });

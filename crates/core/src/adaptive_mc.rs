@@ -65,7 +65,7 @@ pub fn estimate_expected_utility<M: SuccessModel, U: UtilityFunction>(
     let mut m2 = 0.0f64;
     loop {
         for _ in 0..config.batch {
-            model.resolve_sinrs(&transmitters, &mut sinrs);
+            model.resolve_sinrs(&transmitters, false, &mut sinrs);
             let total: f64 = transmitters
                 .iter()
                 .map(|&i| utility.value(i, sinrs[i]))

@@ -9,7 +9,7 @@
 //! unchanged.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rayfade_sinr::model::debug_check_listed;
 use rayfade_sinr::{GainMatrix, SinrParams, SuccessModel};
 
@@ -58,29 +58,76 @@ impl RayleighModel {
     }
 }
 
+/// How a fading model realizes one coefficient from its generator, and
+/// how it skips one it does not need.
+pub(crate) trait Fading {
+    /// Realizes one coefficient with the given mean.
+    fn draw(&mut self, mean: f64) -> f64;
+
+    /// Leaves the generator where [`draw`](Self::draw)`(mean)` would.
+    /// The default draws and discards; a model whose draw takes a known
+    /// number of uniforms steps past them without the arithmetic.
+    fn step_past(&mut self, mean: f64) {
+        self.draw(mean);
+    }
+}
+
+/// Rayleigh fading: exponential coefficients ([`sample_exponential`]).
+struct Exponential<'a>(&'a mut StdRng);
+
+impl Fading for Exponential<'_> {
+    #[inline]
+    fn draw(&mut self, mean: f64) -> f64 {
+        sample_exponential(self.0, mean)
+    }
+
+    /// One generator step for a nonzero mean (a NaN one included), none
+    /// for `0.0` or `−0.0`: exactly the uniforms [`sample_exponential`]
+    /// takes, without its `ln`.
+    #[inline]
+    fn step_past(&mut self, mean: f64) {
+        if mean != 0.0 {
+            self.0.next_u64();
+        }
+    }
+}
+
 /// The fading kernel behind [`RayleighModel`] and
 /// [`NakagamiModel`](crate::NakagamiModel): for each receiver in
-/// ascending order, `draw(mean)` realizes the coefficient of every listed
+/// ascending order, `fading` realizes the coefficient of every listed
 /// transmitter but its own link, in list order, then its own signal, and
 /// `sinrs[i]` receives the realized SINR. O(n·k) draws for `k`
-/// transmitters; `draw` consumes no randomness for a zero mean.
+/// transmitters; a zero mean consumes no randomness. Without
+/// `counterfactuals`, an idle receiver's coefficients are stepped past
+/// ([`Fading::step_past`]) and its entry is left as it was: O(k²) draws
+/// plus O(n·k) steps, the same generator state afterwards.
 pub(crate) fn realize_sinrs(
     gain: &GainMatrix,
     noise: f64,
     transmitters: &[usize],
+    counterfactuals: bool,
     sinrs: &mut [f64],
-    mut draw: impl FnMut(f64) -> f64,
+    fading: &mut impl Fading,
 ) {
     debug_check_listed(gain.len(), transmitters, sinrs);
+    let mut listed = transmitters.iter().peekable();
     for (i, out) in sinrs.iter_mut().enumerate() {
         let row = gain.at_receiver(i);
+        let transmits = listed.next_if_eq(&&i).is_some();
+        if !(transmits || counterfactuals) {
+            for &j in transmitters {
+                fading.step_past(row[j]);
+            }
+            fading.step_past(row[i]);
+            continue;
+        }
         let mut interference = 0.0;
         for &j in transmitters {
             if j != i {
-                interference += draw(row[j]);
+                interference += fading.draw(row[j]);
             }
         }
-        let signal = draw(row[i]);
+        let signal = fading.draw(row[i]);
         let denom = interference + noise;
         *out = if denom == 0.0 {
             if signal > 0.0 {
@@ -103,11 +150,15 @@ impl SuccessModel for RayleighModel {
         self.params.beta
     }
 
-    fn resolve_sinrs(&mut self, transmitters: &[usize], sinrs: &mut [f64]) {
-        let rng = &mut self.rng;
-        realize_sinrs(&self.gain, self.params.noise, transmitters, sinrs, |mean| {
-            sample_exponential(rng, mean)
-        });
+    fn resolve_sinrs(&mut self, transmitters: &[usize], counterfactuals: bool, sinrs: &mut [f64]) {
+        realize_sinrs(
+            &self.gain,
+            self.params.noise,
+            transmitters,
+            counterfactuals,
+            sinrs,
+            &mut Exponential(&mut self.rng),
+        );
     }
 }
 
@@ -163,8 +214,8 @@ mod tests {
         assert_eq!(s1a, s1b);
         // Different slots draw different coefficients (overwhelmingly).
         let (mut x, mut y) = ([0.0; 2], [0.0; 2]);
-        a.resolve_sinrs(&[0, 1], &mut x);
-        a.resolve_sinrs(&[0, 1], &mut y);
+        a.resolve_sinrs(&[0, 1], true, &mut x);
+        a.resolve_sinrs(&[0, 1], true, &mut y);
         assert_ne!(x, y);
     }
 

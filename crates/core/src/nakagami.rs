@@ -11,7 +11,7 @@
 //! Nakagami unchanged, and ablations can chart how the Rayleigh results
 //! deform as `m` grows.
 
-use crate::channel::realize_sinrs;
+use crate::channel::{realize_sinrs, Fading};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_sinr::{GainMatrix, SinrParams, SuccessModel};
@@ -66,6 +66,23 @@ pub fn sample_nakagami_power<R: Rng + ?Sized>(rng: &mut R, m: f64, mean: f64) ->
     sample_gamma(rng, m) * (mean / m)
 }
 
+/// Nakagami-m fading: Gamma-distributed coefficients
+/// ([`sample_nakagami_power`]).
+struct Gamma<'a> {
+    rng: &'a mut StdRng,
+    m: f64,
+}
+
+/// Rejection sampling takes a varying number of uniforms, so an idle
+/// receiver's coefficients are drawn and discarded (the default
+/// [`Fading::step_past`]).
+impl Fading for Gamma<'_> {
+    #[inline]
+    fn draw(&mut self, mean: f64) -> f64 {
+        sample_nakagami_power(self.rng, self.m, mean)
+    }
+}
+
 /// The Nakagami-m fading SINR model.
 #[derive(Debug, Clone)]
 pub struct NakagamiModel {
@@ -111,11 +128,18 @@ impl SuccessModel for NakagamiModel {
         self.params.beta
     }
 
-    fn resolve_sinrs(&mut self, transmitters: &[usize], sinrs: &mut [f64]) {
-        let (rng, m) = (&mut self.rng, self.m);
-        realize_sinrs(&self.gain, self.params.noise, transmitters, sinrs, |mean| {
-            sample_nakagami_power(rng, m, mean)
-        });
+    fn resolve_sinrs(&mut self, transmitters: &[usize], counterfactuals: bool, sinrs: &mut [f64]) {
+        realize_sinrs(
+            &self.gain,
+            self.params.noise,
+            transmitters,
+            counterfactuals,
+            sinrs,
+            &mut Gamma {
+                rng: &mut self.rng,
+                m: self.m,
+            },
+        );
     }
 }
 

@@ -103,7 +103,7 @@ pub fn transfer_utility_mc<U: UtilityFunction>(
     let mut sinrs = vec![0.0; gain.len()];
     let mut acc = 0.0;
     for _ in 0..trials {
-        model.resolve_sinrs(&transmitters, &mut sinrs);
+        model.resolve_sinrs(&transmitters, false, &mut sinrs);
         acc += set.iter().map(|&i| utility.value(i, sinrs[i])).sum::<f64>();
     }
     (nonfading, acc / trials as f64)

@@ -6,15 +6,23 @@
 //! scan kept below as the reference: receivers in ascending order, each
 //! one's interference drawn and summed sender by sender in ascending
 //! order, then its own signal, with no randomness spent on a zero mean.
-//! Random gains (exact zeros included), zero and positive noise, and
-//! transmit sets that are empty, a single link, every link or a random
-//! subset cover the kernels' branches.
+//! Random gains (exact zeros of both signs included), zero and positive
+//! noise, and transmit sets that are empty, a single link, every link or
+//! a random subset cover the kernels' branches.
+//!
+//! Scoped to the transmitters (`counterfactuals = false`), each model
+//! must give the transmitters the full call's bits, leave every idle
+//! entry alone, and leave its generator where the full call does: the
+//! Rayleigh kernel steps past an idle receiver's uniforms without their
+//! `ln`, one per nonzero mean, so a step taken for a zero mean shows here.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_core::{sample_exponential, sample_nakagami_power, NakagamiModel, RayleighModel};
 use rayfade_sinr::{mask_from_set, sinr, GainMatrix, NonFadingModel, SinrParams, SuccessModel};
+use std::fmt::Debug;
 
 /// The mask scan: every link's SINR against the links `active` sets,
 /// with `draw(rng, mean)` realizing one coefficient of the given mean.
@@ -73,12 +81,16 @@ fn nonfading_mask_scan(gain: &GainMatrix, params: &SinrParams, active: &[bool]) 
 }
 
 /// An `n`-link gain matrix whose entries span six decades, a fifth of
-/// them exactly zero.
+/// them exactly zero (`0.0` or `−0.0`, evenly).
 fn random_gain(rng: &mut StdRng, n: usize) -> GainMatrix {
     let g = (0..n * n)
         .map(|_| {
             if rng.gen_bool(0.2) {
-                0.0
+                if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    -0.0
+                }
             } else {
                 10f64.powf(rng.gen_range(-4.0..2.0))
             }
@@ -100,6 +112,42 @@ fn random_transmitters(rng: &mut StdRng, n: usize) -> Vec<usize> {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Realizes one slot on `full` with counterfactuals and on its twin
+/// `scoped` without, and checks the scope's contract: the transmitters'
+/// bits equal, every idle entry untouched, and the two models (their
+/// generators included) equal afterwards.
+fn check_scope<M: SuccessModel + Debug>(
+    full: &mut M,
+    scoped: &mut M,
+    transmitters: &[usize],
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let n = full.len();
+    let mut every = vec![f64::NAN; n];
+    full.resolve_sinrs(transmitters, true, &mut every);
+    // No SINR is negative, so an idle entry that still reads -1 was
+    // never written.
+    let mut listed = vec![-1.0; n];
+    scoped.resolve_sinrs(transmitters, false, &mut listed);
+    let expected: Vec<f64> = (0..n)
+        .map(|i| {
+            if transmitters.contains(&i) {
+                every[i]
+            } else {
+                -1.0
+            }
+        })
+        .collect();
+    prop_assert_eq!(bits(&listed), bits(&expected), "{}", label);
+    prop_assert_eq!(
+        format!("{full:?}"),
+        format!("{scoped:?}"),
+        "{} state",
+        label
+    );
+    Ok(())
 }
 
 /// The transmitters whose SINR reaches `beta`: `resolve_slot`'s answer.
@@ -139,7 +187,7 @@ proptest! {
             let transmitters = random_transmitters(&mut rng, n);
             let mask = mask_from_set(n, &transmitters);
 
-            nonfading.resolve_sinrs(&transmitters, &mut sinrs);
+            nonfading.resolve_sinrs(&transmitters, true, &mut sinrs);
             prop_assert_eq!(
                 bits(&sinrs),
                 bits(&nonfading_mask_scan(&gain, &params, &mask)),
@@ -153,7 +201,7 @@ proptest! {
                 successes(&transmitters, &sinrs, params.beta)
             );
 
-            rayleigh.resolve_sinrs(&transmitters, &mut sinrs);
+            rayleigh.resolve_sinrs(&transmitters, true, &mut sinrs);
             let reference = mask_scan(&gain, noise, &mask, &mut rayleigh_ref, |r, mean| {
                 sample_exponential(r, mean)
             });
@@ -165,11 +213,45 @@ proptest! {
                 "Rayleigh resolve_slot, slot {}", slot
             );
 
-            nakagami.resolve_sinrs(&transmitters, &mut sinrs);
+            nakagami.resolve_sinrs(&transmitters, true, &mut sinrs);
             let reference = mask_scan(&gain, noise, &mask, &mut nakagami_ref, |r, mean| {
                 sample_nakagami_power(r, m, mean)
             });
             prop_assert_eq!(bits(&sinrs), bits(&reference), "Nakagami m = {}, slot {}", m, slot);
+        }
+    }
+
+    #[test]
+    fn scoped_kernels_equal_the_full_kernels_on_the_transmitters(
+        seed in any::<u64>(),
+        n in 1usize..12,
+        zero_noise in any::<bool>(),
+        shape in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gain = random_gain(&mut rng, n);
+        let noise = if zero_noise { 0.0 } else { 10f64.powf(rng.gen_range(-3.0..1.0)) };
+        let params = SinrParams::new(4.0, rng.gen_range(0.5..3.0), noise);
+        let m = [0.5, 1.0, 3.0][shape];
+        let fading_seed = rng.gen::<u64>();
+
+        let nonfading = NonFadingModel::new(gain.clone(), params);
+        let rayleigh = RayleighModel::new(gain.clone(), params, fading_seed);
+        let nakagami = NakagamiModel::new(gain.clone(), params, m, fading_seed);
+        let (mut nonfading_full, mut nonfading_scoped) = (nonfading.clone(), nonfading);
+        let (mut rayleigh_full, mut rayleigh_scoped) = (rayleigh.clone(), rayleigh);
+        let (mut nakagami_full, mut nakagami_scoped) = (nakagami.clone(), nakagami);
+        for slot in 0..6 {
+            // The empty and the full set first, then random ones.
+            let transmitters = match slot {
+                0 => Vec::new(),
+                1 => (0..n).collect(),
+                _ => random_transmitters(&mut rng, n),
+            };
+            let label = |model: &str| format!("{model}, slot {slot}");
+            check_scope(&mut nonfading_full, &mut nonfading_scoped, &transmitters, &label("non-fading"))?;
+            check_scope(&mut rayleigh_full, &mut rayleigh_scoped, &transmitters, &label("Rayleigh"))?;
+            check_scope(&mut nakagami_full, &mut nakagami_scoped, &transmitters, &label("Nakagami"))?;
         }
     }
 }

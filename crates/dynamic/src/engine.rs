@@ -39,9 +39,11 @@
 //!
 //! The analytic resolver draws one uniform `u` per link in ascending link
 //! order and takes the indicator `u < p` for the conditional Theorem-1
-//! probability `p`, bit for bit, from
-//! [`NetworkEvaluator::conditional_success_below`], which settles most
-//! draws from brackets on `p` without its `exp`.
+//! probability `p`, bit for bit, from its cache's
+//! `conditional_success_below` (as
+//! [`NetworkEvaluator::conditional_success_below`] forwards it), which
+//! settles most draws from brackets on `p` without its `exp`; it matches
+//! the cache's variant once per slot, not once per link.
 
 use crate::arrivals::{ArrivalProcess, ArrivalStreams};
 use crate::policy::{
@@ -142,12 +144,12 @@ pub trait SlotResolver {
     /// `transmitters` lists the links it sets, ascending. Writes
     /// `would_succeed[i]` for every transmitter and, with
     /// `counterfactuals`, every idle link's counterfactual indicator too.
-    /// Without it, idle entries are either left untouched — the analytic
-    /// resolver then skips their probability evaluations and Bernoulli
-    /// draws — or overwritten with fresh counterfactuals, as the Monte
-    /// Carlo resolver does so its realized-fading stream stays
-    /// bit-pinned to committed artifacts. The engine asks for
-    /// counterfactuals exactly when the policy's
+    /// Without it, idle entries are left untouched: the analytic resolver
+    /// skips their probability evaluations and Bernoulli draws, and the
+    /// Monte Carlo resolver steps its fading stream past their
+    /// coefficients, so either resolver's random stream, and every
+    /// transmitter's indicator, is the same with or without the scope.
+    /// The engine asks for counterfactuals exactly when the policy's
     /// [`observes_counterfactuals`](crate::OnlinePolicy::observes_counterfactuals)
     /// is `true`.
     fn resolve_slot(
@@ -179,9 +181,12 @@ fn listed(mask: &[bool]) -> Vec<usize> {
 }
 
 /// The realized-fading resolver: samples the channel through a
-/// [`SuccessModel`] over the slot's listed transmitters, O(n·k) for `k`
-/// of them, into one SINR buffer kept across slots, and thresholds the
-/// result — bit-identical to the historical engine loop.
+/// [`SuccessModel`] over the slot's listed transmitters into one SINR
+/// buffer kept across slots, and thresholds the result — bit-identical
+/// to the historical engine loop. With counterfactuals a slot realizes
+/// every receiver, O(n·k) fading draws for `k` transmitters; scoped to
+/// the transmitters it realizes O(k²) of them (each an `ln` under
+/// Rayleigh) and steps the generator O(n·k) times past the rest.
 pub struct MonteCarloResolver {
     model: Box<dyn SuccessModel>,
     beta: f64,
@@ -202,18 +207,26 @@ impl SlotResolver for MonteCarloResolver {
         self.model.len()
     }
 
-    /// Always realizes the whole channel, counterfactuals included: the
-    /// realized-fading stream is bit-pinned to committed artifacts.
+    /// Draws the same fading stream with or without counterfactuals
+    /// ([`SuccessModel::resolve_sinrs`]): the realized-fading stream is
+    /// bit-pinned to committed artifacts.
     fn resolve_slot(
         &mut self,
         _active: &[bool],
         transmitters: &[usize],
-        _counterfactuals: bool,
+        counterfactuals: bool,
         would_succeed: &mut [bool],
     ) {
-        self.model.resolve_sinrs(transmitters, &mut self.sinrs);
-        for (w, &s) in would_succeed.iter_mut().zip(&self.sinrs) {
-            *w = s >= self.beta;
+        self.model
+            .resolve_sinrs(transmitters, counterfactuals, &mut self.sinrs);
+        if counterfactuals {
+            for (w, &s) in would_succeed.iter_mut().zip(&self.sinrs) {
+                *w = s >= self.beta;
+            }
+        } else {
+            for &i in transmitters {
+                would_succeed[i] = self.sinrs[i] >= self.beta;
+            }
         }
     }
 }
@@ -322,20 +335,55 @@ impl SlotResolver for AnalyticResolver {
     ) {
         debug_assert_eq!(would_succeed.len(), self.evaluator.len());
         self.apply_flips(transmitters);
-        // One Bernoulli per resolved link, in ascending link order
-        // (determinism). Without counterfactuals only transmitters draw:
-        // the probability evaluation and the draw of every idle link are
-        // skipped, which dominates the per-slot cost under sparse
-        // contention.
-        let (evaluator, rng) = (&self.evaluator, &mut self.rng);
-        if counterfactuals {
-            for (i, w) in would_succeed.iter_mut().enumerate() {
-                *w = evaluator.conditional_success_below(i, rng.gen::<f64>());
-            }
-        } else {
-            for &i in transmitters {
-                would_succeed[i] = evaluator.conditional_success_below(i, rng.gen::<f64>());
-            }
+        // The cache's variant is matched once per slot, not once per link.
+        let rng = &mut self.rng;
+        match &self.evaluator {
+            NetworkEvaluator::Dense(ev) => draw_indicators(
+                |i, u| ev.conditional_success_below(i, u),
+                rng,
+                transmitters,
+                counterfactuals,
+                would_succeed,
+            ),
+            NetworkEvaluator::Sparse(ev) => draw_indicators(
+                |i, u| ev.conditional_success_below(i, u),
+                rng,
+                transmitters,
+                counterfactuals,
+                would_succeed,
+            ),
+            NetworkEvaluator::Amortized(ev) => draw_indicators(
+                |i, u| ev.conditional_success_below(i, u),
+                rng,
+                transmitters,
+                counterfactuals,
+                would_succeed,
+            ),
+        }
+    }
+}
+
+/// The analytic resolver's draws over one concrete cache: one uniform
+/// per resolved link, in ascending link order (determinism), and
+/// `would_succeed[i] = below(i, u)`, the indicator `u < p_i`. Without
+/// counterfactuals only transmitters draw: the probability evaluation
+/// and the draw of every idle link are skipped, which dominates the
+/// per-slot cost under sparse contention.
+#[inline]
+fn draw_indicators(
+    below: impl Fn(usize, f64) -> bool,
+    rng: &mut StdRng,
+    transmitters: &[usize],
+    counterfactuals: bool,
+    would_succeed: &mut [bool],
+) {
+    if counterfactuals {
+        for (i, w) in would_succeed.iter_mut().enumerate() {
+            *w = below(i, rng.gen::<f64>());
+        }
+    } else {
+        for &i in transmitters {
+            would_succeed[i] = below(i, rng.gen::<f64>());
         }
     }
 }

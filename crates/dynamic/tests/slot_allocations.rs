@@ -157,9 +157,10 @@ fn idle_slots_allocate_nothing() {
 
 #[test]
 fn idle_monte_carlo_slots_allocate_nothing() {
-    // Every Monte Carlo slot realizes the whole channel into the
-    // resolver's SINR buffer, and both max-weight policies run their
-    // greedy every slot, even with no queue to serve.
+    // Every Monte Carlo slot realizes the channel into the resolver's
+    // SINR buffer (every receiver under regret, the transmitters under
+    // the others), and both max-weight policies run their greedy every
+    // slot, even with no queue to serve.
     for model in SuccessModelKind::all() {
         for policy in PolicyKind::all()
             .into_iter()

@@ -146,7 +146,7 @@ pub fn run_game_instrumented<M: SuccessModel>(
                 transmitters.push(i);
             }
         }
-        model.resolve_sinrs(&transmitters, &mut sinrs);
+        model.resolve_sinrs(&transmitters, true, &mut sinrs);
         let mut succ_count = 0usize;
         let mut tx_count = 0usize;
         for i in 0..n {
@@ -228,7 +228,7 @@ pub fn run_game_bandit<M: SuccessModel>(
                 transmitters.push(i);
             }
         }
-        model.resolve_sinrs(&transmitters, &mut sinrs);
+        model.resolve_sinrs(&transmitters, true, &mut sinrs);
         let mut succ_count = 0usize;
         let mut tx_count = 0usize;
         for i in 0..n {

@@ -90,7 +90,7 @@ pub fn run_game_multichannel<M: SuccessModel>(
             }
         }
         for ((model, tx), sinrs) in models.iter_mut().zip(&channel_tx).zip(&mut channel_sinrs) {
-            model.resolve_sinrs(tx, sinrs);
+            model.resolve_sinrs(tx, true, sinrs);
         }
         let mut succ = 0usize;
         let mut per_channel_tx = vec![0usize; channels];

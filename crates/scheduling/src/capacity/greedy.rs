@@ -72,19 +72,21 @@ impl GreedyCapacity {
         }
     }
 
-    /// Writes the processing order into `order`. Every order is a strict
-    /// total order (ties end on the link index), so the unstable sorts,
-    /// which allocate nothing, produce the one permutation a stable sort
-    /// would.
-    fn ordering_into(&self, inst: &CapacityInstance<'_>, order: &mut Vec<usize>) {
+    /// Writes the processing order into `scratch.order`. Every order is a
+    /// strict total order (ties end on the link index), so the unstable
+    /// sorts, which allocate nothing, produce the one permutation a
+    /// stable sort would, from any starting arrangement.
+    fn ordering_into(&self, inst: &CapacityInstance<'_>, scratch: &mut GreedyScratch) {
         let n = inst.len();
-        order.clear();
+        let GreedyScratch { order, listed, .. } = scratch;
         match &self.order {
             GreedyOrder::Explicit(explicit) => {
                 assert_eq!(explicit.len(), n, "explicit order must cover all links");
+                order.clear();
                 order.extend_from_slice(explicit);
             }
             GreedyOrder::SignalDescending => {
+                order.clear();
                 order.extend(0..n);
                 // total_cmp: a NaN entry must not abort the whole
                 // schedule; it sorts deterministically (first, in
@@ -105,8 +107,25 @@ impl GreedyCapacity {
                 // difference between O(k log k) and O(n log n) per slot.
                 // The surviving order — and hence the selection and its
                 // stats — is bit-identical to sorting the full range.
-                order
-                    .extend((0..n).filter(|&i| crate::capacity::strictly_positive(inst.weight(i))));
+                //
+                // The sort starts from the order the last call left:
+                // those loops move each backlog by at most a packet or
+                // two between calls, so the kept order is nearly sorted
+                // and the sort's insertion pass takes about O(k) on it.
+                // Kept links whose weight is no longer positive (or that
+                // an instance of another size does not have) are dropped,
+                // and newly positive ones appended.
+                let positive = |i: usize| crate::capacity::strictly_positive(inst.weight(i));
+                listed.clear();
+                listed.resize(n, false);
+                order.retain(|&i| {
+                    let keep = i < n && !listed[i] && positive(i);
+                    if keep {
+                        listed[i] = true;
+                    }
+                    keep
+                });
+                order.extend((0..n).filter(|&i| !listed[i] && positive(i)));
                 order.sort_unstable_by(|&a, &b| {
                     inst.weight(b)
                         .total_cmp(&inst.weight(a))
@@ -119,12 +138,15 @@ impl GreedyCapacity {
 }
 
 /// The buffers [`GreedyCapacity::select_into`] reuses from one call to
-/// the next: the processing order and every accepted link's incoming
+/// the next: the processing order, which the weight-descending order
+/// starts its next sort from, and every accepted link's incoming
 /// affectance. Once they have grown to the instance, a selection
 /// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
     order: Vec<usize>,
+    /// Which links the kept order already lists, while it is rebuilt.
+    listed: Vec<bool>,
     cur_in: Vec<f64>,
 }
 
@@ -356,8 +378,8 @@ impl GreedyCapacity {
         assert!(self.in_budget >= 0.0 && self.acceptance_cap <= 1.0 + 1e-12);
         assert_eq!(aff.len(), inst.len(), "affectance cache size mismatch");
         let _g = trace::guard(tracer, tracer.map(|tr| tr.span_id("selector/greedy")));
-        let GreedyScratch { order, cur_in } = scratch;
-        self.ordering_into(inst, order);
+        self.ordering_into(inst, scratch);
+        let GreedyScratch { order, cur_in, .. } = scratch;
         // Incoming unclipped affectance currently suffered by each accepted
         // link (indexed by link id for O(1) updates). An entry is written
         // when its link is accepted, before any read, so what an earlier
@@ -817,6 +839,73 @@ mod tests {
             stats.candidates_scored + rstats.candidates_scored
         );
         assert_eq!(merged.accepted, stats.accepted + rstats.accepted);
+    }
+
+    #[test]
+    fn carried_order_selects_like_a_fresh_scratch() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0de5);
+        // Equal signals: weight ties fall through to the link index.
+        let flat = |rng: &mut StdRng, n: usize| {
+            let g = (0..n * n)
+                .map(|e| {
+                    if e % (n + 1) == 0 {
+                        1.0
+                    } else {
+                        rng.gen_range(0.0..0.3)
+                    }
+                })
+                .collect();
+            (GainMatrix::from_raw(n, g), SinrParams::new(2.0, 1.0, 0.1))
+        };
+        let instances = [
+            paper_instance(3, 30),
+            flat(&mut rng, 12),
+            paper_instance(3, 30),
+        ];
+        let greedy = GreedyCapacity::weighted();
+        // One scratch carried through every call, across both sizes.
+        let mut carried = GreedyScratch::default();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut selected = 0;
+        for (round, (gm, params)) in instances.iter().enumerate() {
+            let n = gm.len();
+            let aff = Affectance::new(gm, params);
+            let mut weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0..4) as f64).collect();
+            for step in 0..300 {
+                // Backlogs as a slot loop moves them: mostly ±1, now and
+                // then a queue emptying or a burst filling it, and the
+                // weights the guard skips (NaN, −0.0, negative).
+                for w in weights.iter_mut() {
+                    *w = match rng.gen_range(0..24) {
+                        0..=5 => *w + 1.0,
+                        6..=11 => (*w - 1.0).max(0.0),
+                        12 => 0.0,
+                        13 => rng.gen_range(1..8) as f64,
+                        14 => f64::NAN,
+                        15 => -0.0,
+                        16 => -1.0,
+                        _ => *w,
+                    };
+                }
+                let inst = CapacityInstance::weighted(gm, params, &weights);
+                let stats = greedy.select_into(&aff, &inst, None, &mut carried, &mut got);
+                let mut fresh = GreedyScratch::default();
+                let fresh_stats = greedy.select_into(&aff, &inst, None, &mut fresh, &mut want);
+                assert_eq!(
+                    carried.order, fresh.order,
+                    "round {round}, step {step}: order"
+                );
+                assert_eq!(
+                    (&got, stats),
+                    (&want, fresh_stats),
+                    "round {round}, step {step}"
+                );
+                selected += got.len();
+            }
+        }
+        assert!(selected > 0);
     }
 
     #[test]

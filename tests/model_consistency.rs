@@ -28,7 +28,7 @@ fn ccdf_matches_empirical_distribution() {
     let mut hits = [0usize; 5];
     let mut sinrs = vec![0.0; 8];
     for _ in 0..trials {
-        SuccessModel::resolve_sinrs(&mut model, &set, &mut sinrs);
+        SuccessModel::resolve_sinrs(&mut model, &set, true, &mut sinrs);
         for (k, &x) in levels.iter().enumerate() {
             if sinrs[0] >= x {
                 hits[k] += 1;
